@@ -35,14 +35,7 @@ from .state import (
     digest,
     snapshot_equal,
 )
-from .toylang import (
-    ParseError,
-    ProgramPair,
-    ThreadProgram,
-    parse,
-    render,
-    statement_count,
-)
+from .toylang import ParseError, ProgramPair, ThreadProgram, parse, render
 
 __version__ = "0.1.0"
 
@@ -80,7 +73,6 @@ __all__ = [
     "replay",
     "report_to_dict",
     "snapshot_equal",
-    "statement_count",
     "step",
     "strip",
     "unblock_check",

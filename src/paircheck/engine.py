@@ -1,12 +1,20 @@
 """Depth-first exploration of all interleavings of a two-thread program.
 
-The search branches wherever both threads could execute a statement,
-always exploring thread 0's step first.  Once one thread has finished,
-the other runs straight to completion.  With race detection on, every
-state reached by an executed statement is checked against the state
-table; an equal stored snapshot lets pruning cut the subtree (it was
-already explored from an identical state), and a differing one is
-reported as a race.
+The search is one loop over an explicit stack of pending steps, each a
+``(state, thread, kind)`` triple; a thread is stepped only when its
+entry is popped.  Where both threads could execute a statement the step
+is a *branch* and thread 0's step is searched first; where the other
+thread would block it is *forced*; once one thread has finished, the
+other runs to completion one *completion* step at a time.  The kind
+decides which statistic counts the step (``branch_statements``, none, or
+``completion_statements``).
+
+With race detection on, every state reached by an executed statement is
+checked against the state table.  An equal stored snapshot lets pruning
+cut the subtree (it was already explored from an identical state).  A
+differing one is reported as a race and ends the search below that
+state, except after a completion step: a race found there does not end
+the run, which goes on to record its final outcome.
 
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
@@ -20,16 +28,13 @@ block forever.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 
 from .state import (
     DONE,
     BlockedOnSem,
     CombinedCounter,
-    DigestEntry,
     Done,
-    FirstVisit,
     PartialInterleaving,
     PrunedEqual,
     Race,
@@ -306,6 +311,10 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
 # Exploration
 # ---------------------------------------------------------------------------
 
+# How a pending step was scheduled: both threads could move, the other
+# thread would block, or the other thread is done.
+_BRANCH, _FORCED, _COMPLETION = range(3)
+
 
 @dataclass
 class _Search:
@@ -317,114 +326,83 @@ class _Search:
     races: list[RaceRecord] = field(default_factory=list)
     deadlocks: list[Finding] = field(default_factory=list)
     block_forever: list[Finding] = field(default_factory=list)
-    executed: int = 0
 
-    def consume(self) -> None:
-        self.executed += 1
-        if self.executed > self.cfg.max_total_steps:
-            raise BudgetExceeded
-
-    def record_race(self, outcome: Race) -> None:
-        self.stats.races_found += 1
-        current = outcome.current
-        if isinstance(outcome.stored, DigestEntry):
-            rec = RaceRecord(
-                counter=current.counter,
-                stored_trace=outcome.stored.trace,
-                stored_snapshot=None,
-                stored_digest=outcome.stored.digest,
-                current_trace=current.trace,
-                current_snapshot=current.snapshot,
-            )
-        else:
-            rec = RaceRecord(
-                counter=current.counter,
-                stored_trace=outcome.stored.trace,
-                stored_snapshot=outcome.stored.snapshot,
-                stored_digest=None,
-                current_trace=current.trace,
-                current_snapshot=current.snapshot,
-            )
-        self.races.append(rec)
-
-    def record_complete(self, i: PartialInterleaving) -> None:
-        self.stats.complete_interleavings += 1
-        self.outcomes.setdefault(i.snapshot, i.trace)
-
-    # --- DFS ---
-
-    def visit(self, i: PartialInterleaving) -> None:
-        """Handle a state reached by an executed statement (or the root)."""
-        if self.table is not None:
-            match self.table.visit(i):
-                case FirstVisit():
-                    pass
-                case PrunedEqual():
-                    if self.cfg.pruning:
-                        self.stats.pruned_subtrees += 1
-                        return
-                case Race() as outcome:
-                    # The stored visit already explored every schedule below
-                    # this counter, so the subtree is cut after recording;
-                    # states reachable only from the divergent side go
-                    # unexplored (inherent to table-based detection).
-                    self.record_race(outcome)
-                    return
-        self.expand(i)
-
-    def expand(self, i: PartialInterleaving) -> None:
-        done0 = isinstance(i.snapshot.status0, Done)
-        done1 = isinstance(i.snapshot.status1, Done)
-        if done0 and done1:
-            self.record_complete(i)
-            return
-        if done0 or done1:
-            self.completion_run(i, live=1 if done0 else 0)
-            return
-        wb0 = _would_block(self.pair, i.snapshot, 0)
-        wb1 = _would_block(self.pair, i.snapshot, 1)
-        if wb0 and wb1:
-            self.deadlocks.append(Finding(i.counter, i.trace))
-            return
-        if wb0 or wb1:
-            # Single successor: only the unblocked thread can move.
-            _, nxt = step(self.pair, i, 1 if wb0 else 0)
-            nxt = unblock_check(self.pair, nxt)
-            self.consume()
-            self.visit(nxt)
-            return
-        for tid in (0, 1):
-            _, nxt = step(self.pair, i, tid)
-            nxt = unblock_check(self.pair, nxt)
-            self.stats.branch_statements += 1
-            self.consume()
-            self.visit(nxt)
-
-    def completion_run(self, i: PartialInterleaving, live: int) -> None:
-        """Run the sole live thread to the end, one statement at a time."""
+    def run(self, root: PartialInterleaving) -> None:
+        """Search depth-first from ``root``; raises BudgetExceeded at the budget."""
+        pair, table, stats, cfg = self.pair, self.table, self.stats, self.cfg
+        pending: list[tuple[PartialInterleaving, int, int]] = []
+        executed = 0
+        i, kind = root, _BRANCH  # the root is checked like a branch state
         while True:
-            if isinstance(i.snapshot.status(live), Done):
-                self.record_complete(i)
-                return
-            if _would_block(self.pair, i.snapshot, live):
-                self.block_forever.append(Finding(i.counter, i.trace))
-                return
-            _, i = step(self.pair, i, live)
-            self.stats.completion_statements += 1
-            self.consume()
-            if self.table is not None:
+            expand = True
+            if table is not None:
                 match self.table.visit(i):
-                    case FirstVisit():
-                        pass
-                    case PrunedEqual():
-                        if self.cfg.pruning:
-                            # the stored visit already ran this suffix
-                            self.stats.pruned_subtrees += 1
-                            return
-                    case Race() as outcome:
-                        # no subtree to cut: finish the run to capture
-                        # the (possibly new) final outcome
-                        self.record_race(outcome)
+                    case PrunedEqual() if cfg.pruning:
+                        # the stored visit already explored this subtree
+                        stats.pruned_subtrees += 1
+                        expand = False
+                    case Race(key, trace, current):
+                        stats.races_found += 1
+                        self.races.append(
+                            RaceRecord(
+                                counter=current.counter,
+                                stored_trace=trace,
+                                stored_snapshot=None if cfg.digest_mode else key,
+                                stored_digest=key if cfg.digest_mode else None,
+                                current_trace=current.trace,
+                                current_snapshot=current.snapshot,
+                            )
+                        )
+                        # The stored visit already explored every schedule below
+                        # this counter, so the subtree is cut (states reachable
+                        # only from the divergent side go unexplored, inherent to
+                        # table-based detection).  A completion step has no
+                        # subtree to cut: its run goes on to the final outcome.
+                        expand = kind == _COMPLETION
+            if expand:
+                self.expand(i, pending)
+            if not pending:
+                return
+            i, tid, kind = pending.pop()
+            _, i = step(pair, i, tid)
+            if kind == _BRANCH:
+                stats.branch_statements += 1
+            elif kind == _COMPLETION:
+                stats.completion_statements += 1
+            executed += 1
+            if executed > cfg.max_total_steps:
+                raise BudgetExceeded
+
+    def expand(
+        self, i: PartialInterleaving, pending: list[tuple[PartialInterleaving, int, int]]
+    ) -> None:
+        """Record the finding that ends at ``i``, or push the steps leaving it.
+
+        Thread 1's step is pushed below thread 0's, so thread 0's whole
+        subtree is searched first.
+        """
+        snap = i.snapshot
+        done0 = isinstance(snap.status0, Done)
+        done1 = isinstance(snap.status1, Done)
+        if done0 and done1:
+            self.stats.complete_interleavings += 1
+            self.outcomes.setdefault(snap, i.trace)
+        elif done0 or done1:
+            live = 1 if done0 else 0
+            if _would_block(self.pair, snap, live):
+                self.block_forever.append(Finding(i.counter, i.trace))
+            else:
+                pending.append((i, live, _COMPLETION))
+        else:
+            wb0 = _would_block(self.pair, snap, 0)
+            wb1 = _would_block(self.pair, snap, 1)
+            if wb0 and wb1:
+                self.deadlocks.append(Finding(i.counter, i.trace))
+            elif wb0 or wb1:
+                pending.append((i, 1 if wb0 else 0, _FORCED))
+            else:
+                pending.append((i, 1, _BRANCH))
+                pending.append((i, 0, _BRANCH))
 
 
 def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> ExplorationReport:
@@ -443,18 +421,11 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     cfg = cfg or ExplorationConfig()
     table = StateTable(cfg.digest_mode) if cfg.race_detection else None
     search = _Search(pair, cfg, table)
-    root = initial_interleaving(pair)
-
-    depth = len(pair.thread0.statements) + len(pair.thread1.statements)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * depth + 200))
     complete = True
     try:
-        search.visit(root)
+        search.run(initial_interleaving(pair))
     except BudgetExceeded:
         complete = False
-    finally:
-        sys.setrecursionlimit(old_limit)
 
     if table is not None:
         search.stats.table_entries = len(table)

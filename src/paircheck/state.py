@@ -7,11 +7,14 @@ execution trace that produced it and the combined execution counter
 (per-thread statements executed, plus one).
 
 The :class:`StateTable` is keyed on combined counters.  The first
-interleaving to reach a counter is stored; later arrivals are compared
-against it.  An equal snapshot means the subtree below was already
-explored from an identical state (prunable); a differing snapshot is a
-race: two schedules reached the same program point with different
-observable behavior.
+interleaving to reach a counter is stored as a ``(key, trace)`` entry,
+where the key is the snapshot itself or, in digest mode, its 128-bit
+digest (hash compaction); later arrivals are compared against it by key
+equality.  An equal key means the subtree below was already explored from
+an identical state (prunable); a differing one is a race: two schedules
+reached the same program point with different observable behavior.  Keys
+are compared with ``==``, without :func:`snapshot_equal`'s schema check,
+so every snapshot given to one table must come from the same program.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .toylang import _escape
+
 __all__ = [
     "BlockedOnSem",
     "CombinedCounter",
     "DIGEST_ALGORITHM",
-    "DigestEntry",
     "Done",
     "DONE",
     "FirstVisit",
@@ -88,11 +92,6 @@ class CombinedCounter(NamedTuple):
 
     s0: int
     s1: int
-
-
-def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 @dataclass(frozen=True)
@@ -176,24 +175,10 @@ class PartialInterleaving:
     trace: str  # over {"0", "1"}; trace[k] is the thread of the (k+1)-th statement
     counter: CombinedCounter
 
-    def trace_consistent(self) -> bool:
-        return (
-            self.trace.count("0") == self.counter.s0 - 1
-            and self.trace.count("1") == self.counter.s1 - 1
-        )
-
 
 # ---------------------------------------------------------------------------
 # State table
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DigestEntry:
-    """Digest-mode stored record: snapshot digest plus witness trace."""
-
-    digest: bytes
-    trace: str
 
 
 @dataclass(frozen=True)
@@ -210,7 +195,8 @@ class PrunedEqual:
 class Race:
     """Same combined counter reached with a different snapshot."""
 
-    stored: PartialInterleaving | DigestEntry
+    stored_key: Snapshot | bytes  # the first visit's snapshot, or its digest
+    stored_trace: str
     current: PartialInterleaving
 
 
@@ -221,48 +207,35 @@ _PRUNED_EQUAL = PrunedEqual()
 
 
 class StateTable:
-    """Map from combined counter to the first interleaving seen there.
+    """Map from combined counter to the first visit seen there.
 
-    Entries are never evicted or overwritten.  In digest mode only a
-    128-bit snapshot digest and the trace are kept per entry.
+    Each entry is ``(key, trace)``: the key is the snapshot, or its
+    128-bit digest in digest mode.  Entries are never evicted or
+    overwritten.  Every interleaving visited must come from the same
+    :class:`~paircheck.toylang.ProgramPair`, because keys are compared
+    with plain ``==`` and no schema check.
     """
 
     def __init__(self, digest_mode: bool = False):
         self.digest_mode = digest_mode
-        self._entries: dict[CombinedCounter, PartialInterleaving | DigestEntry] = {}
+        self._entries: dict[CombinedCounter, tuple[Snapshot | bytes, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, counter: CombinedCounter) -> bool:
-        return counter in self._entries
-
-    def stored(self, counter: CombinedCounter) -> PartialInterleaving | DigestEntry:
-        return self._entries[counter]
-
     def visit(self, interleaving: PartialInterleaving) -> VisitOutcome:
         """Record a first visit, or compare against the stored one.
 
-        Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored
-        snapshot identical; table unchanged), or ``Race`` (snapshots
-        differ; table unchanged).
+        Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored key
+        equal; table unchanged), or ``Race`` (keys differ; table
+        unchanged).
         """
-        counter = interleaving.counter
-        entry = self._entries.get(counter)
+        snapshot = interleaving.snapshot
+        key = digest(snapshot) if self.digest_mode else snapshot
+        entry = self._entries.get(interleaving.counter)
         if entry is None:
-            if self.digest_mode:
-                self._entries[counter] = DigestEntry(
-                    digest(interleaving.snapshot), interleaving.trace
-                )
-            else:
-                self._entries[counter] = interleaving
+            self._entries[interleaving.counter] = (key, interleaving.trace)
             return _FIRST_VISIT
-        if self.digest_mode:
-            assert isinstance(entry, DigestEntry)
-            if entry.digest == digest(interleaving.snapshot):
-                return _PRUNED_EQUAL
-            return Race(entry, interleaving)
-        assert isinstance(entry, PartialInterleaving)
-        if snapshot_equal(entry.snapshot, interleaving.snapshot):
+        if entry[0] == key:
             return _PRUNED_EQUAL
-        return Race(entry, interleaving)
+        return Race(entry[0], entry[1], interleaving)

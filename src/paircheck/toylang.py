@@ -18,7 +18,9 @@ Grammar (UTF-8 text, ``#`` line comments)::
     term      := factor ("*" factor)*
     factor    := INT | IDENT | "(" expr ")"
 
-Defaults: zero semaphores; declared variables start at 0.
+Defaults: zero semaphores; declared variables start at 0.  ``repeat``
+blocks, parentheses, and the operator tree of one expression may each nest
+at most :data:`MAX_NESTING` levels deep.
 """
 
 from __future__ import annotations
@@ -41,11 +43,15 @@ __all__ = [
     "eval_expr",
     "parse",
     "render",
-    "statement_count",
     "wrap64",
 ]
 
 DEFAULT_UNROLL_LIMIT = 1024
+
+# Deepest nesting the parser accepts, separately for ``repeat`` blocks,
+# parentheses, and the operator tree of one expression.  It keeps parsing
+# and evaluation well inside the interpreter's default recursion limit.
+MAX_NESTING = 100
 
 _KEYWORDS = frozenset(
     {"thread0", "thread1", "var", "semaphores", "emit", "up", "down", "repeat"}
@@ -118,11 +124,6 @@ class ProgramPair:
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.thread0 if tid == 0 else self.thread1
-
-
-def statement_count(program: ThreadProgram) -> int:
-    """Number of atomic statements after unrolling."""
-    return len(program.statements)
 
 
 def wrap64(value: int) -> int:
@@ -310,11 +311,13 @@ class _Parser:
         if not self.at_keyword("thread0"):
             raise self.error("expected 'thread0'")
         self.advance()
-        t0 = self.block()
+        t0: list[Statement] = []
+        self.block_into(t0)
         if not self.at_keyword("thread1"):
             raise self.error("expected 'thread1'")
         self.advance()
-        t1 = self.block()
+        t1: list[Statement] = []
+        self.block_into(t1)
         if self.cur.kind != "eof":
             raise self.error(f"trailing input: {self._describe(self.cur)}")
         return ProgramPair(
@@ -347,21 +350,12 @@ class _Parser:
             self.expect_punct(";")
             self.num_semaphores = count
 
-    def block(self) -> list[Statement]:
-        self.expect_punct("{")
-        out: list[Statement] = []
-        while not (self.cur.kind == "punct" and self.cur.value == "}"):
-            if self.cur.kind == "eof":
-                raise self.error("expected '}'")
-            self.statement(out)
-            if len(out) > self.unroll_limit:
-                raise self.error(
-                    f"thread exceeds unroll limit of {self.unroll_limit} statements"
-                )
-        self.expect_punct("}")
-        return out
+    def nested(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+        return depth
 
-    def statement(self, out: list[Statement]) -> None:
+    def statement(self, out: list[Statement], depth: int) -> None:
         tok = self.cur
         if self.at_keyword("emit"):
             self.advance()
@@ -393,7 +387,7 @@ class _Parser:
             if count < 0:
                 raise self.error("repeat count must be non-negative", tok)
             body: list[Statement] = []
-            self.block_into(body)
+            self.block_into(body, self.nested(depth + 1, tok))
             if count * len(body) > self.unroll_limit:
                 raise self.error(
                     f"repeat unrolls to {count * len(body)} statements, "
@@ -407,18 +401,18 @@ class _Parser:
             if name not in self.variables:
                 raise self.error(f"undeclared variable {name!r}", tok)
             self.expect_punct("=")
-            expr = self.expr()
+            expr, _ = self.expr(0)
             self.expect_punct(";")
             out.append(Assign(name, expr))
             return
         raise self.error(f"expected statement, found {self._describe(tok)}")
 
-    def block_into(self, out: list[Statement]) -> None:
+    def block_into(self, out: list[Statement], depth: int = 0) -> None:
         self.expect_punct("{")
         while not (self.cur.kind == "punct" and self.cur.value == "}"):
             if self.cur.kind == "eof":
                 raise self.error("expected '}'")
-            self.statement(out)
+            self.statement(out, depth)
             if len(out) > self.unroll_limit:
                 raise self.error(
                     f"thread exceeds unroll limit of {self.unroll_limit} statements"
@@ -426,35 +420,41 @@ class _Parser:
         self.expect_punct("}")
 
     # --- expressions ---
+    # Each method takes the number of enclosing parentheses and returns the
+    # expression with the height of its operator tree.
 
-    def expr(self) -> Expr:
-        left = self.term()
+    def expr(self, parens: int) -> tuple[Expr, int]:
+        left, height = self.term(parens)
         while self.cur.kind == "punct" and self.cur.value in ("+", "-"):
-            op = str(self.advance().value)
-            left = BinOp(op, left, self.term())
-        return left
+            tok = self.advance()
+            right, right_height = self.term(parens)
+            left = BinOp(str(tok.value), left, right)
+            height = self.nested(max(height, right_height) + 1, tok)
+        return left, height
 
-    def term(self) -> Expr:
-        left = self.factor()
+    def term(self, parens: int) -> tuple[Expr, int]:
+        left, height = self.factor(parens)
         while self.cur.kind == "punct" and self.cur.value == "*":
-            self.advance()
-            left = BinOp("*", left, self.factor())
-        return left
+            tok = self.advance()
+            right, right_height = self.factor(parens)
+            left = BinOp("*", left, right)
+            height = self.nested(max(height, right_height) + 1, tok)
+        return left, height
 
-    def factor(self) -> Expr:
+    def factor(self, parens: int) -> tuple[Expr, int]:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.value))
+            return IntLit(int(tok.value)), 0
         if tok.kind == "ident" and tok.value not in _KEYWORDS:
             self.advance()
             name = str(tok.value)
             if name not in self.variables:
                 raise self.error(f"undeclared variable {name!r}", tok)
-            return Var(name)
+            return Var(name), 0
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
-            inner = self.expr()
+            inner = self.expr(self.nested(parens + 1, tok))
             self.expect_punct(")")
             return inner
         raise self.error(f"expected expression, found {self._describe(tok)}")
@@ -465,7 +465,8 @@ def parse(source: str, *, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> ProgramPa
 
     Raises :class:`ParseError` with line/column on syntax errors,
     undeclared variables, out-of-range semaphore indices, negative repeat
-    counts, and unrolled thread sizes over ``unroll_limit``.
+    counts, unrolled thread sizes over ``unroll_limit``, and nesting
+    deeper than :data:`MAX_NESTING`.
     """
     return _Parser(_lex(source), unroll_limit).program()
 

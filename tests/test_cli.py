@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from conftest import PROGRAMS_DIR
 from paircheck.cli import ExitStatus, main
+from paircheck.toylang import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -91,6 +94,44 @@ class TestCheck:
             first = run(capsys, "check", program(name), "--format", "json")
             second = run(capsys, "check", program(name), "--format", "json")
             assert first == second
+
+
+def nested_program(expr: str = "1", repeats: int = 0) -> str:
+    body = f"x = {expr};"
+    for _ in range(repeats):
+        body = f"repeat 1 {{ {body} }}"
+    return f"var x; thread0 {{ {body} }} thread1 {{ x = 2; }}"
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            nested_program("(" * 3000 + "1" + ")" * 3000),
+            nested_program(repeats=2000),
+            nested_program("+".join(["1"] * 3000)),
+        ],
+        ids=["parentheses", "repeat", "operator-chain"],
+    )
+    def test_too_deep_is_input_error(self, tmp_path, capsys, source):
+        path = tmp_path / "deep.toy"
+        path.write_text(source)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == ExitStatus.INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and "nesting deeper than" in err
+        assert "Traceback" not in err
+
+    def test_program_at_the_bound_explores(self, tmp_path, capsys):
+        # every bound reached at once: repeats around parentheses around a chain
+        chain = "+".join(["x"] * (MAX_NESTING + 1))
+        source = nested_program("(" * MAX_NESTING + chain + ")" * MAX_NESTING, MAX_NESTING)
+        path = tmp_path / "deep.toy"
+        path.write_text(source)
+        for flags in ((), ("--digest",), ("--no-race-detect",)):
+            code, out, err = run(capsys, "check", str(path), *flags)
+            assert code == ExitStatus.RACE
+            assert "verdict: race" in out and err == ""
 
 
 class TestBench:

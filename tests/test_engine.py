@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -236,6 +237,24 @@ class TestExplore:
                 assert report.stats.table_entries == (m + 1) * (n + 1)
 
 
+@pytest.mark.parametrize("digest_mode", [False, True])
+def test_explore_leaves_recursion_limit_alone(monkeypatch, digest_mode):
+    # thread 0 is as long as the unroll limit allows, so the search is
+    # more than a thousand statements deep
+    pair = parse("var x; var y; thread0 { repeat 1024 { x = x + 1; } } thread1 { y = 1; y = 2; }")
+    limit = sys.getrecursionlimit()
+
+    def refuse(_limit):
+        raise AssertionError("explore changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    report = explore(pair, ExplorationConfig(digest_mode=digest_mode))
+    assert sys.getrecursionlimit() == limit
+    assert report.complete
+    assert report.stats.table_entries == 1025 * 3
+    assert report.outcomes[0].snapshot.variable("x") == 1024
+
+
 class TestInterleavingCountLaw:
     @pytest.mark.parametrize("m", range(0, 7))
     @pytest.mark.parametrize("n", range(0, 7))
@@ -274,7 +293,7 @@ class TestReplay:
         for trace in ("", "0", "01", "011", "0110"):
             i = replay(ab12, trace)
             assert i.trace == trace
-            assert i.trace_consistent()
+            assert (trace.count("0") + 1, trace.count("1") + 1) == i.counter
 
 
 class TestWitnessReplay:

@@ -8,9 +8,7 @@ from paircheck.state import (
     DONE,
     BlockedOnSem,
     CombinedCounter,
-    DigestEntry,
     FirstVisit,
-    PartialInterleaving,
     PrunedEqual,
     Race,
     Runnable,
@@ -107,9 +105,10 @@ class TestStateTable:
         assert isinstance(table.visit(stored), FirstVisit)
         outcome = table.visit(current)
         assert isinstance(outcome, Race)
-        assert outcome.stored is stored
+        assert outcome.stored_key is stored.snapshot
+        assert outcome.stored_trace == "10"
         assert outcome.current is current
-        assert not snapshot_equal(outcome.stored.snapshot, current.snapshot)
+        assert not snapshot_equal(outcome.stored_key, current.snapshot)
 
     def test_commuting_states_prune(self):
         table = StateTable()
@@ -124,19 +123,22 @@ class TestStateTable:
         for trace in ("01", "10", "01"):
             outcome = table.visit(replay(AB12, trace))
             assert isinstance(outcome, (PrunedEqual, Race))
-        assert table.stored(CombinedCounter(2, 2)) is first
+        # the first visit is still the one a later race reports
+        outcome = table.visit(replay(AB12, "10"))
+        assert isinstance(outcome, Race)
+        assert outcome.current.counter == CombinedCounter(2, 2)
+        assert outcome.stored_key is first.snapshot
+        assert outcome.stored_trace == "01"
+        assert len(table) == 1
 
     def test_digest_mode_stores_digest_and_trace(self):
         table = StateTable(digest_mode=True)
         stored = replay(AB12, "10")
-        table.visit(stored)
-        entry = table.stored(CombinedCounter(2, 2))
-        assert isinstance(entry, DigestEntry)
-        assert entry.trace == "10"
-        assert entry.digest == digest(stored.snapshot)
+        assert isinstance(table.visit(stored), FirstVisit)
         outcome = table.visit(replay(AB12, "01"))
         assert isinstance(outcome, Race)
-        assert isinstance(outcome.stored, DigestEntry)
+        assert outcome.stored_trace == "10"
+        assert outcome.stored_key == digest(stored.snapshot)
 
     def test_digest_mode_prunes_equal(self):
         table = StateTable(digest_mode=True)
@@ -192,6 +194,5 @@ class TestCanonicalSerialization:
 def test_trace_consistency_helper():
     i = replay(AB12, "011")
     assert i.counter == CombinedCounter(2, 3)
-    assert i.trace_consistent()
-    bad = PartialInterleaving(i.snapshot, "000", i.counter)
-    assert not bad.trace_consistent()
+    # each counter is one more than its thread's symbols in the trace
+    assert (i.trace.count("0") + 1, i.trace.count("1") + 1) == i.counter

@@ -11,11 +11,11 @@ from paircheck.toylang import (
     SemDown,
     SemUp,
     ThreadProgram,
+    MAX_NESTING,
     Var,
     eval_expr,
     parse,
     render,
-    statement_count,
     wrap64,
 )
 
@@ -79,6 +79,50 @@ class TestParse:
     def test_deterministic(self):
         src = 'var x = 3; semaphores 1; thread0 { x = x + 1; up(0); } thread1 { emit "q"; }'
         assert parse(src) == parse(src)
+
+
+class TestNestingBound:
+    PREFIX = "var x; thread0 { x = "
+
+    def parse_expr(self, expr: str):
+        return parse(f"{self.PREFIX}{expr}; }} thread1 {{ }}")
+
+    def test_parentheses_at_and_past_the_bound(self):
+        depth = MAX_NESTING
+        assert self.parse_expr("(" * depth + "1" + ")" * depth).thread0.statements == (
+            Assign("x", IntLit(1)),
+        )
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            self.parse_expr("(" * (depth + 1) + "1" + ")" * (depth + 1))
+        # reported at the first parenthesis past the bound
+        assert (exc.value.line, exc.value.col) == (1, len(self.PREFIX) + depth + 1)
+
+    def test_operator_chain_at_and_past_the_bound(self):
+        pair = self.parse_expr(" + ".join(["x"] * (MAX_NESTING + 1)))
+        assert eval_expr(pair.thread0.statements[0].expr, {"x": 1}) == MAX_NESTING + 1
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            self.parse_expr(" * ".join(["x"] * (MAX_NESTING + 2)))
+        # reported at the operator that makes the tree too deep: the chain
+        # is "x * x * ...", so operator k sits 4k - 1 columns in
+        assert exc.value.col == len(self.PREFIX) + 4 * (MAX_NESTING + 1) - 1
+
+    def test_parentheses_do_not_deepen_the_operator_tree(self):
+        # render() parenthesizes every operator; the result must parse again
+        pair = self.parse_expr("-".join(["x"] * (MAX_NESTING + 1)))
+        assert parse(render(pair)) == pair
+
+    def test_repeat_nesting(self):
+        def source(levels):
+            body = "x = 1;"
+            for _ in range(levels):
+                body = f"repeat 1 {{ {body} }}"
+            return f"var x; thread0 {{ {body} }} thread1 {{ }}"
+
+        assert len(parse(source(MAX_NESTING)).thread0.statements) == 1
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse(source(MAX_NESTING + 1))
+        # reported at the innermost repeat, the first one past the bound
+        assert exc.value.col == len("var x; thread0 { ") + len("repeat 1 { ") * MAX_NESTING + 1
 
 
 class TestParseErrors:
@@ -148,10 +192,10 @@ class TestEval:
 
 def test_statement_count():
     pair = parse('thread0 { emit "a"; emit "b"; } thread1 { }')
-    assert statement_count(pair.thread0) == 2
-    assert statement_count(pair.thread1) == 0
+    assert len(pair.thread0.statements) == 2
+    assert len(pair.thread1.statements) == 0
     pair = parse('thread0 { repeat 3 { emit "x"; } } thread1 { }')
-    assert statement_count(pair.thread0) == 3
+    assert len(pair.thread0.statements) == 3
 
 
 @given(
