@@ -96,7 +96,7 @@ def bench_table(
 
 def _snapshot_dict(snapshot: Snapshot) -> dict:
     return {
-        "variables": {name: value for name, value in snapshot.variables},
+        "variables": dict(zip(snapshot.names, snapshot.values)),
         "output": snapshot.output,
         "semaphores": "".join("U" if up else "D" for up in snapshot.semaphores),
     }

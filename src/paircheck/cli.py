@@ -8,6 +8,7 @@ Exit codes:
 * 3 — block-forever found
 * 4 — input, usage, or parse error
 * 5 — step budget exhausted
+* 6 — internal error: an unexpected exception inside paircheck
 
 When several findings apply, the lowest nonzero code wins.
 """
@@ -36,16 +37,17 @@ class ExitStatus(IntEnum):
     BLOCK_FOREVER = 3
     INPUT_ERROR = 4
     BUDGET_EXHAUSTED = 5
+    INTERNAL_ERROR = 6
 
 
-class _UsageError(Exception):
-    pass
+class _InputError(Exception):
+    """Bad usage or unreadable input; printed as one ``error:`` line."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; route through INPUT_ERROR instead
     def error(self, message: str):  # noqa: A003 - argparse API
-        raise _UsageError(message)
+        raise _InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -85,10 +87,15 @@ def _build_parser() -> _Parser:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _InputError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not valid UTF-8: {exc}") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -96,22 +103,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("error: --digest needs race detection", file=sys.stderr)
         return ExitStatus.INPUT_ERROR
     try:
-        source = _read_source(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.INPUT_ERROR
+        cfg = ExplorationConfig(
+            pruning=not args.no_prune,
+            race_detection=not args.no_race_detect,
+            digest_mode=args.digest,
+            max_total_steps=args.max_steps,
+        )
+    except ValueError as exc:
+        raise _InputError(exc) from None
+    source = _read_source(args.file)
     try:
         pair = parse(source)
     except ParseError as exc:
         print(f"error: {args.file}:{exc}", file=sys.stderr)
         return ExitStatus.INPUT_ERROR
 
-    cfg = ExplorationConfig(
-        pruning=not args.no_prune,
-        race_detection=not args.no_race_detect,
-        digest_mode=args.digest,
-        max_total_steps=args.max_steps,
-    )
     report = explore(pair, cfg)
     sys.stdout.write(render_report(report, args.format))
 
@@ -150,11 +156,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_instrument(args: argparse.Namespace) -> int:
-    try:
-        source = _read_source(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.INPUT_ERROR
+    source = _read_source(args.file)
     opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
     try:
         result = strip_source(source, opts) if args.strip else instrument_source(source, opts)
@@ -177,14 +179,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+        if args.command == "check":
+            return _cmd_check(args)
+        if args.command == "bench":
+            return _cmd_bench(args)
+        return _cmd_instrument(args)
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.INPUT_ERROR
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    return _cmd_instrument(args)
+    except Exception as exc:  # noqa: BLE001 - a crash must not exit 1, which means "race"
+        # imported only here: it costs about a millisecond of start-up on every run
+        import traceback
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return ExitStatus.INTERNAL_ERROR
 
 
 def entry() -> None:

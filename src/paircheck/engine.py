@@ -28,7 +28,7 @@ block forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .state import (
     DONE,
@@ -42,7 +42,7 @@ from .state import (
     Snapshot,
     StateTable,
 )
-from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp, eval_expr
+from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp
 
 __all__ = [
     "Advanced",
@@ -198,8 +198,10 @@ class ExplorationReport:
 
 def initial_interleaving(pair: ProgramPair) -> PartialInterleaving:
     """State at the first scheduling point, before any statement runs."""
+    initial = dict(pair.variables)
     snapshot = Snapshot(
-        variables=tuple(sorted(pair.variables)),
+        names=pair.names,
+        values=tuple(initial[name] for name in pair.names),
         output="",
         semaphores=(False,) * pair.num_semaphores,
         status0=Runnable(0) if pair.thread0.statements else DONE,
@@ -209,12 +211,24 @@ def initial_interleaving(pair: ProgramPair) -> PartialInterleaving:
 
 
 def _advance(
-    pair: ProgramPair, i: PartialInterleaving, tid: int, snapshot: Snapshot, index: int
+    pair: ProgramPair,
+    i: PartialInterleaving,
+    tid: int,
+    index: int,
+    values: tuple[int, ...],
+    output: str,
+    semaphores: tuple[bool, ...],
 ) -> tuple[StepEffect, PartialInterleaving]:
+    """The successor of ``i`` once thread ``tid`` has executed statement ``index``."""
     done = index + 1 >= len(pair.thread(tid).statements)
-    snapshot = snapshot.with_status(tid, DONE if done else Runnable(index + 1))
-    counter = CombinedCounter(i.counter.s0 + (tid == 0), i.counter.s1 + (tid == 1))
-    nxt = PartialInterleaving(snapshot, i.trace + str(tid), counter)
+    status = DONE if done else Runnable(index + 1)
+    snap, (s0, s1) = i.snapshot, i.counter
+    if tid == 0:
+        new = Snapshot(snap.names, values, output, semaphores, status, snap.status1)
+        nxt = PartialInterleaving(new, i.trace + "0", CombinedCounter(s0 + 1, s1))
+    else:
+        new = Snapshot(snap.names, values, output, semaphores, snap.status0, status)
+        nxt = PartialInterleaving(new, i.trace + "1", CombinedCounter(s0, s1 + 1))
     return (_COMPLETED if done else _ADVANCED, nxt)
 
 
@@ -231,35 +245,31 @@ def step(
 
     Stepping a thread that is not runnable raises :class:`EngineError`.
     """
-    status = i.snapshot.status(tid)
+    snap = i.snapshot
+    status = snap.status(tid)
     if not isinstance(status, Runnable):
         raise EngineError(f"thread {tid} is not runnable: {status!r}")
     index = status.next_index
     stmt = pair.thread(tid).statements[index]
-    snap = i.snapshot
+    values, output, sems = snap.values, snap.output, snap.semaphores
     match stmt:
-        case Assign(target, expr):
-            value = eval_expr(expr, dict(snap.variables))
-            return _advance(pair, i, tid, snap.with_variable(target, value), index)
+        case Assign():
+            values = pair.updates[tid][index](values)
         case Emit(text):
-            new = replace(snap, output=snap.output + text)
-            return _advance(pair, i, tid, new, index)
+            output += text
         case SemDown(sem):
-            if snap.semaphores[sem]:
-                sems = snap.semaphores[:sem] + (False,) + snap.semaphores[sem + 1 :]
-                snap = replace(snap, semaphores=sems)
-            return _advance(pair, i, tid, snap, index)
+            if sems[sem]:
+                sems = sems[:sem] + (False,) + sems[sem + 1 :]
         case SemUp(sem):
-            if not snap.semaphores[sem]:
-                sems = snap.semaphores[:sem] + (True,) + snap.semaphores[sem + 1 :]
-                return _advance(pair, i, tid, replace(snap, semaphores=sems), index)
-            if isinstance(i.snapshot.status(1 - tid), BlockedOnSem):
-                return (_DEADLOCK, i)
-            blocked = PartialInterleaving(
-                snap.with_status(tid, BlockedOnSem(sem)), i.trace, i.counter
-            )
-            return (NowBlocked(sem), blocked)
-    raise TypeError(f"not a statement: {stmt!r}")
+            if sems[sem]:
+                if isinstance(snap.status(1 - tid), BlockedOnSem):
+                    return (_DEADLOCK, i)
+                blocked = snap.with_status(tid, BlockedOnSem(sem))
+                return (NowBlocked(sem), PartialInterleaving(blocked, i.trace, i.counter))
+            sems = sems[:sem] + (True,) + sems[sem + 1 :]
+        case _:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return _advance(pair, i, tid, index, values, output, sems)
 
 
 def unblock_check(pair: ProgramPair, i: PartialInterleaving) -> PartialInterleaving:
@@ -269,14 +279,14 @@ def unblock_check(pair: ProgramPair, i: PartialInterleaving) -> PartialInterleav
     step: its counter advances and its trace symbol is appended.
     """
     for tid in (0, 1):
-        status = i.snapshot.status(tid)
-        if isinstance(status, BlockedOnSem) and not i.snapshot.semaphores[status.sem]:
+        snap = i.snapshot
+        status = snap.status(tid)
+        if isinstance(status, BlockedOnSem) and not snap.semaphores[status.sem]:
             sem = status.sem
-            sems = i.snapshot.semaphores[:sem] + (True,) + i.snapshot.semaphores[sem + 1 :]
-            snap = replace(i.snapshot, semaphores=sems)
+            sems = snap.semaphores[:sem] + (True,) + snap.semaphores[sem + 1 :]
             # the pending statement's index equals the statements executed so far
-            index = (i.counter.s0 if tid == 0 else i.counter.s1) - 1
-            _, i = _advance(pair, i, tid, snap, index)
+            index = i.counter[tid] - 1
+            _, i = _advance(pair, i, tid, index, snap.values, snap.output, sems)
     return i
 
 

@@ -20,7 +20,7 @@ so every snapshot given to one table must come from the same program.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .toylang import _escape
@@ -96,35 +96,39 @@ class CombinedCounter(NamedTuple):
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Complete execution state; equality is field-wise and total."""
+    """Complete execution state; equality is field-wise and total.
 
-    variables: tuple[tuple[str, int], ...]  # sorted by name
+    Variable values are kept in slot order: ``values[k]`` belongs to
+    ``names[k]``, and ``names`` is the program's sorted variable names.
+    Every snapshot of one program shares that one ``names`` tuple, so it is
+    left out of equality and hashing.
+    """
+
+    names: tuple[str, ...] = field(compare=False, repr=False)
+    values: tuple[int, ...]
     output: str
     semaphores: tuple[bool, ...]  # True = up
     status0: ThreadStatus
     status1: ThreadStatus
 
-    def variable(self, name: str) -> int:
-        for key, value in self.variables:
-            if key == name:
-                return value
-        raise KeyError(name)
+    @property
+    def variables(self) -> tuple[tuple[str, int], ...]:
+        """``(name, value)`` pairs in sorted name order."""
+        return tuple(zip(self.names, self.values))
 
-    def with_variable(self, name: str, value: int) -> "Snapshot":
-        new_vars = tuple(
-            (key, value if key == name else old) for key, old in self.variables
-        )
-        if all(key != name for key, _ in self.variables):
-            raise KeyError(name)
-        return Snapshot(new_vars, self.output, self.semaphores, self.status0, self.status1)
+    def variable(self, name: str) -> int:
+        try:
+            return self.values[self.names.index(name)]
+        except ValueError:
+            raise KeyError(name) from None
 
     def status(self, tid: int) -> ThreadStatus:
         return self.status0 if tid == 0 else self.status1
 
     def with_status(self, tid: int, status: ThreadStatus) -> "Snapshot":
         if tid == 0:
-            return Snapshot(self.variables, self.output, self.semaphores, status, self.status1)
-        return Snapshot(self.variables, self.output, self.semaphores, self.status0, status)
+            return replace(self, status0=status)
+        return replace(self, status1=status)
 
     def canonical(self) -> str:
         """Canonical serialization; the byte layout behind digests.
@@ -135,7 +139,7 @@ class Snapshot:
         or ``done``, and the output string with ``\\``-escaped ``"``,
         ``\\``, and control characters.
         """
-        vars_part = ",".join(f"{k}={v}" for k, v in sorted(self.variables))
+        vars_part = ",".join(map("{}={}".format, self.names, self.values))
         sems_part = "".join("U" if up else "D" for up in self.semaphores)
         return (
             f"vars{{{vars_part}}};"
@@ -152,7 +156,7 @@ def snapshot_equal(a: Snapshot, b: Snapshot) -> bool:
     Both snapshots must come from the same program: mismatched variable
     names or semaphore counts raise ``ValueError``.
     """
-    if tuple(k for k, _ in a.variables) != tuple(k for k, _ in b.variables):
+    if a.names != b.names:
         raise ValueError("snapshots have different variable schemas")
     if len(a.semaphores) != len(b.semaphores):
         raise ValueError("snapshots have different semaphore counts")

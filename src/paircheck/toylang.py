@@ -25,7 +25,9 @@ at most :data:`MAX_NESTING` levels deep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 __all__ = [
     "Assign",
@@ -115,12 +117,37 @@ class ThreadProgram:
     statements: tuple[Statement, ...]
 
 
+# A compiled assignment: maps the variable values in slot order before the
+# statement to the values after it.
+Update = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ProgramPair:
     thread0: ThreadProgram
     thread1: ThreadProgram
     num_semaphores: int
     variables: tuple[tuple[str, int], ...]  # (name, initial value), declaration order
+    # Derived once per program: the variable names in sorted order (slot k
+    # holds names[k]), and per thread one compiled update per statement
+    # (None where the statement is not an assignment).
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    updates: tuple[tuple[Update | None, ...], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        names = tuple(sorted(name for name, _ in self.variables))
+        slots = {name: k for k, name in enumerate(names)}
+        updates = tuple(
+            tuple(
+                _compile_assign(stmt, slots) if isinstance(stmt, Assign) else None
+                for stmt in thread.statements
+            )
+            for thread in (self.thread0, self.thread1)
+        )
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "updates", updates)
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.thread0 if tid == 0 else self.thread1
@@ -131,25 +158,42 @@ def wrap64(value: int) -> int:
     return (value - _I64_MIN) % _U64 + _I64_MIN
 
 
-def eval_expr(expr: Expr, variables: dict[str, int]) -> int:
-    """Evaluate an expression; total over 64-bit ints with wrap-around."""
+def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:
+    """Compile an expression to a closure over the slot-ordered values.
+
+    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
+    and other nodes ``TypeError``, at compile time.
+    """
     match expr:
         case IntLit(value):
-            return wrap64(value)
+            constant = wrap64(value)
+            return lambda values: constant
         case Var(name):
-            return variables[name]
+            return itemgetter(slots[name])
         case BinOp(op, left, right):
-            a = eval_expr(left, variables)
-            b = eval_expr(right, variables)
+            a = _compile_expr(left, slots)
+            b = _compile_expr(right, slots)
+            # wrap64 inlined: one call per operator instead of two
             if op == "+":
-                return wrap64(a + b)
+                return lambda values: (a(values) + b(values) - _I64_MIN) % _U64 + _I64_MIN
             if op == "-":
-                return wrap64(a - b)
+                return lambda values: (a(values) - b(values) - _I64_MIN) % _U64 + _I64_MIN
             if op == "*":
-                return wrap64(a * b)
+                return lambda values: (a(values) * b(values) - _I64_MIN) % _U64 + _I64_MIN
             raise ValueError(f"unknown operator {op!r}")
-        case _:
-            raise TypeError(f"not an expression: {expr!r}")
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def _compile_assign(stmt: Assign, slots: dict[str, int]) -> Update:
+    k = slots[stmt.target]
+    evaluate = _compile_expr(stmt.expr, slots)
+    return lambda values: values[:k] + (evaluate(values),) + values[k + 1 :]
+
+
+def eval_expr(expr: Expr, variables: dict[str, int]) -> int:
+    """Evaluate an expression; total over 64-bit ints with wrap-around."""
+    slots = {name: k for k, name in enumerate(variables)}
+    return _compile_expr(expr, slots)(tuple(variables.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,31 @@ class TestCheck:
         assert code == ExitStatus.RACE
         assert "blake2b-128" in out
 
+    def test_negative_max_steps_is_input_error(self, capsys):
+        code, out, err = run(capsys, "check", program("ab12.toy"), "--max-steps", "-1")
+        assert code == ExitStatus.INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["check", "instrument"])
+    def test_non_utf8_source_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.toy"
+        path.write_bytes('thread0 { emit "\xe9"; } thread1 { }'.encode("latin-1"))
+        code, out, err = run(capsys, command, str(path))
+        assert code == ExitStatus.INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {path}: not valid UTF-8") and err.count("\n") == 1
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("paircheck.cli.explore", broken)
+        code, out, err = run(capsys, "check", program("ab12.toy"))
+        assert code == ExitStatus.INTERNAL_ERROR == 6
+        assert out == ""
+        assert err.startswith("internal error: RuntimeError: boom\n")
+
     def test_in_process_determinism(self, capsys, bundled_programs):
         for name in bundled_programs:
             first = run(capsys, "check", program(name), "--format", "json")

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from corpus import random_pair
+from corpus import fixed_corpus, random_pair
 from oracle import enumerate_schedules
 from paircheck.engine import (
     Advanced,
@@ -25,6 +25,7 @@ from paircheck.state import (
     BlockedOnSem,
     CombinedCounter,
     Runnable,
+    digest,
     snapshot_equal,
 )
 from paircheck.toylang import parse
@@ -382,3 +383,50 @@ class TestOracleAgreement:
         rng = random.Random(4321)
         for _ in range(50):
             self.compare(random_pair(rng))
+
+
+# mode -> (config, race witnesses it reports on fixed_corpus(200))
+TABLE_MODES = {
+    "pruned-full": (ExplorationConfig(), 317),
+    "pruned-digest": (ExplorationConfig(digest_mode=True), 317),
+    "unpruned-table": (ExplorationConfig(pruning=False), 701),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_with_oracle():
+    return [(pair, enumerate_schedules(pair)) for pair in fixed_corpus(200)]
+
+
+class TestOracleAgreementTableModes:
+    """Every table mode agrees with the brute-force enumerator on the fixed corpus."""
+
+    @pytest.mark.parametrize("mode", TABLE_MODES)
+    def test_fixed_corpus(self, mode, corpus_with_oracle):
+        cfg, expected_witnesses = TABLE_MODES[mode]
+        race_free = witnesses = 0
+        for index, (pair, oracle) in enumerate(corpus_with_oracle):
+            report = explore(pair, cfg)
+            assert report.complete, index
+            assert report.race_found == oracle.race, index
+            if not oracle.race:
+                race_free += 1
+                assert {
+                    (tuple(sorted(o.snapshot.variables)), o.snapshot.output, o.snapshot.semaphores)
+                    for o in report.outcomes
+                } == oracle.outcomes, index
+                assert bool(report.deadlocks) == oracle.deadlock, index
+                assert bool(report.block_forever) == oracle.block_forever, index
+            for race in report.races:
+                witnesses += 1
+                current = replay(pair, race.current_trace)
+                stored = replay(pair, race.stored_trace)
+                assert current.counter == stored.counter == race.counter, index
+                assert current.snapshot == race.current_snapshot, index
+                assert not snapshot_equal(stored.snapshot, current.snapshot), index
+                if cfg.digest_mode:
+                    assert digest(stored.snapshot) == race.stored_digest, index
+                else:
+                    assert stored.snapshot == race.stored_snapshot, index
+        assert race_free == 136
+        assert witnesses == expected_witnesses

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from paircheck.engine import replay
+from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
 from paircheck.state import (
     DONE,
     BlockedOnSem,
@@ -25,7 +25,8 @@ COMMUTING = parse("var x; var y; thread0 { x = x + 1; } thread1 { y = y + 1; }")
 
 def make_snapshot(**overrides):
     fields = dict(
-        variables=(("x", 1), ("y", 2)),
+        names=("x", "y"),
+        values=(1, 2),
         output="ab",
         semaphores=(True, False),
         status0=Runnable(1),
@@ -45,7 +46,7 @@ class TestSnapshotEqual:
 
     def test_each_field_participates(self):
         base = make_snapshot()
-        assert not snapshot_equal(base, make_snapshot(variables=(("x", 1), ("y", 3))))
+        assert not snapshot_equal(base, make_snapshot(values=(1, 3)))
         assert not snapshot_equal(base, make_snapshot(semaphores=(True, True)))
         assert not snapshot_equal(base, make_snapshot(status0=Runnable(0)))
         assert not snapshot_equal(base, make_snapshot(status1=BlockedOnSem(0)))
@@ -66,17 +67,38 @@ class TestSnapshotEqual:
 
     def test_schema_mismatch_raises(self):
         with pytest.raises(ValueError):
-            snapshot_equal(make_snapshot(), make_snapshot(variables=(("x", 1), ("z", 2))))
+            snapshot_equal(make_snapshot(), make_snapshot(names=("x", "z")))
         with pytest.raises(ValueError):
             snapshot_equal(make_snapshot(), make_snapshot(semaphores=(True,)))
 
 
+class TestSlotLayout:
+    def test_variables_and_variable_read_the_slots(self):
+        snap = make_snapshot()
+        assert snap.variables == (("x", 1), ("y", 2))
+        assert (snap.variable("x"), snap.variable("y")) == (1, 2)
+        with pytest.raises(KeyError):
+            snap.variable("z")
+
+    def test_names_left_out_of_equality_and_hash(self):
+        a, b = make_snapshot(), make_snapshot(names=("p", "q"))
+        assert a == b and hash(a) == hash(b)
+
+    def test_snapshots_of_one_program_share_names(self):
+        pair = parse("var y; var x; thread0 { x = 1; y = x; } thread1 { x = 2; }")
+        assert pair.names == ("x", "y")
+        report = explore(pair, ExplorationConfig(pruning=False))
+        snapshots = [o.snapshot for o in report.outcomes]
+        snapshots += [r.current_snapshot for r in report.races]
+        snapshots += [r.stored_snapshot for r in report.races]
+        assert report.races
+        assert all(snap.names is pair.names for snap in snapshots)
+
+
 _snapshots = st.builds(
     Snapshot,
-    variables=st.tuples(
-        st.tuples(st.just("x"), st.integers(-3, 3)),
-        st.tuples(st.just("y"), st.integers(-3, 3)),
-    ),
+    names=st.just(("x", "y")),
+    values=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     output=st.sampled_from(["", "a", "ab", "1a"]),
     semaphores=st.tuples(st.booleans(), st.booleans()),
     status0=st.sampled_from([Runnable(0), Runnable(1), BlockedOnSem(0), DONE]),
@@ -154,8 +176,6 @@ class TestDigest:
 
     def test_stable_across_runs(self):
         # frozen reference value; guards cross-process/platform stability
-        from paircheck.engine import initial_interleaving
-
         snap = initial_interleaving(AB12).snapshot
         assert snap.canonical() == 'vars{};out="";sems=;st0=run@0;st1=run@0'
         assert digest(snap).hex() == "63eabeac9174ad7e3455f65915d9b9c2"
@@ -165,11 +185,11 @@ class TestDigest:
         names = ("a", "b", "c")
         for _ in range(1000):
             values = [rng.randrange(-100, 100) for _ in names]
-            snap = make_snapshot(variables=tuple(zip(names, values)))
+            snap = make_snapshot(names=names, values=tuple(values))
             idx = rng.randrange(len(names))
             changed = list(values)
             changed[idx] += rng.choice([1, -1, 17])
-            other = make_snapshot(variables=tuple(zip(names, changed)))
+            other = make_snapshot(names=names, values=tuple(changed))
             assert digest(snap) != digest(other)
 
 
@@ -179,7 +199,8 @@ class TestCanonicalSerialization:
         assert snap.canonical() == 'vars{x=1,y=2};out="ab";sems=UD;st0=run@1;st1=done'
 
     def test_variables_sorted_by_name(self):
-        snap = make_snapshot(variables=(("b", 2), ("a", 1)))
+        pair = parse("var b = 2; var a = 1; thread0 { } thread1 { }")
+        snap = initial_interleaving(pair).snapshot
         assert snap.canonical().startswith("vars{a=1,b=2};")
 
     def test_output_escaping(self):

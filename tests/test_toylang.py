@@ -178,6 +178,25 @@ class TestParseErrors:
 
 
 class TestEval:
+    def test_unknown_variable(self):
+        with pytest.raises(KeyError):
+            eval_expr(BinOp("+", Var("x"), Var("y")), {"x": 1})
+
+    def test_hand_built_pair_compiles_its_assignments(self):
+        assign = Assign("y", BinOp("*", Var("x"), IntLit(3)))
+        pair = ProgramPair(
+            thread0=ThreadProgram((assign, Emit("a"))),
+            thread1=ThreadProgram(()),
+            num_semaphores=0,
+            variables=(("y", 0), ("x", 5)),
+        )
+        assert pair.names == ("x", "y")
+        update, none = pair.updates[0]
+        assert none is None and pair.updates[1] == ()
+        assert update((5, 0)) == (5, 15)
+        # the derived fields take no part in equality
+        assert pair == ProgramPair(pair.thread0, pair.thread1, 0, pair.variables)
+
     def test_wraparound_add(self):
         assert eval_expr(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
 
