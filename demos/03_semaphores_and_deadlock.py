@@ -10,7 +10,7 @@ stand before blocking ``up`` calls at once, the whole program is
 deadlocked.
 """
 
-from paircheck import ExplorationConfig, explore, parse, replay, step
+from paircheck import EngineError, ExplorationConfig, explore, parse, replay, step
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
 
@@ -26,15 +26,15 @@ print("=== double-up deadlock ===")
 for finding in report.deadlocks:
     print(f"deadlock after trace {finding.trace!r} at counter {tuple(finding.counter)}")
 
-# The witness trace replays to the stuck state: from there, either
-# thread's next step blocks, and once one is blocked the other's attempt
-# is the deadlock.
+# The witness trace replays to the stuck state: from there, each thread's
+# next statement is an up on a raised semaphore, so step refuses both.
 witness = report.deadlocks[0]
 stuck = replay(deadlock, witness.trace)
-effect, blocked = step(deadlock, stuck, 0)
-print("thread 0 step effect:", type(effect).__name__)
-effect, _ = step(deadlock, blocked, 1)
-print("thread 1 step effect:", type(effect).__name__)
+for tid in (0, 1):
+    try:
+        step(deadlock, stuck, tid)
+    except EngineError as exc:
+        print(f"thread {tid} cannot step: {exc}")
 
 # One thread finishing while the other waits is an error too: the waiter
 # will block forever.

@@ -23,7 +23,6 @@ from .engine import (
     initial_interleaving,
     replay,
     step,
-    unblock_check,
 )
 from .instrument import InstrumentError, InstrumentOptions, instrument, strip
 from .state import (
@@ -75,5 +74,4 @@ __all__ = [
     "snapshot_equal",
     "step",
     "strip",
-    "unblock_check",
 ]

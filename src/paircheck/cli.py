@@ -156,8 +156,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_instrument(args: argparse.Namespace) -> int:
+    try:
+        opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
+    except ValueError as exc:
+        raise _InputError(exc) from None
     source = _read_source(args.file)
-    opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
     try:
         result = strip_source(source, opts) if args.strip else instrument_source(source, opts)
     except InstrumentError as exc:

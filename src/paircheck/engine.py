@@ -19,11 +19,11 @@ the run, which goes on to record its final outcome.
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
 semaphore and *blocks* while it is already raised.  A thread whose next
-statement would block is simply not schedulable, so every explored state
-is reproducible by replaying its trace: there are no hidden scheduling
-events.  If both live threads stand before blocking ``up`` calls, that
-state is a deadlock; if the sole remaining live thread does, it would
-block forever.
+statement would block is simply not schedulable (:func:`step` refuses
+it), so every explored state is reproducible by replaying its trace:
+there are no hidden scheduling events.  If both live threads stand
+before blocking ``up`` calls, that state is a deadlock; if the sole
+remaining live thread does, it would block forever.
 """
 
 from __future__ import annotations
@@ -32,43 +32,34 @@ from dataclasses import dataclass, field
 
 from .state import (
     DONE,
-    BlockedOnSem,
     CombinedCounter,
-    Done,
     PartialInterleaving,
     PrunedEqual,
     Race,
-    Runnable,
     Snapshot,
     StateTable,
 )
 from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp
 
 __all__ = [
-    "Advanced",
     "BudgetExceeded",
-    "CompletedThread",
-    "Deadlock",
     "EngineError",
     "ExplorationConfig",
     "ExplorationReport",
     "ExplorationStats",
     "Finding",
-    "NowBlocked",
     "Outcome",
     "RaceRecord",
     "ReplayError",
-    "StepEffect",
     "explore",
     "initial_interleaving",
     "replay",
     "step",
-    "unblock_check",
 ]
 
 
 class EngineError(Exception):
-    """Misuse of the stepping API (e.g. stepping a finished thread)."""
+    """A thread was stepped that cannot execute: it is finished, or it would block."""
 
 
 class ReplayError(EngineError):
@@ -81,38 +72,6 @@ class ReplayError(EngineError):
 
 class BudgetExceeded(Exception):
     """The exploration hit its total statement budget."""
-
-
-# ---------------------------------------------------------------------------
-# Step effects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Advanced:
-    pass
-
-
-@dataclass(frozen=True)
-class NowBlocked:
-    sem: int
-
-
-@dataclass(frozen=True)
-class Deadlock:
-    pass
-
-
-@dataclass(frozen=True)
-class CompletedThread:
-    pass
-
-
-StepEffect = Advanced | NowBlocked | Deadlock | CompletedThread
-
-_ADVANCED = Advanced()
-_DEADLOCK = Deadlock()
-_COMPLETED = CompletedThread()
 
 
 # ---------------------------------------------------------------------------
@@ -204,53 +163,29 @@ def initial_interleaving(pair: ProgramPair) -> PartialInterleaving:
         values=tuple(initial[name] for name in pair.names),
         output="",
         semaphores=(False,) * pair.num_semaphores,
-        status0=Runnable(0) if pair.thread0.statements else DONE,
-        status1=Runnable(0) if pair.thread1.statements else DONE,
+        status0=0 if pair.thread0.statements else DONE,
+        status1=0 if pair.thread1.statements else DONE,
     )
     return PartialInterleaving(snapshot, "", CombinedCounter(1, 1))
 
 
-def _advance(
-    pair: ProgramPair,
-    i: PartialInterleaving,
-    tid: int,
-    index: int,
-    values: tuple[int, ...],
-    output: str,
-    semaphores: tuple[bool, ...],
-) -> tuple[StepEffect, PartialInterleaving]:
-    """The successor of ``i`` once thread ``tid`` has executed statement ``index``."""
-    done = index + 1 >= len(pair.thread(tid).statements)
-    status = DONE if done else Runnable(index + 1)
-    snap, (s0, s1) = i.snapshot, i.counter
-    if tid == 0:
-        new = Snapshot(snap.names, values, output, semaphores, status, snap.status1)
-        nxt = PartialInterleaving(new, i.trace + "0", CombinedCounter(s0 + 1, s1))
-    else:
-        new = Snapshot(snap.names, values, output, semaphores, snap.status0, status)
-        nxt = PartialInterleaving(new, i.trace + "1", CombinedCounter(s0, s1 + 1))
-    return (_COMPLETED if done else _ADVANCED, nxt)
+def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterleaving:
+    """Execute thread ``tid``'s next statement and return the successor of ``i``.
 
+    Assignments, emits, and ``down`` always execute; an ``up`` executes
+    only on a lowered semaphore.  The successor's counter and trace
+    record the statement, and the thread's status moves to its next
+    statement index, or to ``DONE`` after its last statement.
 
-def step(
-    pair: ProgramPair, i: PartialInterleaving, tid: int
-) -> tuple[StepEffect, PartialInterleaving]:
-    """Let thread ``tid`` attempt its next statement.
-
-    Assignments, emits, and ``down`` always execute and advance the
-    thread's counter.  An ``up`` on a raised semaphore does not execute:
-    the thread blocks (no counter advance), or the result is ``Deadlock``
-    if the other thread is already blocked.  Executing a thread's last
-    statement yields ``CompletedThread``.
-
-    Stepping a thread that is not runnable raises :class:`EngineError`.
+    Raises :class:`EngineError` when the thread is finished or its next
+    statement is an ``up`` on a raised semaphore (it would block).
     """
     snap = i.snapshot
-    status = snap.status(tid)
-    if not isinstance(status, Runnable):
-        raise EngineError(f"thread {tid} is not runnable: {status!r}")
-    index = status.next_index
-    stmt = pair.thread(tid).statements[index]
+    index = snap.status(tid)
+    if index == DONE:
+        raise EngineError(f"thread {tid} is finished")
+    statements = pair.thread(tid).statements
+    stmt = statements[index]
     values, output, sems = snap.values, snap.output, snap.semaphores
     match stmt:
         case Assign():
@@ -262,39 +197,23 @@ def step(
                 sems = sems[:sem] + (False,) + sems[sem + 1 :]
         case SemUp(sem):
             if sems[sem]:
-                if isinstance(snap.status(1 - tid), BlockedOnSem):
-                    return (_DEADLOCK, i)
-                blocked = snap.with_status(tid, BlockedOnSem(sem))
-                return (NowBlocked(sem), PartialInterleaving(blocked, i.trace, i.counter))
+                raise EngineError(f"thread {tid} would block on up({sem})")
             sems = sems[:sem] + (True,) + sems[sem + 1 :]
         case _:
             raise TypeError(f"not a statement: {stmt!r}")
-    return _advance(pair, i, tid, index, values, output, sems)
-
-
-def unblock_check(pair: ProgramPair, i: PartialInterleaving) -> PartialInterleaving:
-    """Complete any pending ``up`` whose semaphore has been lowered.
-
-    The unblocked thread's statement executes within the same scheduling
-    step: its counter advances and its trace symbol is appended.
-    """
-    for tid in (0, 1):
-        snap = i.snapshot
-        status = snap.status(tid)
-        if isinstance(status, BlockedOnSem) and not snap.semaphores[status.sem]:
-            sem = status.sem
-            sems = snap.semaphores[:sem] + (True,) + snap.semaphores[sem + 1 :]
-            # the pending statement's index equals the statements executed so far
-            index = i.counter[tid] - 1
-            _, i = _advance(pair, i, tid, index, snap.values, snap.output, sems)
-    return i
+    index += 1
+    status = DONE if index == len(statements) else index
+    s0, s1 = i.counter
+    if tid == 0:
+        new = Snapshot(snap.names, values, output, sems, status, snap.status1)
+        return PartialInterleaving(new, i.trace + "0", CombinedCounter(s0 + 1, s1))
+    new = Snapshot(snap.names, values, output, sems, snap.status0, status)
+    return PartialInterleaving(new, i.trace + "1", CombinedCounter(s0, s1 + 1))
 
 
 def _would_block(pair: ProgramPair, snapshot: Snapshot, tid: int) -> bool:
-    status = snapshot.status(tid)
-    if not isinstance(status, Runnable):
-        return False
-    stmt = pair.thread(tid).statements[status.next_index]
+    """Whether live thread ``tid``'s next statement is an ``up`` on a raised semaphore."""
+    stmt = pair.thread(tid).statements[snapshot.status(tid)]
     return isinstance(stmt, SemUp) and snapshot.semaphores[stmt.index]
 
 
@@ -302,18 +221,16 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
     """Re-execute a trace from the initial state.
 
     Raises :class:`ReplayError` with the failing position when a symbol
-    names a thread that is finished, blocked, or would block.
+    names a thread that is finished or would block.
     """
     i = initial_interleaving(pair)
     for position, symbol in enumerate(trace):
         if symbol not in ("0", "1"):
             raise ReplayError(f"bad trace symbol {symbol!r}", position)
-        tid = int(symbol)
-        if not isinstance(i.snapshot.status(tid), Runnable):
-            raise ReplayError(f"thread {tid} cannot execute", position)
-        effect, i = step(pair, i, tid)
-        if isinstance(effect, (NowBlocked, Deadlock)):
-            raise ReplayError(f"thread {tid} blocks here", position)
+        try:
+            i = step(pair, i, int(symbol))
+        except EngineError as exc:
+            raise ReplayError(str(exc), position) from None
     return i
 
 
@@ -374,7 +291,7 @@ class _Search:
             if not pending:
                 return
             i, tid, kind = pending.pop()
-            _, i = step(pair, i, tid)
+            i = step(pair, i, tid)
             if kind == _BRANCH:
                 stats.branch_statements += 1
             elif kind == _COMPLETION:
@@ -392,8 +309,8 @@ class _Search:
         subtree is searched first.
         """
         snap = i.snapshot
-        done0 = isinstance(snap.status0, Done)
-        done1 = isinstance(snap.status1, Done)
+        done0 = snap.status0 == DONE
+        done1 = snap.status1 == DONE
         if done0 and done1:
             self.stats.complete_interleavings += 1
             self.outcomes.setdefault(snap, i.trace)

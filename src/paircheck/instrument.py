@@ -54,6 +54,18 @@ class InstrumentOptions:
     hook_token: str = "hook();"
     skip_redundant: bool = False
 
+    def __post_init__(self) -> None:
+        # a token that opens a brace, literal or comment, or spans lines,
+        # would change the code it is inserted into and not strip back
+        token = self.hook_token
+        if not (token[:1].isalpha() or token[:1] == "_") or any(
+            ch in token for ch in '{}"\'/\n\r'
+        ):
+            raise ValueError(
+                f"hook token {token!r} must start with a letter or '_' and contain"
+                " no braces, quotes, '/' or line breaks"
+            )
+
 
 def _hook_name(token: str) -> str:
     """Leading identifier of the hook token (``hook();`` -> ``hook``)."""
@@ -186,7 +198,7 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
             return
         if word == _RUNTIME_TERMINATOR:
             return
-        if opts.skip_redundant and hook_name and word == hook_name:
+        if opts.skip_redundant and word == hook_name:
             return
         out.append(opts.hook_token + " ")
 
@@ -244,8 +256,6 @@ def strip(source: str, opts: InstrumentOptions | None = None) -> str:
     """Remove standalone hook tokens outside literals and comments."""
     opts = opts or InstrumentOptions()
     token = opts.hook_token
-    if not token:
-        return source
     scanner = _Scanner(source)
     out: list[str] = []
     while not scanner.eof():
@@ -253,9 +263,10 @@ def strip(source: str, opts: InstrumentOptions | None = None) -> str:
         if scanner.eof():
             break
         if scanner.src.startswith(token, scanner.i):
+            # the token starts with an identifier character, so it must not
+            # continue an identifier (``myhook();``)
             prev = out[-1][-1] if out and out[-1] else ""
-            standalone = not (_is_ident_char(token[0]) and _is_ident_char(prev))
-            if standalone:
+            if not _is_ident_char(prev):
                 scanner.take(len(token))
                 if scanner.peek() == " ":
                     scanner.take()

@@ -2,9 +2,10 @@
 
 A :class:`Snapshot` is the complete shared state of a two-thread run:
 variable values, the output string, the semaphore bank, and both thread
-statuses.  A :class:`PartialInterleaving` pairs a snapshot with the
-execution trace that produced it and the combined execution counter
-(per-thread statements executed, plus one).
+statuses (the index of the thread's next statement, or ``DONE``).  A
+:class:`PartialInterleaving` pairs a snapshot with the execution trace
+that produced it and the combined execution counter (per-thread
+statements executed, plus one).
 
 The :class:`StateTable` is keyed on combined counters.  The first
 interleaving to reach a counter is stored as a ``(key, trace)`` entry,
@@ -20,25 +21,21 @@ so every snapshot given to one table must come from the same program.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .toylang import _escape
 
 __all__ = [
-    "BlockedOnSem",
     "CombinedCounter",
     "DIGEST_ALGORITHM",
-    "Done",
     "DONE",
     "FirstVisit",
     "PartialInterleaving",
     "PrunedEqual",
     "Race",
-    "Runnable",
     "Snapshot",
     "StateTable",
-    "ThreadStatus",
     "digest",
     "snapshot_equal",
 ]
@@ -47,39 +44,14 @@ DIGEST_ALGORITHM = "blake2b-128"
 
 
 # ---------------------------------------------------------------------------
-# Thread status
+# Thread status: the index of the thread's next statement, or DONE
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Runnable:
-    next_index: int  # index of the next statement to execute
+DONE = -1
 
 
-@dataclass(frozen=True)
-class BlockedOnSem:
-    sem: int
-
-
-@dataclass(frozen=True)
-class Done:
-    pass
-
-
-DONE = Done()
-
-ThreadStatus = Runnable | BlockedOnSem | Done
-
-
-def _status_key(status: ThreadStatus) -> str:
-    match status:
-        case Runnable(next_index):
-            return f"run@{next_index}"
-        case BlockedOnSem(sem):
-            return f"blocked@{sem}"
-        case Done():
-            return "done"
-    raise TypeError(f"not a thread status: {status!r}")
+def _status_key(status: int) -> str:
+    return "done" if status == DONE else f"run@{status}"
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +80,8 @@ class Snapshot:
     values: tuple[int, ...]
     output: str
     semaphores: tuple[bool, ...]  # True = up
-    status0: ThreadStatus
-    status1: ThreadStatus
+    status0: int  # next statement index, or DONE
+    status1: int
 
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
@@ -122,22 +94,17 @@ class Snapshot:
         except ValueError:
             raise KeyError(name) from None
 
-    def status(self, tid: int) -> ThreadStatus:
+    def status(self, tid: int) -> int:
         return self.status0 if tid == 0 else self.status1
-
-    def with_status(self, tid: int, status: ThreadStatus) -> "Snapshot":
-        if tid == 0:
-            return replace(self, status0=status)
-        return replace(self, status1=status)
 
     def canonical(self) -> str:
         """Canonical serialization; the byte layout behind digests.
 
         Format: ``vars{name=value,...};out="...";sems=UD...;st0=...;st1=...``
         with variables in sorted name order, semaphores rendered as ``U``
-        (up) / ``D`` (down), statuses as ``run@<index>``, ``blocked@<sem>``
-        or ``done``, and the output string with ``\\``-escaped ``"``,
-        ``\\``, and control characters.
+        (up) / ``D`` (down), statuses as ``run@<index>`` or ``done``, and
+        the output string with ``\\``-escaped ``"``, ``\\``, and control
+        characters.
         """
         vars_part = ",".join(map("{}={}".format, self.names, self.values))
         sems_part = "".join("U" if up else "D" for up in self.semaphores)

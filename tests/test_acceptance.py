@@ -11,12 +11,14 @@ import subprocess
 import sys
 from math import comb
 
+import pytest
+
 from conftest import PROGRAMS_DIR, program_paths
 from corpus import fixed_corpus
 from oracle import enumerate_schedules
 from paircheck.analysis import bench_table
 from paircheck.cli import ExitStatus, main
-from paircheck.engine import Deadlock, ExplorationConfig, NowBlocked, explore, replay, step
+from paircheck.engine import EngineError, ExplorationConfig, explore, replay, step
 from paircheck.instrument import InstrumentOptions, instrument, strip
 from paircheck.toylang import parse
 from test_instrument import BARE, HAND_INSTRUMENTED, NAIVE_EXPECTED, norm
@@ -108,10 +110,9 @@ def test_criterion_08_deadlock_detection():
         witness = replay(pair, finding.trace)
         assert witness.counter == finding.counter
         # both threads stand before a blocking up: the replayed state is stuck
-        effect0, blocked = step(pair, witness, 0)
-        assert isinstance(effect0, NowBlocked)
-        effect1, _ = step(pair, blocked, 1)
-        assert isinstance(effect1, Deadlock)
+        for tid in (0, 1):
+            with pytest.raises(EngineError):
+                step(pair, witness, tid)
     report_line(8, f"deadlock witnesses {[f.trace for f in report.deadlocks]} replay to the stuck state")
 
 

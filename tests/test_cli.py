@@ -242,6 +242,16 @@ class TestInstrumentCommand:
         assert code == ExitStatus.CLEAN
         assert out == "void f() { H(); a(); }\n"
 
+    @pytest.mark.parametrize("token", ["", "{", "/*"])
+    @pytest.mark.parametrize("mode", [(), ("--strip",)])
+    def test_bad_hook_token_is_input_error(self, tmp_path, capsys, token, mode):
+        path = tmp_path / "f.c"
+        path.write_text("void f() { a(); }\n")
+        code, out, err = run(capsys, "instrument", str(path), "--hook-token", token, *mode)
+        assert code == ExitStatus.INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: hook token") and err.count("\n") == 1
+
     def test_unbalanced_braces_exit_code(self, tmp_path, capsys):
         path = tmp_path / "f.c"
         path.write_text("void f() {")

@@ -7,27 +7,15 @@ import pytest
 from corpus import fixed_corpus, random_pair
 from oracle import enumerate_schedules
 from paircheck.engine import (
-    Advanced,
-    CompletedThread,
-    Deadlock,
     EngineError,
     ExplorationConfig,
-    NowBlocked,
     ReplayError,
     explore,
     initial_interleaving,
     replay,
     step,
-    unblock_check,
 )
-from paircheck.state import (
-    DONE,
-    BlockedOnSem,
-    CombinedCounter,
-    Runnable,
-    digest,
-    snapshot_equal,
-)
+from paircheck.state import DONE, CombinedCounter, digest, snapshot_equal
 from paircheck.toylang import parse
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
@@ -45,8 +33,8 @@ class TestInitialInterleaving:
         assert i.counter == CombinedCounter(1, 1)
         assert i.trace == ""
         assert i.snapshot.output == ""
-        assert i.snapshot.status0 == Runnable(0)
-        assert i.snapshot.status1 == Runnable(0)
+        assert i.snapshot.status0 == 0
+        assert i.snapshot.status1 == 0
 
     def test_empty_threads_start_done(self):
         pair = parse("thread0 { } thread1 { }")
@@ -66,50 +54,49 @@ class TestInitialInterleaving:
 
 class TestStep:
     def test_emit_advances(self, ab12):
-        effect, i = step(ab12, initial_interleaving(ab12), 0)
-        assert isinstance(effect, Advanced)
+        i = step(ab12, initial_interleaving(ab12), 0)
+        assert i.snapshot.status0 == 1
         assert i.snapshot.output == "a"
         assert i.counter == CombinedCounter(2, 1)
         assert i.trace == "0"
 
     def test_last_statement_completes(self, ab12):
-        _, i = step(ab12, initial_interleaving(ab12), 0)
-        effect, i = step(ab12, i, 0)
-        assert isinstance(effect, CompletedThread)
+        i = step(ab12, initial_interleaving(ab12), 0)
+        i = step(ab12, i, 0)
         assert i.snapshot.status0 == DONE
         assert i.snapshot.output == "ab"
 
     def test_down_on_lowered_semaphore_is_noop(self):
         pair = parse("semaphores 1; thread0 { down(0); } thread1 { }")
-        effect, i = step(pair, initial_interleaving(pair), 0)
-        assert isinstance(effect, CompletedThread)
+        i = step(pair, initial_interleaving(pair), 0)
+        assert i.snapshot.status0 == DONE
         assert i.snapshot.semaphores == (False,)
         assert i.counter == CombinedCounter(2, 1)
 
     def test_down_lowers_raised_semaphore(self):
         pair = parse("semaphores 1; thread0 { up(0); down(0); } thread1 { }")
-        _, i = step(pair, initial_interleaving(pair), 0)
+        i = step(pair, initial_interleaving(pair), 0)
         assert i.snapshot.semaphores == (True,)
-        _, i = step(pair, i, 0)
+        i = step(pair, i, 0)
         assert i.snapshot.semaphores == (False,)
 
     def test_up_on_raised_semaphore_blocks_without_advancing(self):
         pair = parse("semaphores 1; thread0 { up(0); up(0); } thread1 { down(0); }")
-        _, i = step(pair, initial_interleaving(pair), 0)
-        effect, blocked = step(pair, i, 0)
-        assert effect == NowBlocked(0)
-        assert blocked.counter == i.counter  # the statement has not executed
-        assert blocked.trace == i.trace
-        assert blocked.snapshot.status0 == BlockedOnSem(0)
+        i = step(pair, initial_interleaving(pair), 0)
+        with pytest.raises(EngineError):
+            step(pair, i, 0)
+        assert i == replay(pair, "0")  # the statement has not executed
+        assert i.snapshot.status0 == 1
 
     def test_up_while_other_blocked_is_deadlock(self):
         pair = parse("semaphores 2; thread0 { up(0); up(0); } thread1 { up(1); up(1); }")
         i = initial_interleaving(pair)
-        _, i = step(pair, i, 0)  # s0 up
-        _, i = step(pair, i, 1)  # s1 up
-        _, i = step(pair, i, 0)  # thread 0 blocks on s0
-        effect, _ = step(pair, i, 1)
-        assert isinstance(effect, Deadlock)
+        i = step(pair, i, 0)  # s0 up
+        i = step(pair, i, 1)  # s1 up
+        for tid in (0, 1):
+            with pytest.raises(EngineError):
+                step(pair, i, tid)
+        assert i == replay(pair, "01")
 
     def test_stepping_done_thread_is_usage_error(self):
         pair = parse("thread0 { } thread1 { }")
@@ -117,35 +104,14 @@ class TestStep:
             step(pair, initial_interleaving(pair), 0)
 
     def test_stepping_blocked_thread_is_usage_error(self):
+        # a refused up leaves nothing pending: the next attempt is refused too,
+        # and the other thread can still run
         pair = parse("semaphores 1; thread0 { up(0); up(0); } thread1 { down(0); }")
-        _, i = step(pair, initial_interleaving(pair), 0)
-        _, blocked = step(pair, i, 0)
-        with pytest.raises(EngineError):
-            step(pair, blocked, 0)
-
-
-class TestUnblockCheck:
-    def test_pending_up_completes_after_down(self):
-        pair = parse("semaphores 1; thread0 { up(0); up(0); } thread1 { down(0); }")
-        _, i = step(pair, initial_interleaving(pair), 0)  # s0 up
-        _, i = step(pair, i, 0)  # thread 0 blocks
-        _, i = step(pair, i, 1)  # thread 1 lowers s0
-        assert i.snapshot.semaphores == (False,)
-        resolved = unblock_check(pair, i)
-        assert resolved.snapshot.semaphores == (True,)  # pending up executed
-        assert resolved.snapshot.status0 == DONE  # it was the last statement
-        assert resolved.trace == i.trace + "0"
-        assert resolved.counter == CombinedCounter(i.counter.s0 + 1, i.counter.s1)
-
-    def test_identity_when_nothing_blocked(self, ab12):
-        i = initial_interleaving(ab12)
-        assert unblock_check(ab12, i) is i
-
-    def test_identity_while_semaphore_still_up(self):
-        pair = parse("semaphores 1; thread0 { up(0); up(0); } thread1 { down(0); }")
-        _, i = step(pair, initial_interleaving(pair), 0)
-        _, blocked = step(pair, i, 0)
-        assert unblock_check(pair, blocked) == blocked
+        i = step(pair, initial_interleaving(pair), 0)
+        for _ in range(2):
+            with pytest.raises(EngineError):
+                step(pair, i, 0)
+        assert step(pair, i, 1).snapshot.semaphores == (False,)
 
 
 class TestExplore:
@@ -313,11 +279,26 @@ class TestWitnessReplay:
         for finding in report.deadlocks + report.block_forever:
             i = replay(pair, finding.trace)
             assert i.counter == finding.counter
+            # the replayed state is stuck: every unfinished thread would block
+            live = [tid for tid in (0, 1) if i.snapshot.status(tid) != DONE]
+            assert len(live) == (2 if finding in report.deadlocks else 1)
+            for tid in live:
+                with pytest.raises(EngineError):
+                    step(pair, i, tid)
+        return report
 
     def test_all_bundled_witnesses_replay(self, bundled_programs):
         for pair in bundled_programs.values():
             self.check_witnesses(pair, ExplorationConfig())
             self.check_witnesses(pair, EXHAUSTIVE)
+
+    def test_corpus_findings_replay_to_stuck_states(self):
+        deadlocks = block_forever = 0
+        for pair in fixed_corpus(200):
+            report = self.check_witnesses(pair, EXHAUSTIVE)
+            deadlocks += len(report.deadlocks)
+            block_forever += len(report.block_forever)
+        assert deadlocks and block_forever
 
 
 class TestPruningSoundness:

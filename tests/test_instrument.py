@@ -187,6 +187,23 @@ class TestStrip:
         assert strip("void f() { H(); a(); }", opts) == "void f() { a(); }"
 
 
+class TestHookToken:
+    @pytest.mark.parametrize(
+        "token", ["", "{", "/*", "}", 'h("x");', "h('x');", "h/x", "h\n", "1h();"]
+    )
+    def test_rejected(self, token):
+        with pytest.raises(ValueError):
+            InstrumentOptions(hook_token=token)
+
+    @pytest.mark.parametrize("token", ["hook();", "sched_point();", "_h();"])
+    def test_round_trip(self, token):
+        src = "void f() { if(c) { a(); } else { b(); } x = 1; }\n"
+        opts = InstrumentOptions(hook_token=token)
+        got = instrument(src, opts)
+        assert got.count(token + " ") == 4
+        assert strip(got, opts) == src
+
+
 # ---------------------------------------------------------------------------
 # Property: literal/comment safety and strip-of-instrument conservation
 # ---------------------------------------------------------------------------

@@ -91,6 +91,6 @@ def test_all_reports_in_order(rendered):
 
 
 def test_no_explored_state_is_blocked(rendered):
-    # The search never steps a thread into a blocking up, so no reported
-    # snapshot can carry a BlockedOnSem status.
+    # A thread status is a statement index or DONE, and the search never
+    # steps a thread into a blocking up, so no report shows a blocked status.
     assert rendered[2] == []

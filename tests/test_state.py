@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
 from paircheck.state import (
     DONE,
-    BlockedOnSem,
     CombinedCounter,
     FirstVisit,
     PrunedEqual,
     Race,
-    Runnable,
     Snapshot,
     StateTable,
     digest,
@@ -29,7 +27,7 @@ def make_snapshot(**overrides):
         values=(1, 2),
         output="ab",
         semaphores=(True, False),
-        status0=Runnable(1),
+        status0=1,
         status1=DONE,
     )
     fields.update(overrides)
@@ -48,8 +46,8 @@ class TestSnapshotEqual:
         base = make_snapshot()
         assert not snapshot_equal(base, make_snapshot(values=(1, 3)))
         assert not snapshot_equal(base, make_snapshot(semaphores=(True, True)))
-        assert not snapshot_equal(base, make_snapshot(status0=Runnable(0)))
-        assert not snapshot_equal(base, make_snapshot(status1=BlockedOnSem(0)))
+        assert not snapshot_equal(base, make_snapshot(status0=0))
+        assert not snapshot_equal(base, make_snapshot(status1=0))
 
     def test_commuting_orders_produce_equal_snapshots(self):
         # independent check: execute both orders by hand on plain dicts
@@ -101,8 +99,8 @@ _snapshots = st.builds(
     values=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     output=st.sampled_from(["", "a", "ab", "1a"]),
     semaphores=st.tuples(st.booleans(), st.booleans()),
-    status0=st.sampled_from([Runnable(0), Runnable(1), BlockedOnSem(0), DONE]),
-    status1=st.sampled_from([Runnable(0), Runnable(1), BlockedOnSem(1), DONE]),
+    status0=st.sampled_from([0, 1, 2, DONE]),
+    status1=st.sampled_from([0, 1, 2, DONE]),
 )
 
 
@@ -206,10 +204,6 @@ class TestCanonicalSerialization:
     def test_output_escaping(self):
         snap = make_snapshot(output='a"b\\c\nd')
         assert 'out="a\\"b\\\\c\\nd"' in snap.canonical()
-
-    def test_blocked_status(self):
-        snap = make_snapshot(status0=BlockedOnSem(1))
-        assert "st0=blocked@1" in snap.canonical()
 
 
 def test_trace_consistency_helper():
