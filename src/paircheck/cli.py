@@ -16,6 +16,7 @@ When several findings apply, the lowest nonzero code wins.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from enum import IntEnum
@@ -86,11 +87,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_source(path: str) -> str:
+def _read_source(path: str, newline: str | None = None) -> str:
+    """Read UTF-8 text from a file or ``-``; ``newline=""`` keeps line endings."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
+            stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline=newline)
+            try:
+                return stream.read()
+            finally:
+                stream.detach()  # leave sys.stdin open
+        with open(path, encoding="utf-8", newline=newline) as handle:
             return handle.read()
     except OSError as exc:
         raise _InputError(exc) from None
@@ -160,7 +166,7 @@ def _cmd_instrument(args: argparse.Namespace) -> int:
         opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
     except ValueError as exc:
         raise _InputError(exc) from None
-    source = _read_source(args.file)
+    source = _read_source(args.file, newline="")
     try:
         result = strip_source(source, opts) if args.strip else instrument_source(source, opts)
     except InstrumentError as exc:
@@ -168,7 +174,7 @@ def _cmd_instrument(args: argparse.Namespace) -> int:
         return ExitStatus.INPUT_ERROR
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 handle.write(result)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -16,13 +16,15 @@ avoided with small token filters:
 * the runtime's own ``done()`` terminator is never hooked, and with
   ``skip_redundant`` a statement already covered by a hook is skipped.
 
-Input bytes are preserved except for the inserted tokens and one space
-after each.  Unbalanced braces abort the run: the tool refuses rather
-than guessing.
+The text is read as the tokens of ``_TOKEN`` below, in one pass.  Input
+bytes are preserved, line endings included, except for the inserted
+tokens and one space after each.  Unbalanced braces abort the run: the
+tool refuses rather than guessing.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = ["InstrumentError", "InstrumentOptions", "instrument", "strip"]
@@ -38,6 +40,21 @@ _DECL_KEYWORDS = frozenset(
 _CONTINUATIONS = frozenset({"else", "while"})  # after a closing brace
 
 _RUNTIME_TERMINATOR = "done"
+
+# The token grammar, matched left to right, each token whole:
+#
+# * a whitespace run, ``[ \t\r\n]+``;
+# * an inert run: one or more comments or literals back to back, copied
+#   verbatim.  ``//`` runs to the next ``\n``; ``/*`` runs to ``*/`` or
+#   the end of input (``/*/`` does not close).  A ``"`` or ``'`` literal
+#   ends at its own quote, before a ``\n``, or at the end of input, and a
+#   backslash in it takes the next character, whatever it is;
+# * a word, ``\w+`` (letters, digits and ``_``; an identifier is a word
+#   minus any leading ``str.isdigit`` characters, which are punctuation);
+# * any other single character.
+_INERT = r"""(?://[^\n]*|/\*(?:.*?\*/|.*)|"(?:[^"\\\n]|\\.?)*"?|'(?:[^'\\\n]|\\.?)*'?)+"""
+_TOKEN = re.compile(rf"[ \t\r\n]+|({_INERT})|(\w+)|(.)", re.S)
+_KIND_INERT, _KIND_WORD = 1, 2
 
 
 class InstrumentError(Exception):
@@ -69,207 +86,118 @@ class InstrumentOptions:
 
 def _hook_name(token: str) -> str:
     """Leading identifier of the hook token (``hook();`` -> ``hook``)."""
-    end = 0
-    while end < len(token) and (token[end].isalnum() or token[end] == "_"):
-        end += 1
-    return token[:end]
+    return re.match(r"\w*", token).group()
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _Scanner:
-    """Walks C-like text, reporting events only outside literals/comments."""
-
-    def __init__(self, source: str):
-        self.src = source
-        self.i = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.i >= len(self.src)
-
-    def peek(self, offset: int = 0) -> str:
-        j = self.i + offset
-        return self.src[j] if j < len(self.src) else ""
-
-    def take(self, count: int = 1) -> str:
-        start = self.i
-        for _ in range(count):
-            if self.i < len(self.src):
-                if self.src[self.i] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.i += 1
-        return self.src[start : self.i]
-
-    def skip_inert(self, out: list[str] | None) -> None:
-        """Consume comments and literals, copying them verbatim."""
-        while not self.eof():
-            ch = self.peek()
-            if ch == "/" and self.peek(1) == "/":
-                while not self.eof() and self.peek() != "\n":
-                    _append(out, self.take())
-            elif ch == "/" and self.peek(1) == "*":
-                _append(out, self.take(2))
-                while not self.eof() and not (self.peek() == "*" and self.peek(1) == "/"):
-                    _append(out, self.take())
-                _append(out, self.take(2))
-            elif ch in ('"', "'"):
-                quote = ch
-                _append(out, self.take())
-                while not self.eof() and self.peek() not in (quote, "\n"):
-                    if self.peek() == "\\":
-                        _append(out, self.take())
-                    _append(out, self.take())
-                if self.peek() == quote:
-                    _append(out, self.take())
-            else:
-                return
-
-
-def _append(out: list[str] | None, text: str) -> None:
-    if out is not None and text:
-        out.append(text)
-
-
-def _check_braces(source: str) -> None:
-    scanner = _Scanner(source)
-    depth = 0
-    while not scanner.eof():
-        scanner.skip_inert(None)
-        if scanner.eof():
-            break
-        line, col = scanner.line, scanner.col
-        ch = scanner.take()
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth < 0:
-                raise InstrumentError("unbalanced '}'", line, col)
-    if depth != 0:
-        raise InstrumentError(f"{depth} unclosed '{{'", scanner.line, scanner.col)
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; a ``\\r`` counts as a column."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
     """Insert the hook token before statements inside brace bodies."""
     opts = opts or InstrumentOptions()
-    _check_braces(source)
+    hook = opts.hook_token + " "
     hook_name = _hook_name(opts.hook_token)
+    skip_redundant = opts.skip_redundant
 
-    scanner = _Scanner(source)
     out: list[str] = []
-    depth = 0
+    copied = 0  # source[:copied] is already in out
+    depth = 0  # braces outside parentheses: the bodies hooks go into
     pdepth = 0
-    armed = False
+    balance = 0  # every brace outside inert text, for the refusal check
+    armed = False  # the next token may start a hookable statement
     armed_by_close = False
     armed_after_hook = False
-    stmt_first_ident: str | None = None
+    stmt_first_word: str | None = None
 
-    def arm(by_close: bool, after_hook: bool = False) -> None:
-        nonlocal armed, armed_by_close, armed_after_hook, stmt_first_ident
-        armed = True
-        armed_by_close = by_close
-        armed_after_hook = after_hook
-        stmt_first_ident = None
-
-    def disarm() -> None:
-        nonlocal armed
-        armed = False
-
-    def resolve(word: str | None) -> None:
-        """Decide whether the armed insertion lands before this token."""
-        nonlocal armed
-        if not armed:
-            return
-        armed = False
-        if word is None:
-            return
-        if opts.skip_redundant and armed_after_hook:
-            return
-        if armed_by_close and word in _CONTINUATIONS:
-            return
-        if word in _DECL_KEYWORDS:
-            return
-        if word == _RUNTIME_TERMINATOR:
-            return
-        if opts.skip_redundant and word == hook_name:
-            return
-        out.append(opts.hook_token + " ")
-
-    while not scanner.eof():
-        ch = scanner.peek()
-        if ch in " \t\r\n":
-            out.append(scanner.take())
+    for match in _TOKEN.finditer(source):
+        kind = match.lastindex
+        if kind is None:
             continue
-        if (ch == "/" and scanner.peek(1) in ("/", "*")) or ch in ('"', "'"):
-            if ch in ('"', "'"):
-                resolve(None)  # a literal is not a hookable statement start
-            scanner.skip_inert(out)
-            continue
-        if _is_ident_char(ch) and not ch.isdigit():
-            word_chars = []
-            while not scanner.eof() and _is_ident_char(scanner.peek()):
-                word_chars.append(scanner.take())
-            word = "".join(word_chars)
-            resolve(word)
-            if stmt_first_ident is None:
-                stmt_first_ident = word
-            out.append(word)
-            continue
-        # punctuation and anything else
-        resolve(None)
-        if ch == "(":
-            pdepth += 1
-        elif ch == ")":
-            pdepth = max(0, pdepth - 1)
-        elif pdepth == 0:
-            if ch == "{":
-                depth += 1
-                out.append(scanner.take())
-                if depth >= 1:
-                    arm(by_close=False)
+        text = match.group(kind)
+        if kind == _KIND_WORD:
+            if text[0].isdigit():  # leading digits are punctuation
+                armed = False
+                if text.isdigit():
+                    continue
+                k = 1
+                while text[k].isdigit():
+                    k += 1
+                text = text[k:]
+            if stmt_first_word is None:
+                stmt_first_word = text
+            if not armed:
                 continue
-            if ch == "}":
-                depth -= 1
-                out.append(scanner.take())
-                if depth >= 1:
-                    arm(by_close=True)
-                else:
-                    disarm()
+            armed = False
+            if (
+                (skip_redundant and (armed_after_hook or text == hook_name))
+                or (armed_by_close and text in _CONTINUATIONS)
+                or text in _DECL_KEYWORDS
+                or text == _RUNTIME_TERMINATOR
+            ):
                 continue
-            if ch == ";" and depth >= 1:
-                was_hook = stmt_first_ident is not None and stmt_first_ident == hook_name
-                out.append(scanner.take())
-                arm(by_close=False, after_hook=was_hook)
-                continue
-        out.append(scanner.take())
+            at = match.end() - len(text)
+            out.append(source[copied:at])
+            out.append(hook)
+            copied = at
+        elif kind == _KIND_INERT:
+            if text[0] in "\"'":
+                armed = False  # a literal is not a hookable statement start
+        else:
+            armed = False
+            if text == "(":
+                pdepth += 1
+            elif text == ")":
+                if pdepth:
+                    pdepth -= 1
+            elif text == "{":
+                balance += 1
+                if not pdepth:
+                    depth += 1
+                    if depth >= 1:
+                        armed, armed_by_close, armed_after_hook = True, False, False
+                        stmt_first_word = None
+            elif text == "}":
+                balance -= 1
+                if balance < 0:
+                    raise InstrumentError("unbalanced '}'", *_position(source, match.start()))
+                if not pdepth:
+                    depth -= 1
+                    if depth >= 1:
+                        armed, armed_by_close, armed_after_hook = True, True, False
+                        stmt_first_word = None
+            elif text == ";" and not pdepth and depth >= 1:
+                armed, armed_by_close = True, False
+                armed_after_hook = stmt_first_word == hook_name
+                stmt_first_word = None
+    if balance:
+        raise InstrumentError(f"{balance} unclosed '{{'", *_position(source, len(source)))
+    out.append(source[copied:])
     return "".join(out)
 
 
 def strip(source: str, opts: InstrumentOptions | None = None) -> str:
     """Remove standalone hook tokens outside literals and comments."""
     opts = opts or InstrumentOptions()
-    token = opts.hook_token
-    scanner = _Scanner(source)
+    pattern = re.compile(f"{_INERT}|{re.escape(opts.hook_token)} ?", re.S)
     out: list[str] = []
-    while not scanner.eof():
-        scanner.skip_inert(out)
-        if scanner.eof():
-            break
-        if scanner.src.startswith(token, scanner.i):
-            # the token starts with an identifier character, so it must not
-            # continue an identifier (``myhook();``)
-            prev = out[-1][-1] if out and out[-1] else ""
-            if not _is_ident_char(prev):
-                scanner.take(len(token))
-                if scanner.peek() == " ":
-                    scanner.take()
-                continue
-        out.append(scanner.take())
+    pos = 0
+    while match := pattern.search(source, pos):
+        start = match.start()
+        if start > pos:
+            out.append(source[pos:start])
+        if source[start] in "/\"'":
+            out.append(match.group())
+            pos = match.end()
+            continue
+        # the token starts with an identifier character, so it must not
+        # continue the identifier last written (``myhook();``)
+        prev = out[-1][-1] if out else ""
+        if prev.isalnum() or prev == "_":
+            out.append(source[start])
+            pos = start + 1
+        else:
+            pos = match.end()
+    out.append(source[pos:])
     return "".join(out)

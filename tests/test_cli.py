@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from conftest import PROGRAMS_DIR
+from conftest import PROGRAMS_DIR, program_paths
 from paircheck.cli import ExitStatus, main
 from paircheck.toylang import MAX_NESTING
 
@@ -15,6 +16,11 @@ def run(capsys, *argv):
 
 def program(name: str) -> str:
     return str(PROGRAMS_DIR / name)
+
+
+def _stdin(data: bytes, encoding: str = "utf-8") -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin``: text over a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding)
 
 
 class TestCheck:
@@ -113,6 +119,13 @@ class TestCheck:
         assert code == ExitStatus.INTERNAL_ERROR == 6
         assert out == ""
         assert err.startswith("internal error: RuntimeError: boom\n")
+
+    def test_crlf_copy_gives_the_same_report(self, tmp_path, capsys):
+        for path in program_paths():
+            crlf = tmp_path / path.name
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            assert b"\r\n" in crlf.read_bytes()
+            assert run(capsys, "check", str(crlf)) == run(capsys, "check", str(path))
 
     def test_in_process_determinism(self, capsys, bundled_programs):
         for name in bundled_programs:
@@ -226,9 +239,7 @@ class TestInstrumentCommand:
         assert out == original
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO("void f() { a(); }\n"))
+        monkeypatch.setattr("sys.stdin", _stdin(b"void f() { a(); }\n"))
         code, out, _ = run(capsys, "instrument", "-")
         assert code == ExitStatus.CLEAN
         assert "hook(); a();" in out
@@ -263,6 +274,29 @@ class TestInstrumentCommand:
         code, _, err = run(capsys, "instrument", "missing.c")
         assert code == ExitStatus.INPUT_ERROR
         assert "error" in err
+
+    @pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_endings_round_trip_byte_exact(self, tmp_path, capsys, monkeypatch, eol):
+        original = "void f() {EOL  a(); /* x */EOL  b();EOL}EOL".replace("EOL", eol).encode()
+        hooked_want = original.replace(b"  a();", b"  hook(); a();").replace(b"  b();", b"  hook(); b();")
+        src, hooked, back = tmp_path / "f.c", tmp_path / "hooked.c", tmp_path / "back.c"
+        src.write_bytes(original)
+
+        code, out, _ = run(capsys, "instrument", str(src))
+        assert code == ExitStatus.CLEAN and out.encode() == hooked_want
+        code, out, _ = run(capsys, "instrument", str(src), "-o", str(hooked))
+        assert code == ExitStatus.CLEAN and out == "" and hooked.read_bytes() == hooked_want
+        code, out, _ = run(capsys, "instrument", "--strip", str(hooked), "-o", str(back))
+        assert code == ExitStatus.CLEAN and back.read_bytes() == original
+        monkeypatch.setattr("sys.stdin", _stdin(hooked_want))
+        code, out, _ = run(capsys, "instrument", "--strip", "-")
+        assert code == ExitStatus.CLEAN and out.encode() == original
+
+    def test_stdin_is_read_as_utf8(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin("void f() { é(); }\n".encode(), encoding="latin-1"))
+        code, out, _ = run(capsys, "instrument", "-")
+        assert code == ExitStatus.CLEAN
+        assert out == "void f() { hook(); é(); }\n"
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import instrument_oracle as oracle
 from paircheck.instrument import InstrumentError, InstrumentOptions, instrument, strip
 
 
@@ -147,12 +148,22 @@ class TestInstrument:
     def test_unbalanced_open_brace_refused(self):
         with pytest.raises(InstrumentError):
             instrument("void f() { a();")
+        # reported at the end of input; a tab and a \r each count as one column
+        src = "int g;\r\nvoid f() {\r\n\tif (c) {\r\n\t\ta();\r\n\t\r\n\t\tb();"
+        with pytest.raises(InstrumentError) as exc:
+            instrument(src)
+        assert str(exc.value) == "6:7: 2 unclosed '{'"
+        assert (exc.value.line, exc.value.col) == (6, 7)
 
     def test_unbalanced_close_brace_reports_position(self):
         with pytest.raises(InstrumentError) as exc:
             instrument("void f() { a(); } }")
         assert exc.value.line == 1
         assert exc.value.col == 19
+        with pytest.raises(InstrumentError) as exc:
+            instrument("void f() {\r\n\ta();\r\n}\r\n\t}")
+        assert str(exc.value) == "4:2: unbalanced '}'"
+        assert (exc.value.line, exc.value.col) == (4, 2)
 
     def test_brace_in_string_not_counted(self):
         instrument('void f() { s = "}"; }')  # must not raise
@@ -239,3 +250,110 @@ def test_skip_redundant_idempotence_property(src):
     opts = InstrumentOptions(skip_redundant=True)
     once = instrument(src, opts)
     assert instrument(once, opts) == once
+
+
+# ---------------------------------------------------------------------------
+# Differential: the token-pattern pass against the character-by-character
+# reference in ``instrument_oracle.py``, on bytes and on refusals
+# ---------------------------------------------------------------------------
+
+def _outcome(fn, source, opts):
+    try:
+        return fn(source, opts)
+    except InstrumentError as exc:
+        return str(exc), exc.line, exc.col
+
+
+def _assert_like_oracle(source, opts):
+    got = _outcome(instrument, source, opts)
+    assert got == _outcome(oracle.instrument, source, opts)
+    assert _outcome(strip, source, opts) == _outcome(oracle.strip, source, opts)
+    if isinstance(got, str):
+        assert strip(got, opts) == oracle.strip(got, opts)
+
+
+_inner = st.sampled_from(
+    list("();;=, \t\r\n\"'\\/*xab_0²é½")
+    + ["//", "/*", "*/", "/*/", "\r\n", '"s"', "'c'", "/*c*/", "// c\n", "x;", "a();", "12ab"]
+    + ["hook();", "hook(); ", "foo", "foo;", "h();h", "int ", "else ", "while", "done();"]
+)
+_fragments = st.one_of(_inner, st.sampled_from("{}"))
+
+
+@st.composite
+def _blocks(draw, depth=0):
+    """Brace-balanced text, unless a literal or comment swallows a brace."""
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        if depth < 2 and draw(st.booleans()):
+            parts.append("{" + draw(_blocks(depth + 1)) + "}")
+        else:
+            parts.append("".join(draw(st.lists(_inner, max_size=10))))
+    return "".join(parts)
+
+
+_sources = st.one_of(st.lists(_fragments, max_size=40).map("".join), _blocks())
+
+
+@pytest.mark.parametrize("skip_redundant", [False, True])
+@pytest.mark.parametrize("token", ["hook();", "foo", "h();h"])
+@given(source=_sources)
+def test_matches_reference_oracle(token, skip_redundant, source):
+    _assert_like_oracle(source, InstrumentOptions(token, skip_redundant))
+
+
+# Each input pins one way the token pattern can drift from the reference;
+# the expected value is what the reference gives.
+_TRAPS = [
+    # an inert run disarms only when it starts with a quote
+    ('void f() { /*c*/"s" x; }', 'void f() { /*c*/"s" hook(); x; }'),
+    ('void f() { "s" x; }', 'void f() { "s" x; }'),
+    ("void f() { 'c' x; }", "void f() { 'c' x; }"),
+    # str.isdigit() is wider than \d: ² disarms, ½ starts an identifier
+    (
+        "void f() { ²x = 1; 2y = 1; ½z = 1; 12ab(); }",
+        "void f() { ²x = 1; 2y = 1; hook(); ½z = 1; 12ab(); }",
+    ),
+    # a literal ends before a line break, which it does not consume ...
+    ('void f() { s = "a\n}', 'void f() { hook(); s = "a\n}'),
+    # ... a backslash takes the line break, a quote, or nothing at the end
+    ('void f() { s = "a\\\n}"; }', 'void f() { hook(); s = "a\\\n}"; }'),
+    ('void f() { s = "\\"}"; }', 'void f() { hook(); s = "\\"}"; }'),
+    ('void f() { s = "\\', ("1:18: 1 unclosed '{'", 1, 18)),
+    ("void f() { c = '\\'; }';", ("1:24: 1 unclosed '{'", 1, 24)),
+    # /* runs to the end of input, and /*/ does not close
+    ("void f() { /* }", ("1:16: 1 unclosed '{'", 1, 16)),
+    ("void f() { /*/ } */ }", "void f() { /*/ } */ }"),
+    # the balance check counts braces at every parenthesis depth
+    ('x("{"); }', ("1:9: unbalanced '}'", 1, 9)),
+    ("void f() { g(}); }", ("1:18: unbalanced '}'", 1, 18)),
+    # line = line breaks before + 1; column counts \r and \t as one each
+    ("void f() {\n\ta();\n", ("3:1: 1 unclosed '{'", 3, 1)),
+    ("{\r\n}\r}", ("2:3: unbalanced '}'", 2, 3)),
+]
+
+
+@pytest.mark.parametrize("source, expected", _TRAPS)
+def test_trap_inputs(source, expected):
+    opts = InstrumentOptions()
+    assert _outcome(instrument, source, opts) == expected
+    _assert_like_oracle(source, opts)
+
+
+# strip decides "not inside an identifier" from the last character it
+# wrote, and after refusing a match resumes one character later
+_STRIP_TRAPS = [
+    ("foofoo", "foo", ""),
+    ("xfoofoo", "foo", "xfoofoo"),
+    ("ah();h();h", "h();h", "ah();"),
+    ('a"x"foo', "foo", 'a"x"'),
+    ("éfoo", "foo", "éfoo"),
+]
+
+
+@pytest.mark.parametrize("source, token, expected", _STRIP_TRAPS)
+def test_strip_trap_inputs(source, token, expected):
+    opts = InstrumentOptions(hook_token=token)
+    assert strip(source, opts) == expected
+    _assert_like_oracle(source, opts)
+
