@@ -8,7 +8,14 @@ C-like source demonstrates how the per-statement hook points would be
 added to real code.
 """
 
-from .analysis import BenchRow, bench_table, disjoint_pair, render_report, report_to_dict
+from .analysis import (
+    BenchRow,
+    bench_table,
+    disjoint_pair,
+    iter_report,
+    render_report,
+    report_to_dict,
+)
 from .engine import (
     BudgetExceeded,
     EngineError,
@@ -66,6 +73,7 @@ __all__ = [
     "explore",
     "initial_interleaving",
     "instrument",
+    "iter_report",
     "parse",
     "render",
     "render_report",

@@ -15,19 +15,30 @@ point.  The two reported columns follow closed forms:
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _esc
 
 from .engine import (
     BudgetExceeded,
     ExplorationConfig,
     ExplorationReport,
+    Finding,
+    Outcome,
     RaceRecord,
     explore,
 )
 from .state import DIGEST_ALGORITHM, Snapshot
 from .toylang import parse
 
-__all__ = ["BenchRow", "bench_table", "disjoint_pair", "render_report", "report_to_dict"]
+__all__ = [
+    "BenchRow",
+    "bench_table",
+    "disjoint_pair",
+    "iter_report",
+    "render_report",
+    "report_to_dict",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -92,118 +103,189 @@ def bench_table(
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
+#
+# Both formats are written one record (outcome, race or finding) per chunk,
+# so no report is ever held whole.  The JSON writer spells out the
+# ``json.dumps(..., indent=2)`` layout of the fixed schema and escapes every
+# string with the C escaper ``json.dumps`` uses under its default
+# ``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
+
+_STATS_FIELDS = (
+    "branch_statements",
+    "completion_statements",
+    "complete_interleavings",
+    "pruned_subtrees",
+    "races_found",
+    "table_entries",
+)
 
 
-def _snapshot_dict(snapshot: Snapshot) -> dict:
-    return {
-        "variables": dict(zip(snapshot.names, snapshot.values)),
-        "output": snapshot.output,
-        "semaphores": "".join("U" if up else "D" for up in snapshot.semaphores),
-    }
+def _json_object(pad: str, members: list[str]) -> str:
+    """An object whose closing brace sits at indent ``pad``; ``{}`` if empty."""
+    if not members:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + inner + f",\n{inner}".join(members) + f"\n{pad}}}"
 
 
-def _race_dict(race: RaceRecord) -> dict:
-    stored: dict = {"trace": race.stored_trace}
+def _json_counter(pad: str, counter: tuple[int, int]) -> str:
+    inner = pad + "  "
+    return f"[\n{inner}{counter[0]},\n{inner}{counter[1]}\n{pad}]"
+
+
+def _json_snapshot_members(pad: str, snapshot: Snapshot) -> list[str]:
+    """The ``variables``, ``output`` and ``semaphores`` members, at indent ``pad``."""
+    pairs = zip(snapshot.names, snapshot.values)
+    variables = _json_object(pad, [f"{_esc(name)}: {value}" for name, value in pairs])
+    semaphores = "".join("U" if up else "D" for up in snapshot.semaphores)
+    return [
+        f'"variables": {variables}',
+        f'"output": {_esc(snapshot.output)}',
+        f'"semaphores": {_esc(semaphores)}',
+    ]
+
+
+def _json_snapshot(pad: str, snapshot: Snapshot) -> str:
+    return _json_object(pad, _json_snapshot_members(pad + "  ", snapshot))
+
+
+# Records are items of a top-level array: braces at indent 4, members at 6.
+
+
+def _json_outcome(outcome: Outcome) -> str:
+    members = [f'"trace": {_esc(outcome.trace)}']
+    members += _json_snapshot_members("      ", outcome.snapshot)
+    return "    " + _json_object("    ", members)
+
+
+def _json_race(race: RaceRecord) -> str:
+    stored = [f'"trace": {_esc(race.stored_trace)}']
     if race.stored_snapshot is not None:
-        stored["snapshot"] = _snapshot_dict(race.stored_snapshot)
+        stored.append(f'"snapshot": {_json_snapshot("        ", race.stored_snapshot)}')
     if race.stored_digest is not None:
-        stored["digest"] = race.stored_digest.hex()
-    return {
-        "counter": list(race.counter),
-        "stored": stored,
-        "current": {
-            "trace": race.current_trace,
-            "snapshot": _snapshot_dict(race.current_snapshot),
-        },
-    }
+        stored.append(f'"digest": {_esc(race.stored_digest.hex())}')
+    current = [
+        f'"trace": {_esc(race.current_trace)}',
+        f'"snapshot": {_json_snapshot("        ", race.current_snapshot)}',
+    ]
+    members = [
+        f'"counter": {_json_counter("      ", race.counter)}',
+        f'"stored": {_json_object("      ", stored)}',
+        f'"current": {_json_object("      ", current)}',
+    ]
+    return "    " + _json_object("    ", members)
 
 
-def report_to_dict(report: ExplorationReport) -> dict:
-    """Stable machine-readable mirror of a report (the JSON schema)."""
-    return {
-        "complete": report.complete,
-        "race_found": report.race_found,
-        "digest_algorithm": DIGEST_ALGORITHM if report.digest_mode else None,
-        "outcomes": [
-            {"trace": o.trace, **_snapshot_dict(o.snapshot)} for o in report.outcomes
-        ],
-        "races": [_race_dict(r) for r in report.races],
-        "deadlocks": [
-            {"counter": list(f.counter), "trace": f.trace} for f in report.deadlocks
-        ],
-        "block_forever": [
-            {"counter": list(f.counter), "trace": f.trace} for f in report.block_forever
-        ],
-        "stats": {
-            "branch_statements": report.stats.branch_statements,
-            "completion_statements": report.stats.completion_statements,
-            "complete_interleavings": report.stats.complete_interleavings,
-            "pruned_subtrees": report.stats.pruned_subtrees,
-            "races_found": report.stats.races_found,
-            "table_entries": report.stats.table_entries,
-        },
-    }
+def _json_finding(finding: Finding) -> str:
+    members = [
+        f'"counter": {_json_counter("      ", finding.counter)}',
+        f'"trace": {_esc(finding.trace)}',
+    ]
+    return "    " + _json_object("    ", members)
 
 
-def render_report(report: ExplorationReport, format: str = "text") -> str:
-    """Render a report for terminals (``text``) or machines (``json``)."""
-    if format == "json":
-        return json.dumps(report_to_dict(report), indent=2) + "\n"
-    if format != "text":
-        raise ValueError(f"unknown format {format!r}")
+def _json_array(key: str, records: Iterable[str]) -> Iterator[str]:
+    """A top-level array member, one chunk per record, ending in ``,\\n``."""
+    opened = False
+    for record in records:
+        yield (",\n" if opened else f'  "{key}": [\n') + record
+        opened = True
+    yield "\n  ],\n" if opened else f'  "{key}": [],\n'
 
-    lines: list[str] = []
+
+def _json_chunks(report: ExplorationReport) -> Iterator[str]:
+    algorithm = _esc(DIGEST_ALGORITHM) if report.digest_mode else "null"
+    yield (
+        "{\n"
+        f'  "complete": {"true" if report.complete else "false"},\n'
+        f'  "race_found": {"true" if report.race_found else "false"},\n'
+        f'  "digest_algorithm": {algorithm},\n'
+    )
+    yield from _json_array("outcomes", map(_json_outcome, report.outcomes))
+    yield from _json_array("races", map(_json_race, report.races))
+    yield from _json_array("deadlocks", map(_json_finding, report.deadlocks))
+    yield from _json_array("block_forever", map(_json_finding, report.block_forever))
+    stats = [f'"{name}": {getattr(report.stats, name)}' for name in _STATS_FIELDS]
+    yield f'  "stats": {_json_object("  ", stats)}\n}}\n'
+
+
+def _text_chunks(report: ExplorationReport) -> Iterator[str]:
+    head = ""
     if report.digest_mode:
-        lines.append(f"state table digests: {DIGEST_ALGORITHM}")
+        head += f"state table digests: {DIGEST_ALGORITHM}\n"
     if not report.complete:
-        lines.append("WARNING: step budget exhausted; report is incomplete")
-
-    lines.append(f"outcomes: {len(report.outcomes)}")
+        head += "WARNING: step budget exhausted; report is incomplete\n"
+    yield head + f"outcomes: {len(report.outcomes)}\n"
     for k, outcome in enumerate(report.outcomes, 1):
-        lines.append(f"  [{k}] trace={outcome.trace or '(empty)'}")
-        lines.append(f"      {outcome.snapshot.canonical()}")
+        yield (
+            f"  [{k}] trace={outcome.trace or '(empty)'}\n"
+            f"      {outcome.snapshot.canonical()}\n"
+        )
 
-    lines.append(f"races: {len(report.races)}")
+    yield f"races: {len(report.races)}\n"
     for k, race in enumerate(report.races, 1):
-        lines.append(f"  [{k}] at counter {tuple(race.counter)}")
         if race.stored_snapshot is not None:
-            lines.append(f"      stored : trace={race.stored_trace or '(empty)'}")
-            lines.append(f"               {race.stored_snapshot.canonical()}")
+            stored = (
+                f"      stored : trace={race.stored_trace or '(empty)'}\n"
+                f"               {race.stored_snapshot.canonical()}\n"
+            )
         else:
             assert race.stored_digest is not None
-            lines.append(
+            stored = (
                 f"      stored : trace={race.stored_trace or '(empty)'} "
-                f"digest={race.stored_digest.hex()} (digest only)"
+                f"digest={race.stored_digest.hex()} (digest only)\n"
             )
-        lines.append(f"      current: trace={race.current_trace or '(empty)'}")
-        lines.append(f"               {race.current_snapshot.canonical()}")
+        yield (
+            f"  [{k}] at counter {tuple(race.counter)}\n"
+            + stored
+            + f"      current: trace={race.current_trace or '(empty)'}\n"
+            f"               {race.current_snapshot.canonical()}\n"
+        )
     if report.races:
-        lines.append(
+        yield (
             "  note: schedules beyond a recorded race are not explored; "
-            "rerun with race detection off for the full outcome set"
+            "rerun with race detection off for the full outcome set\n"
         )
 
-    lines.append(f"deadlocks: {len(report.deadlocks)}")
-    for k, finding in enumerate(report.deadlocks, 1):
-        lines.append(
-            f"  [{k}] at counter {tuple(finding.counter)} trace={finding.trace or '(empty)'}"
-        )
-
-    lines.append(f"block-forever: {len(report.block_forever)}")
-    for k, finding in enumerate(report.block_forever, 1):
-        lines.append(
-            f"  [{k}] at counter {tuple(finding.counter)} trace={finding.trace or '(empty)'}"
-        )
+    sections = (("deadlocks", report.deadlocks), ("block-forever", report.block_forever))
+    for title, findings in sections:
+        yield f"{title}: {len(findings)}\n"
+        for k, finding in enumerate(findings, 1):
+            trace = finding.trace or "(empty)"
+            yield f"  [{k}] at counter {tuple(finding.counter)} trace={trace}\n"
 
     stats = report.stats
-    lines.append(
+    yield (
         "stats: "
         f"branch={stats.branch_statements} "
         f"completion={stats.completion_statements} "
         f"interleavings={stats.complete_interleavings} "
         f"pruned={stats.pruned_subtrees} "
         f"races={stats.races_found} "
-        f"table={stats.table_entries}"
+        f"table={stats.table_entries}\n"
+        f"verdict: {'race' if report.race_found else 'no race detected'}\n"
     )
-    lines.append(f"verdict: {'race' if report.race_found else 'no race detected'}")
-    return "\n".join(lines) + "\n"
+
+
+def iter_report(report: ExplorationReport, format: str = "text") -> Iterator[str]:
+    """Yield a rendering of a report, one record at a time.
+
+    ``text`` is for terminals and ``json`` for machines; the JSON chunks
+    are ASCII.  An unknown format raises ``ValueError`` here, before any
+    chunk is made.
+    """
+    if format == "json":
+        return _json_chunks(report)
+    if format == "text":
+        return _text_chunks(report)
+    raise ValueError(f"unknown format {format!r}")
+
+
+def render_report(report: ExplorationReport, format: str = "text") -> str:
+    """Render a report for terminals (``text``) or machines (``json``)."""
+    return "".join(iter_report(report, format))
+
+
+def report_to_dict(report: ExplorationReport) -> dict:
+    """Stable machine-readable mirror of a report (the JSON schema)."""
+    return json.loads(render_report(report, "json"))

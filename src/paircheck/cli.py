@@ -11,6 +11,10 @@ Exit codes:
 * 6 — internal error: an unexpected exception inside paircheck
 
 When several findings apply, the lowest nonzero code wins.
+
+``check`` and ``instrument`` write UTF-8 to stdout whatever the locale's
+encoding.  A reader that closes stdout early (``| head``) does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
+from collections.abc import Iterable
 from enum import IntEnum
 
-from .analysis import bench_table, render_report
+from .analysis import bench_table, iter_report
 from .engine import BudgetExceeded, ExplorationConfig, explore
 from .instrument import InstrumentError, InstrumentOptions
 from .instrument import instrument as instrument_source
@@ -104,6 +110,31 @@ def _read_source(path: str, newline: str | None = None) -> str:
         raise _InputError(f"{path}: not valid UTF-8: {exc}") from None
 
 
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write text chunks to stdout as UTF-8 bytes, one chunk at a time.
+
+    A stdout with no byte layer under it (an ``io.StringIO`` put in place by
+    ``contextlib.redirect_stdout``) takes the text as it is.  If the reader
+    closes the pipe, the rest is dropped and stdout is pointed at the null
+    device, so the flush at exit stays quiet (the recipe in the ``signal``
+    module's documentation); the caller's exit code stands.
+    """
+    stdout = sys.stdout
+    buffer = getattr(stdout, "buffer", None)
+    try:
+        stdout.flush()  # text written earlier through sys.stdout goes first
+        if buffer is None:
+            stdout.writelines(chunks)
+        else:
+            for chunk in chunks:
+                buffer.write(chunk.encode("utf-8"))
+            buffer.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.digest and args.no_race_detect:
         print("error: --digest needs race detection", file=sys.stderr)
@@ -125,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return ExitStatus.INPUT_ERROR
 
     report = explore(pair, cfg)
-    sys.stdout.write(render_report(report, args.format))
+    _write_stdout(iter_report(report, args.format))
 
     if report.race_found:
         return ExitStatus.RACE
@@ -180,7 +211,7 @@ def _cmd_instrument(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return ExitStatus.INPUT_ERROR
     else:
-        sys.stdout.write(result)
+        _write_stdout((result,))
     return ExitStatus.CLEAN
 
 

@@ -2,10 +2,21 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from paircheck.analysis import bench_table, disjoint_pair, render_report, report_to_dict
+import report_oracle
+from conftest import program_paths
+from corpus import fixed_corpus
+from paircheck.analysis import (
+    bench_table,
+    disjoint_pair,
+    iter_report,
+    render_report,
+    report_to_dict,
+)
 from paircheck.engine import BudgetExceeded, ExplorationConfig, explore
-from paircheck.toylang import parse
+from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
+from test_report_pins import BUDGETS, MODES
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
 
@@ -98,6 +109,8 @@ class TestRenderText:
     def test_unknown_format_rejected(self, ab12):
         with pytest.raises(ValueError):
             render_report(explore(ab12), "yaml")
+        with pytest.raises(ValueError):
+            iter_report(explore(ab12), "yaml")  # before the first chunk is asked for
 
 
 class TestRenderJson:
@@ -157,6 +170,55 @@ class TestRenderJson:
     def test_json_is_stable(self, ab12):
         assert render_report(explore(ab12), "json") == render_report(explore(ab12), "json")
 
-    def test_report_to_dict_mirrors_json_rendering(self, ab12):
-        report = explore(ab12)
-        assert report_to_dict(report) == json.loads(render_report(report, "json"))
+    def test_report_to_dict_mirrors_json_rendering(self, bundled_programs):
+        for pair in bundled_programs.values():
+            for options in MODES.values():
+                report = explore(pair, ExplorationConfig(**options))
+                assert report_to_dict(report) == report_oracle.report_to_dict(report)
+
+
+def _pinned_reports():
+    """Every report ``test_report_pins.py`` hashes, in the same order."""
+    programs = [parse(path.read_text(encoding="utf-8")) for path in program_paths()]
+    for pair in programs + fixed_corpus(200):
+        for options in MODES.values():
+            for budget in BUDGETS:
+                yield explore(pair, ExplorationConfig(max_total_steps=budget, **options))
+
+
+# Emitted text that exercises JSON string escaping: quotes, backslashes,
+# control characters, and non-ASCII text inside and outside the BMP.
+_EMIT_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x85\u2028é€😀'),
+        st.characters(),
+    ),
+    max_size=5,
+)
+
+
+class TestWriterAgainstOracle:
+    """The streaming writer gives the reference renderer's bytes."""
+
+    def test_pinned_corpus(self):
+        for report in _pinned_reports():
+            for fmt in ("json", "text"):
+                assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
+
+    @given(
+        st.lists(_EMIT_TEXT, min_size=1, max_size=3),
+        st.lists(_EMIT_TEXT, min_size=1, max_size=3),
+    )
+    def test_emitted_text(self, first, second):
+        pair = ProgramPair(
+            thread0=ThreadProgram(tuple(map(Emit, first))),
+            thread1=ThreadProgram(tuple(map(Emit, second))),
+            num_semaphores=0,
+            variables=(("x", 0),),
+        )
+        for options in MODES.values():
+            report = explore(pair, ExplorationConfig(**options))
+            for fmt in ("json", "text"):
+                chunks = list(iter_report(report, fmt))
+                assert "".join(chunks) == report_oracle.render_report(report, fmt)
+            assert all(chunk.isascii() for chunk in iter_report(report, "json"))

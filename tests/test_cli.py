@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import PROGRAMS_DIR, program_paths
+from conftest import PROGRAMS_DIR, REPO_ROOT, program_paths
 from paircheck.cli import ExitStatus, main
 from paircheck.toylang import MAX_NESTING
 
@@ -126,6 +130,15 @@ class TestCheck:
             crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
             assert b"\r\n" in crlf.read_bytes()
             assert run(capsys, "check", str(crlf)) == run(capsys, "check", str(path))
+
+    def test_stdout_without_a_byte_layer(self, capsys):
+        # in-process callers may redirect stdout to a text-only stream
+        _, want, _ = run(capsys, "check", program("ab12.toy"))
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            code = main(["check", program("ab12.toy")])
+        assert code == ExitStatus.RACE
+        assert stream.getvalue() == want
 
     def test_in_process_determinism(self, capsys, bundled_programs):
         for name in bundled_programs:
@@ -297,6 +310,66 @@ class TestInstrumentCommand:
         code, out, _ = run(capsys, "instrument", "-")
         assert code == ExitStatus.CLEAN
         assert out == "void f() { hook(); é(); }\n"
+
+
+def paircheck_process(argv, encoding="utf-8", **popen):
+    """Start ``python -m paircheck`` with stdout in the given encoding."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
+    return subprocess.Popen(
+        [sys.executable, "-m", "paircheck", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **popen,
+    )
+
+
+class TestStdoutBytes:
+    """``check`` and ``instrument`` as child processes writing to a pipe."""
+
+    @pytest.mark.parametrize("emitted", ["é", "\t"], ids=["e-acute", "tab"])
+    @pytest.mark.parametrize("command", ["check-text", "check-json", "instrument"])
+    def test_utf8_whatever_the_locale(self, tmp_path, command, emitted):
+        program = tmp_path / "emit.toy"
+        program.write_text(f'thread0 {{ emit "{emitted}"; }} thread1 {{ emit "x"; }}\n', "utf-8")
+        source = tmp_path / "emit.c"
+        source.write_text(f'void f() {{ puts("{emitted}"); }}\n', "utf-8")
+        argv, want_code = {
+            "check-text": (["check", "--format", "text", str(program)], ExitStatus.RACE),
+            "check-json": (["check", "--format", "json", str(program)], ExitStatus.RACE),
+            "instrument": (["instrument", str(source)], ExitStatus.CLEAN),
+        }[command]
+        runs = {}
+        for encoding in ("utf-8", "ascii", "latin-1"):
+            proc = paircheck_process(argv, encoding)
+            out, err = proc.communicate(timeout=60)
+            runs[encoding] = (proc.returncode, out, err)
+        assert runs["utf-8"][0] == want_code and runs["utf-8"][2] == b""
+        assert runs["ascii"] == runs["latin-1"] == runs["utf-8"]
+        if command == "instrument":
+            assert runs["utf-8"][1] == f'void f() {{ hook(); puts("{emitted}"); }}\n'.encode()
+
+    @pytest.mark.parametrize("command", ["check-text", "check-json", "instrument"])
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, command):
+        # each output is a few hundred KB, several times a pipe's buffer, so
+        # the writer is still writing when the reader goes away
+        program = tmp_path / "long.toy"
+        program.write_text(
+            'var x;\nthread0 { repeat 10 { x = x + 1; emit "a"; } }\n'
+            'thread1 { repeat 10 { x = x * 2; emit "b"; } }\n'
+        )
+        source = tmp_path / "long.c"
+        source.write_text("void f() { a(); b(); }\n" * 20_000)
+        argv, want_code = {
+            "check-text": (["check", str(program)], ExitStatus.RACE),
+            "check-json": (["check", "--format", "json", str(program)], ExitStatus.RACE),
+            "instrument": (["instrument", str(source)], ExitStatus.CLEAN),
+        }[command]
+        proc = paircheck_process(argv, bufsize=0)
+        assert proc.stdout.read(20)  # a few bytes: the report has begun
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == want_code
+        assert err == b""
 
 
 class TestUsage:
