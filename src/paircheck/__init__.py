@@ -39,7 +39,6 @@ from .state import (
     Snapshot,
     StateTable,
     digest,
-    snapshot_equal,
 )
 from .toylang import ParseError, ProgramPair, ThreadProgram, parse, render
 
@@ -79,7 +78,6 @@ __all__ = [
     "render_report",
     "replay",
     "report_to_dict",
-    "snapshot_equal",
     "step",
     "strip",
 ]

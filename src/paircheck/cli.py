@@ -12,9 +12,10 @@ Exit codes:
 
 When several findings apply, the lowest nonzero code wins.
 
-``check`` and ``instrument`` write UTF-8 to stdout whatever the locale's
-encoding.  A reader that closes stdout early (``| head``) does not change
-the exit code.
+Every command writes stdout through one writer, as UTF-8 whatever the
+locale's encoding; ``check`` streams its report one record at a time and
+``bench`` its text table one row at a time.  A reader that closes stdout
+or stderr early (``| head``) does not change the exit code.
 """
 
 from __future__ import annotations
@@ -110,14 +111,23 @@ def _read_source(path: str, newline: str | None = None) -> str:
         raise _InputError(f"{path}: not valid UTF-8: {exc}") from None
 
 
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader has gone at the null device.
+
+    What is still buffered is then flushed there at exit, quietly (the
+    recipe in the ``signal`` module's documentation).
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _write_stdout(chunks: Iterable[str]) -> None:
     """Write text chunks to stdout as UTF-8 bytes, one chunk at a time.
 
     A stdout with no byte layer under it (an ``io.StringIO`` put in place by
     ``contextlib.redirect_stdout``) takes the text as it is.  If the reader
-    closes the pipe, the rest is dropped and stdout is pointed at the null
-    device, so the flush at exit stays quiet (the recipe in the ``signal``
-    module's documentation); the caller's exit code stands.
+    closes the pipe, the rest is dropped; the caller's exit code stands.
     """
     stdout = sys.stdout
     buffer = getattr(stdout, "buffer", None)
@@ -130,14 +140,20 @@ def _write_stdout(chunks: Iterable[str]) -> None:
                 buffer.write(chunk.encode("utf-8"))
             buffer.flush()
     except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, stdout.fileno())
-        os.close(devnull)
+        _to_devnull(stdout)
+
+
+def _write_stderr(message: str) -> None:
+    """Write one message line to stderr; a closed stderr drops it."""
+    try:
+        print(message, file=sys.stderr, flush=True)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.digest and args.no_race_detect:
-        print("error: --digest needs race detection", file=sys.stderr)
+        _write_stderr("error: --digest needs race detection")
         return ExitStatus.INPUT_ERROR
     try:
         cfg = ExplorationConfig(
@@ -152,7 +168,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         pair = parse(source)
     except ParseError as exc:
-        print(f"error: {args.file}:{exc}", file=sys.stderr)
+        _write_stderr(f"error: {args.file}:{exc}")
         return ExitStatus.INPUT_ERROR
 
     report = explore(pair, cfg)
@@ -173,22 +189,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         rows = bench_table(args.n_min, args.n_max, max_total_steps=args.max_steps)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}")
         return ExitStatus.INPUT_ERROR
     except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}")
         return ExitStatus.BUDGET_EXHAUSTED
     if args.format == "json":
         payload = [
             {"n": r.n, "exhaustive": r.exhaustive_count, "pruned": r.pruned_count}
             for r in rows
         ]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        _write_stdout((json.dumps(payload, indent=2), "\n"))
         return ExitStatus.CLEAN
     width = max(10, *(len(str(r.exhaustive_count)) for r in rows))
-    print(f"{'n':>3} {'exhaustive':>{width}} {'pruned':>{width}}")
-    for r in rows:
-        print(f"{r.n:>3} {r.exhaustive_count:>{width}} {r.pruned_count:>{width}}")
+    row = f"{{:>3}} {{:>{width}}} {{:>{width}}}\n".format
+    _write_stdout(
+        [row("n", "exhaustive", "pruned")]
+        + [row(r.n, r.exhaustive_count, r.pruned_count) for r in rows]
+    )
     return ExitStatus.CLEAN
 
 
@@ -201,14 +219,14 @@ def _cmd_instrument(args: argparse.Namespace) -> int:
     try:
         result = strip_source(source, opts) if args.strip else instrument_source(source, opts)
     except InstrumentError as exc:
-        print(f"error: {args.file}:{exc}", file=sys.stderr)
+        _write_stderr(f"error: {args.file}:{exc}")
         return ExitStatus.INPUT_ERROR
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 handle.write(result)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _write_stderr(f"error: {exc}")
             return ExitStatus.INPUT_ERROR
     else:
         _write_stdout((result,))
@@ -225,14 +243,14 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_bench(args)
         return _cmd_instrument(args)
     except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}")
         return ExitStatus.INPUT_ERROR
     except Exception as exc:  # noqa: BLE001 - a crash must not exit 1, which means "race"
         # imported only here: it costs about a millisecond of start-up on every run
         import traceback
 
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
+        trace = traceback.format_exc().rstrip("\n")
+        _write_stderr(f"internal error: {type(exc).__name__}: {exc}\n{trace}")
         return ExitStatus.INTERNAL_ERROR
 
 

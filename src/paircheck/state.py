@@ -14,8 +14,8 @@ digest (hash compaction); later arrivals are compared against it by key
 equality.  An equal key means the subtree below was already explored from
 an identical state (prunable); a differing one is a race: two schedules
 reached the same program point with different observable behavior.  Keys
-are compared with ``==``, without :func:`snapshot_equal`'s schema check,
-so every snapshot given to one table must come from the same program.
+are compared with ``==``, which leaves the variable names out, so every
+snapshot given to one table must come from the same program.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "Snapshot",
     "StateTable",
     "digest",
-    "snapshot_equal",
 ]
 
 DIGEST_ALGORITHM = "blake2b-128"
@@ -115,19 +114,6 @@ class Snapshot:
             f"st0={_status_key(self.status0)};"
             f"st1={_status_key(self.status1)}"
         )
-
-
-def snapshot_equal(a: Snapshot, b: Snapshot) -> bool:
-    """Field-wise snapshot equality; the relation behind race detection.
-
-    Both snapshots must come from the same program: mismatched variable
-    names or semaphore counts raise ``ValueError``.
-    """
-    if a.names != b.names:
-        raise ValueError("snapshots have different variable schemas")
-    if len(a.semaphores) != len(b.semaphores):
-        raise ValueError("snapshots have different semaphore counts")
-    return a == b
 
 
 def digest(snapshot: Snapshot) -> bytes:

@@ -25,9 +25,13 @@ at most :data:`MAX_NESTING` levels deep.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
+
+from .instrument import _position
 
 __all__ = [
     "Assign",
@@ -210,89 +214,53 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "int", "string", "punct", "eof"
     value: str | int
-    line: int
-    col: int
+    offset: int  # of the token's first character in the source
 
-
-_PUNCT = frozenset("{}();=+-*")
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r'\\([ntr"\\])')
+
+# One token per match: a skipped whitespace run or comment, an int, a word,
+# a string (up to its closing quote, or else to the first line break, bad
+# escape or the end of input), a punctuation character or any other one.
+_TOKEN = re.compile(
+    r'[ \t\r\n]+|#[^\n]*|(?P<int>\d+)|(?P<word>[^\W\d]\w*)'
+    r'|"(?P<text>(?:[^"\\\n]|\\[ntr"\\])*)(?P<string>"?)|(?P<punct>[{}();=+\-*])|(?P<other>.)'
+)
 
 
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
 
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
+    def error(message: str, offset: int) -> ParseError:
+        return ParseError(message, *_position(source, offset))
 
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            advance(j - i)
-            tokens.append(_Token("ident", word, start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", int(source[i:j]), start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == '"':
-            advance()
-            chars: list[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                c = source[i]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    advance()
-                    if i >= n:
-                        raise ParseError("unterminated string literal", start_line, start_col)
-                    esc = source[i]
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"bad escape \\{esc}", line, col)
-                    chars.append(_ESCAPES[esc])
-                    advance()
-                else:
-                    chars.append(c)
-                    advance()
-            tokens.append(_Token("string", "".join(chars), start_line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, start_line, start_col))
-            advance()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    for match in _TOKEN.finditer(source):
+        kind, start = match.lastgroup, match.start()
+        if kind == "word" and (source[start].isalpha() or source[start] == "_"):
+            tokens.append(_Token("ident", match[kind], start))
+        elif kind == "int":
+            digits = match[kind]
+            try:
+                tokens.append(_Token("int", int(digits), start))
+            except ValueError:  # more digits than the interpreter converts
+                raise error(f"integer literal too long ({len(digits)} digits)", start) from None
+        elif kind == "string":
+            if not match[kind]:
+                end = match.end()
+                if source.startswith("\\", end) and end + 1 < len(source):
+                    raise error(f"bad escape \\{source[end + 1]}", end + 1)
+                raise error("unterminated string literal", start)
+            text = _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], match["text"])
+            tokens.append(_Token("string", text, start))
+        elif kind == "punct":
+            tokens.append(_Token("punct", match[kind], start))
+        elif kind is not None:  # any other character, or a word not starting with a letter or _
+            raise error(f"unexpected character {source[start]!r}", start)
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -302,8 +270,9 @@ def _lex(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], unroll_limit: int):
-        self.tokens = tokens
+    def __init__(self, source: str, unroll_limit: int):
+        self.source = source
+        self.tokens = _lex(source)
         self.pos = 0
         self.unroll_limit = unroll_limit
         self.variables: dict[str, int] = {}
@@ -315,7 +284,7 @@ class _Parser:
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
         tok = tok or self.cur
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, *_position(self.source, tok.offset))
 
     def advance(self) -> _Token:
         tok = self.cur
@@ -352,21 +321,17 @@ class _Parser:
 
     def program(self) -> ProgramPair:
         self.decls()
-        if not self.at_keyword("thread0"):
-            raise self.error("expected 'thread0'")
-        self.advance()
-        t0: list[Statement] = []
-        self.block_into(t0)
-        if not self.at_keyword("thread1"):
-            raise self.error("expected 'thread1'")
-        self.advance()
-        t1: list[Statement] = []
-        self.block_into(t1)
+        threads: list[list[Statement]] = [[], []]
+        for label, statements in zip(("thread0", "thread1"), threads):
+            if not self.at_keyword(label):
+                raise self.error(f"expected {label!r}")
+            self.advance()
+            self.block_into(statements)
         if self.cur.kind != "eof":
             raise self.error(f"trailing input: {self._describe(self.cur)}")
         return ProgramPair(
-            thread0=ThreadProgram(tuple(t0)),
-            thread1=ThreadProgram(tuple(t1)),
+            thread0=ThreadProgram(tuple(threads[0])),
+            thread1=ThreadProgram(tuple(threads[1])),
             num_semaphores=self.num_semaphores,
             variables=tuple(self.variables.items()),
         )
@@ -391,6 +356,10 @@ class _Parser:
             count = self.signed_int()
             if count < 0:
                 raise self.error("semaphore count must be non-negative", tok)
+            if count > self.unroll_limit:
+                raise self.error(
+                    f"semaphore count {count} over the limit of {self.unroll_limit}", tok
+                )
             self.expect_punct(";")
             self.num_semaphores = count
 
@@ -438,7 +407,8 @@ class _Parser:
                     f"over the limit of {self.unroll_limit}",
                     tok,
                 )
-            out.extend(body * count)
+            if body:  # an empty body may carry any count
+                out.extend(body * count)
             return
         if tok.kind == "ident" and tok.value not in _KEYWORDS:
             name = str(self.advance().value)
@@ -509,10 +479,10 @@ def parse(source: str, *, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> ProgramPa
 
     Raises :class:`ParseError` with line/column on syntax errors,
     undeclared variables, out-of-range semaphore indices, negative repeat
-    counts, unrolled thread sizes over ``unroll_limit``, and nesting
-    deeper than :data:`MAX_NESTING`.
+    counts, unrolled thread sizes or a semaphore count over
+    ``unroll_limit``, and nesting deeper than :data:`MAX_NESTING`.
     """
-    return _Parser(_lex(source), unroll_limit).program()
+    return _Parser(source, unroll_limit).program()
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,38 @@ def nested_program(expr: str = "1", repeats: int = 0) -> str:
     return f"var x; thread0 {{ {body} }} thread1 {{ x = 2; }}"
 
 
+class TestFormerCrashInputs:
+    """Programs that once ended in a traceback and exit code 6."""
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("var x; thread0 { x = ²; } thread1 { }", "1:22: unexpected character '²'"),
+            ("var x; thread0 { x = 1²; } thread1 { }", "1:23: unexpected character '²'"),
+            (
+                "var x; thread0 { x = " + "7" * 5000 + "; } thread1 { }",
+                "1:22: integer literal too long (5000 digits)",
+            ),
+            (
+                "semaphores 99999999999999999999; thread0 { } thread1 { }",
+                "1:1: semaphore count 99999999999999999999 over the limit of 1024",
+            ),
+        ],
+        ids=["superscript", "digit-superscript", "5000-digits", "semaphore-count"],
+    )
+    def test_input_error(self, tmp_path, capsys, source, message):
+        path = tmp_path / "crash.toy"
+        path.write_text(source, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (ExitStatus.INPUT_ERROR, "", f"error: {path}:{message}\n")
+
+    def test_repeat_of_an_empty_block_runs(self, tmp_path, capsys):
+        path = tmp_path / "repeat.toy"
+        path.write_text("thread0 { repeat 99999999999999999999 { } } thread1 { }")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == ExitStatus.CLEAN and "verdict: no race detected" in out and err == ""
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize(
         "source",
@@ -313,17 +345,25 @@ class TestInstrumentCommand:
 
 
 def paircheck_process(argv, encoding="utf-8", **popen):
-    """Start ``python -m paircheck`` with stdout in the given encoding."""
+    """Start ``python -m paircheck`` with stdout in the given encoding.
+
+    Stdout and stderr are pipes unless ``popen`` names other targets.
+    """
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
-    return subprocess.Popen(
-        [sys.executable, "-m", "paircheck", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **popen,
-    )
+    popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
+    return subprocess.Popen([sys.executable, "-m", "paircheck", *argv], env=env, **popen)
+
+
+def closed_pipe() -> int:
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
 
 
 class TestStdoutBytes:
-    """``check`` and ``instrument`` as child processes writing to a pipe."""
+    """The commands as child processes writing to a pipe."""
 
     @pytest.mark.parametrize("emitted", ["é", "\t"], ids=["e-acute", "tab"])
     @pytest.mark.parametrize("command", ["check-text", "check-json", "instrument"])
@@ -347,10 +387,12 @@ class TestStdoutBytes:
         if command == "instrument":
             assert runs["utf-8"][1] == f'void f() {{ hook(); puts("{emitted}"); }}\n'.encode()
 
-    @pytest.mark.parametrize("command", ["check-text", "check-json", "instrument"])
+    @pytest.mark.parametrize(
+        "command", ["check-text", "check-json", "instrument", "bench-text", "bench-json"]
+    )
     def test_closed_stdout_keeps_the_exit_code(self, tmp_path, command):
-        # each output is a few hundred KB, several times a pipe's buffer, so
-        # the writer is still writing when the reader goes away
+        # each check and instrument output is a few hundred KB, several times
+        # a pipe's buffer, so the writer is still writing when the reader goes
         program = tmp_path / "long.toy"
         program.write_text(
             'var x;\nthread0 { repeat 10 { x = x + 1; emit "a"; } }\n'
@@ -362,14 +404,40 @@ class TestStdoutBytes:
             "check-text": (["check", str(program)], ExitStatus.RACE),
             "check-json": (["check", "--format", "json", str(program)], ExitStatus.RACE),
             "instrument": (["instrument", str(source)], ExitStatus.CLEAN),
+            "bench-text": (["bench", "--max", "3"], ExitStatus.CLEAN),
+            "bench-json": (["bench", "--max", "3", "--format", "json"], ExitStatus.CLEAN),
         }[command]
-        proc = paircheck_process(argv, bufsize=0)
-        assert proc.stdout.read(20)  # a few bytes: the report has begun
-        proc.stdout.close()
+        if command.startswith("bench"):
+            # a table of a few dozen bytes fits a pipe's buffer, so the
+            # reader is gone before the child starts
+            stdout = closed_pipe()
+            proc = paircheck_process(argv, stdout=stdout)
+            os.close(stdout)
+        else:
+            proc = paircheck_process(argv, bufsize=0)
+            assert proc.stdout.read(20)  # a few bytes: the report has begun
+            proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == want_code
         assert err == b""
+
+    @pytest.mark.parametrize("command", ["parse-error", "digest-without-detection"])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, command):
+        # the error line is lost, but the exit code must not turn into 1 ("race")
+        program = tmp_path / "bad.toy"
+        program.write_text("thread0 { x = 1; } thread1 { }\n")
+        argv = {
+            "parse-error": ["check", str(program)],
+            "digest-without-detection": [
+                "check", "--digest", "--no-race-detect", str(PROGRAMS_DIR / "ab12.toy")
+            ],
+        }[command]
+        stderr = closed_pipe()
+        proc = paircheck_process(argv, stderr=stderr)
+        os.close(stderr)
+        out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (ExitStatus.INPUT_ERROR, b"")
 
 
 class TestUsage:

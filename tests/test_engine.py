@@ -15,7 +15,7 @@ from paircheck.engine import (
     replay,
     step,
 )
-from paircheck.state import DONE, CombinedCounter, digest, snapshot_equal
+from paircheck.state import DONE, CombinedCounter, digest
 from paircheck.toylang import parse
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
@@ -267,15 +267,15 @@ class TestWitnessReplay:
     def check_witnesses(self, pair, cfg):
         report = explore(pair, cfg)
         for outcome in report.outcomes:
-            assert snapshot_equal(replay(pair, outcome.trace).snapshot, outcome.snapshot)
+            assert replay(pair, outcome.trace).snapshot == outcome.snapshot
         for race in report.races:
             current = replay(pair, race.current_trace)
             assert current.counter == race.counter
-            assert snapshot_equal(current.snapshot, race.current_snapshot)
+            assert current.snapshot == race.current_snapshot
             if race.stored_snapshot is not None:
                 stored = replay(pair, race.stored_trace)
                 assert stored.counter == race.counter
-                assert snapshot_equal(stored.snapshot, race.stored_snapshot)
+                assert stored.snapshot == race.stored_snapshot
         for finding in report.deadlocks + report.block_forever:
             i = replay(pair, finding.trace)
             assert i.counter == finding.counter
@@ -404,7 +404,7 @@ class TestOracleAgreementTableModes:
                 stored = replay(pair, race.stored_trace)
                 assert current.counter == stored.counter == race.counter, index
                 assert current.snapshot == race.current_snapshot, index
-                assert not snapshot_equal(stored.snapshot, current.snapshot), index
+                assert stored.snapshot != current.snapshot, index
                 if cfg.digest_mode:
                     assert digest(stored.snapshot) == race.stored_digest, index
                 else:

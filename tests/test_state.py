@@ -13,7 +13,6 @@ from paircheck.state import (
     Snapshot,
     StateTable,
     digest,
-    snapshot_equal,
 )
 from paircheck.toylang import parse
 
@@ -37,17 +36,17 @@ def make_snapshot(**overrides):
 class TestSnapshotEqual:
     def test_reflexive(self):
         snap = make_snapshot()
-        assert snapshot_equal(snap, snap)
+        assert snap == snap
 
     def test_output_difference(self):
-        assert not snapshot_equal(make_snapshot(output="ab"), make_snapshot(output="a1"))
+        assert make_snapshot(output="ab") != make_snapshot(output="a1")
 
     def test_each_field_participates(self):
         base = make_snapshot()
-        assert not snapshot_equal(base, make_snapshot(values=(1, 3)))
-        assert not snapshot_equal(base, make_snapshot(semaphores=(True, True)))
-        assert not snapshot_equal(base, make_snapshot(status0=0))
-        assert not snapshot_equal(base, make_snapshot(status1=0))
+        assert base != make_snapshot(values=(1, 3))
+        assert base != make_snapshot(semaphores=(True, True))
+        assert base != make_snapshot(status0=0)
+        assert base != make_snapshot(status1=0)
 
     def test_commuting_orders_produce_equal_snapshots(self):
         # independent check: execute both orders by hand on plain dicts
@@ -61,13 +60,7 @@ class TestSnapshotEqual:
             assert values == {"x": 1, "y": 1}
         a = replay(COMMUTING, "01").snapshot
         b = replay(COMMUTING, "10").snapshot
-        assert snapshot_equal(a, b)
-
-    def test_schema_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            snapshot_equal(make_snapshot(), make_snapshot(names=("x", "z")))
-        with pytest.raises(ValueError):
-            snapshot_equal(make_snapshot(), make_snapshot(semaphores=(True,)))
+        assert a == b
 
 
 class TestSlotLayout:
@@ -106,10 +99,10 @@ _snapshots = st.builds(
 
 @given(a=_snapshots, b=_snapshots, c=_snapshots)
 def test_snapshot_equal_is_equivalence(a, b, c):
-    assert snapshot_equal(a, a)
-    assert snapshot_equal(a, b) == snapshot_equal(b, a)
-    if snapshot_equal(a, b) and snapshot_equal(b, c):
-        assert snapshot_equal(a, c)
+    assert a == a
+    assert (a == b) == (b == a)
+    if a == b and b == c:
+        assert a == c
 
 
 class TestStateTable:
@@ -128,7 +121,7 @@ class TestStateTable:
         assert outcome.stored_key is stored.snapshot
         assert outcome.stored_trace == "10"
         assert outcome.current is current
-        assert not snapshot_equal(outcome.stored_key, current.snapshot)
+        assert outcome.stored_key != current.snapshot
 
     def test_commuting_states_prune(self):
         table = StateTable()

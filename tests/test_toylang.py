@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import lexer_oracle
+from paircheck.instrument import _position
 from paircheck.toylang import (
+    DEFAULT_UNROLL_LIMIT,
     Assign,
     BinOp,
     Emit,
@@ -14,6 +17,7 @@ from paircheck.toylang import (
     MAX_NESTING,
     Var,
     eval_expr,
+    _lex,
     parse,
     render,
     wrap64,
@@ -160,6 +164,22 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="limit"):
             parse('thread0 { repeat 9 { emit "x"; } } thread1 { }', unroll_limit=8)
 
+    def test_repeat_of_an_empty_block_takes_any_count(self):
+        pair = parse("thread0 { repeat 99999999999999999999 { } } thread1 { }")
+        assert pair.thread0.statements == ()
+
+    @pytest.mark.parametrize("count", [10**20, DEFAULT_UNROLL_LIMIT + 1])
+    def test_semaphore_count_over_the_limit(self, count):
+        with pytest.raises(ParseError) as exc:
+            parse(f"var x;\nsemaphores {count}; thread0 {{ }} thread1 {{ }}")
+        message = f"semaphore count {count} over the limit of {DEFAULT_UNROLL_LIMIT}"
+        assert (str(exc.value), exc.value.line, exc.value.col) == (f"2:1: {message}", 2, 1)
+
+    def test_semaphore_count_at_a_given_limit(self):
+        assert parse("semaphores 8; thread0 { } thread1 { }", unroll_limit=8).num_semaphores == 8
+        with pytest.raises(ParseError, match="semaphore count 9 over the limit of 8"):
+            parse("semaphores 9; thread0 { } thread1 { }", unroll_limit=8)
+
     def test_unterminated_string(self):
         with pytest.raises(ParseError, match="unterminated"):
             parse('thread0 { emit "abc; } thread1 { }')
@@ -289,3 +309,89 @@ def test_round_trip_of_parsed_source():
     """
     first = parse(src)
     assert parse(render(first)) == first
+
+
+# ---------------------------------------------------------------------------
+# The lexer against the reference loop it replaced (tests/lexer_oracle.py)
+# ---------------------------------------------------------------------------
+
+
+def _error(exc: ParseError) -> tuple[str, int, int]:
+    return str(exc), exc.line, exc.col
+
+
+def _lexed(source: str):
+    """Tokens as ``(kind, value, line, col)``, or the error as ``(message, line, col)``."""
+    try:
+        return [(t.kind, t.value, *_position(source, t.offset)) for t in _lex(source)]
+    except ParseError as exc:
+        return _error(exc)
+
+
+def _oracle_lexed(source: str):
+    try:
+        return [(t.kind, t.value, t.line, t.col) for t in lexer_oracle._lex(source)]
+    except ParseError as exc:
+        return _error(exc)
+
+
+# characters on every edge of the token grammar: whitespace in and out of
+# the grammar, comment, quote and backslash, the escape letters, every
+# punctuation character, isdigit-but-not-isdecimal (², ½, Ⅻ), a
+# non-ASCII decimal (٣) and letter (é), and identifier characters
+_LEX_ALPHABET = list(' \t\r\n\x0c\x85#"\\ntrqa{}();=+-*²½Ⅻ٣é_07')
+
+
+@settings(max_examples=500)
+@given(st.text(st.sampled_from(_LEX_ALPHABET) | st.characters(), max_size=40))
+def test_lexer_matches_the_oracle(source):
+    try:
+        want = _oracle_lexed(source)
+    except ValueError:  # the oracle's int() on a digit run it cannot convert
+        with pytest.raises(ParseError):
+            _lex(source)
+        return
+    assert _lexed(source) == want
+
+
+class TestLexerTraps:
+    """Inputs at the edges of the token grammar, pinned message, line and column."""
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            # isdigit but not isdecimal: the oracle raised ValueError here
+            ("var x; thread0 { x = ²; } thread1 { }", ("1:22: unexpected character '²'", 1, 22)),
+            ("var x; thread0 { x = 1²; } thread1 { }", ("1:23: unexpected character '²'", 1, 23)),
+            (
+                "var x;\nthread0 { x = " + "7" * 5000 + "; }",
+                ("2:15: integer literal too long (5000 digits)", 2, 15),
+            ),
+        ],
+        ids=["superscript", "digit-superscript", "5000-digits"],
+    )
+    def test_former_value_errors(self, source, error):
+        with pytest.raises(ValueError):
+            lexer_oracle._lex(source)
+        assert _lexed(source) == error
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ('thread0 { emit "a\\nb\\qc"; } thread1 { }', ("1:22: bad escape \\q", 1, 22)),
+            ('thread0 {\n  emit "ab\\\n"; } thread1 { }', ("2:12: bad escape \\\n", 2, 12)),
+            ('thread0 { emit "abc', ("1:16: unterminated string literal", 1, 16)),
+            ('thread0 { emit "abc\\', ("1:16: unterminated string literal", 1, 16)),
+        ],
+        ids=["bad-after-good-escape", "backslash-line-break", "unterminated-at-eof",
+             "backslash-at-eof"],
+    )
+    def test_string_errors(self, source, error):
+        assert _lexed(source) == _oracle_lexed(source) == error
+
+    def test_good_escapes_and_non_ascii_decimals(self):
+        tokens = _lex('x٣ = ٣1; emit "\\t\\"\\\\é";')
+        assert [t[:2] for t in tokens] == [
+            ("ident", "x٣"), ("punct", "="), ("int", 31), ("punct", ";"),
+            ("ident", "emit"), ("string", '\t"\\é'), ("punct", ";"), ("eof", ""),
+        ]
