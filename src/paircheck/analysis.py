@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _esc
 
 from .engine import (
     BudgetExceeded,
     ExplorationConfig,
     ExplorationReport,
+    ExplorationStats,
     Finding,
     Outcome,
     RaceRecord,
@@ -110,14 +111,7 @@ def bench_table(
 # string with the C escaper ``json.dumps`` uses under its default
 # ``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
 
-_STATS_FIELDS = (
-    "branch_statements",
-    "completion_statements",
-    "complete_interleavings",
-    "pruned_subtrees",
-    "races_found",
-    "table_entries",
-)
+_STATS_FIELDS = tuple(f.name for f in fields(ExplorationStats))
 
 
 def _json_object(pad: str, members: list[str]) -> str:

@@ -7,7 +7,9 @@ is a *branch* and thread 0's step is searched first; where the other
 thread would block it is *forced*; once one thread has finished, the
 other runs to completion one *completion* step at a time.  The kind
 decides which statistic counts the step (``branch_statements``, none, or
-``completion_statements``).
+``completion_statements``).  When more statements have run than the
+budget ``max_total_steps`` allows, the loop stops and the report is
+marked incomplete.
 
 With race detection on, every state reached by an executed statement is
 checked against the state table.  An equal stored snapshot lets pruning
@@ -28,7 +30,7 @@ remaining live thread does, it would block forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .state import (
     DONE,
@@ -71,7 +73,7 @@ class ReplayError(EngineError):
 
 
 class BudgetExceeded(Exception):
-    """The exploration hit its total statement budget."""
+    """A bench run hit its statement budget (raised by ``bench_table``, not ``explore``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,95 +245,6 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
 _BRANCH, _FORCED, _COMPLETION = range(3)
 
 
-@dataclass
-class _Search:
-    pair: ProgramPair
-    cfg: ExplorationConfig
-    table: StateTable | None
-    stats: ExplorationStats = field(default_factory=ExplorationStats)
-    outcomes: dict[Snapshot, str] = field(default_factory=dict)
-    races: list[RaceRecord] = field(default_factory=list)
-    deadlocks: list[Finding] = field(default_factory=list)
-    block_forever: list[Finding] = field(default_factory=list)
-
-    def run(self, root: PartialInterleaving) -> None:
-        """Search depth-first from ``root``; raises BudgetExceeded at the budget."""
-        pair, table, stats, cfg = self.pair, self.table, self.stats, self.cfg
-        pending: list[tuple[PartialInterleaving, int, int]] = []
-        executed = 0
-        i, kind = root, _BRANCH  # the root is checked like a branch state
-        while True:
-            expand = True
-            if table is not None:
-                match self.table.visit(i):
-                    case PrunedEqual() if cfg.pruning:
-                        # the stored visit already explored this subtree
-                        stats.pruned_subtrees += 1
-                        expand = False
-                    case Race(key, trace, current):
-                        stats.races_found += 1
-                        self.races.append(
-                            RaceRecord(
-                                counter=current.counter,
-                                stored_trace=trace,
-                                stored_snapshot=None if cfg.digest_mode else key,
-                                stored_digest=key if cfg.digest_mode else None,
-                                current_trace=current.trace,
-                                current_snapshot=current.snapshot,
-                            )
-                        )
-                        # The stored visit already explored every schedule below
-                        # this counter, so the subtree is cut (states reachable
-                        # only from the divergent side go unexplored, inherent to
-                        # table-based detection).  A completion step has no
-                        # subtree to cut: its run goes on to the final outcome.
-                        expand = kind == _COMPLETION
-            if expand:
-                self.expand(i, pending)
-            if not pending:
-                return
-            i, tid, kind = pending.pop()
-            i = step(pair, i, tid)
-            if kind == _BRANCH:
-                stats.branch_statements += 1
-            elif kind == _COMPLETION:
-                stats.completion_statements += 1
-            executed += 1
-            if executed > cfg.max_total_steps:
-                raise BudgetExceeded
-
-    def expand(
-        self, i: PartialInterleaving, pending: list[tuple[PartialInterleaving, int, int]]
-    ) -> None:
-        """Record the finding that ends at ``i``, or push the steps leaving it.
-
-        Thread 1's step is pushed below thread 0's, so thread 0's whole
-        subtree is searched first.
-        """
-        snap = i.snapshot
-        done0 = snap.status0 == DONE
-        done1 = snap.status1 == DONE
-        if done0 and done1:
-            self.stats.complete_interleavings += 1
-            self.outcomes.setdefault(snap, i.trace)
-        elif done0 or done1:
-            live = 1 if done0 else 0
-            if _would_block(self.pair, snap, live):
-                self.block_forever.append(Finding(i.counter, i.trace))
-            else:
-                pending.append((i, live, _COMPLETION))
-        else:
-            wb0 = _would_block(self.pair, snap, 0)
-            wb1 = _would_block(self.pair, snap, 1)
-            if wb0 and wb1:
-                self.deadlocks.append(Finding(i.counter, i.trace))
-            elif wb0 or wb1:
-                pending.append((i, 1 if wb0 else 0, _FORCED))
-            else:
-                pending.append((i, 1, _BRANCH))
-                pending.append((i, 0, _BRANCH))
-
-
 def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> ExplorationReport:
     """Enumerate interleavings depth-first and build a report.
 
@@ -342,26 +255,93 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     rooted at snapshot-identical states.  Without ``race_detection``
     there is no table and the search is exhaustive.
 
-    If the total statement budget runs out the report is returned with
-    ``complete=False``.
+    If the total statement budget runs out the search stops there and
+    the report is returned with ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
     table = StateTable(cfg.digest_mode) if cfg.race_detection else None
-    search = _Search(pair, cfg, table)
+    stats = ExplorationStats()
+    outcomes: dict[Snapshot, str] = {}
+    races: list[RaceRecord] = []
+    deadlocks: list[Finding] = []
+    block_forever: list[Finding] = []
+    pending: list[tuple[PartialInterleaving, int, int]] = []
+    executed = 0
     complete = True
-    try:
-        search.run(initial_interleaving(pair))
-    except BudgetExceeded:
-        complete = False
+    i, kind = initial_interleaving(pair), _BRANCH  # the root is checked like a branch state
+    while True:
+        expand = True
+        if table is not None:
+            match table.visit(i):
+                case PrunedEqual() if cfg.pruning:
+                    # the stored visit already explored this subtree
+                    stats.pruned_subtrees += 1
+                    expand = False
+                case Race(key, trace, current):
+                    stats.races_found += 1
+                    races.append(
+                        RaceRecord(
+                            counter=current.counter,
+                            stored_trace=trace,
+                            stored_snapshot=None if cfg.digest_mode else key,
+                            stored_digest=key if cfg.digest_mode else None,
+                            current_trace=current.trace,
+                            current_snapshot=current.snapshot,
+                        )
+                    )
+                    # The stored visit already explored every schedule below
+                    # this counter, so the subtree is cut (states reachable
+                    # only from the divergent side go unexplored, inherent to
+                    # table-based detection).  A completion step has no
+                    # subtree to cut: its run goes on to the final outcome.
+                    expand = kind == _COMPLETION
+        if expand:
+            # Record the finding that ends at i, or push the steps leaving
+            # it; thread 1's step goes below thread 0's, so thread 0's
+            # whole subtree is searched first.
+            snap = i.snapshot
+            done0 = snap.status0 == DONE
+            done1 = snap.status1 == DONE
+            if done0 and done1:
+                stats.complete_interleavings += 1
+                outcomes.setdefault(snap, i.trace)
+            elif done0 or done1:
+                live = 1 if done0 else 0
+                if _would_block(pair, snap, live):
+                    block_forever.append(Finding(i.counter, i.trace))
+                else:
+                    pending.append((i, live, _COMPLETION))
+            else:
+                wb0 = _would_block(pair, snap, 0)
+                wb1 = _would_block(pair, snap, 1)
+                if wb0 and wb1:
+                    deadlocks.append(Finding(i.counter, i.trace))
+                elif wb0 or wb1:
+                    pending.append((i, 1 if wb0 else 0, _FORCED))
+                else:
+                    pending.append((i, 1, _BRANCH))
+                    pending.append((i, 0, _BRANCH))
+        if not pending:
+            break
+        i, tid, kind = pending.pop()
+        i = step(pair, i, tid)
+        if kind == _BRANCH:
+            stats.branch_statements += 1
+        elif kind == _COMPLETION:
+            stats.completion_statements += 1
+        executed += 1
+        if executed > cfg.max_total_steps:
+            complete = False
+            break
 
     if table is not None:
-        search.stats.table_entries = len(table)
+        stats.table_entries = len(table)
     return ExplorationReport(
-        outcomes=tuple(Outcome(s, t) for s, t in search.outcomes.items()),
-        races=tuple(search.races),
-        deadlocks=tuple(search.deadlocks),
-        block_forever=tuple(search.block_forever),
-        stats=search.stats,
+        outcomes=tuple(Outcome(s, t) for s, t in outcomes.items()),
+        races=tuple(races),
+        deadlocks=tuple(deadlocks),
+        block_forever=tuple(block_forever),
+        stats=stats,
         complete=complete,
         digest_mode=cfg.digest_mode,
     )

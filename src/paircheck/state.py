@@ -102,8 +102,10 @@ class Snapshot:
         Format: ``vars{name=value,...};out="...";sems=UD...;st0=...;st1=...``
         with variables in sorted name order, semaphores rendered as ``U``
         (up) / ``D`` (down), statuses as ``run@<index>`` or ``done``, and
-        the output string with ``\\``-escaped ``"``, ``\\``, and control
-        characters.
+        the output string with ``\\``, ``"``, newline, tab and carriage
+        return backslash-escaped (``\\\\``, ``\\"``, ``\\n``, ``\\t``,
+        ``\\r``); other characters, control characters included, are
+        written as they are.
         """
         vars_part = ",".join(map("{}={}".format, self.names, self.values))
         sems_part = "".join("U" if up else "D" for up in self.semaphores)
@@ -119,13 +121,14 @@ class Snapshot:
 def digest(snapshot: Snapshot) -> bytes:
     """128-bit digest of the canonical serialization (blake2b-128).
 
-    Deterministic across runs and platforms.
+    Deterministic across runs and platforms.  A lone surrogate in the
+    output is hashed as its ``surrogatepass`` bytes.
     """
-    return hashlib.blake2b(snapshot.canonical().encode("utf-8"), digest_size=16).digest()
+    data = snapshot.canonical().encode("utf-8", "surrogatepass")
+    return hashlib.blake2b(data, digest_size=16).digest()
 
 
-@dataclass(frozen=True)
-class PartialInterleaving:
+class PartialInterleaving(NamedTuple):
     """A point in an exploration: state, how it was reached, and where."""
 
     snapshot: Snapshot

@@ -401,11 +401,14 @@ class _Parser:
                 raise self.error("repeat count must be non-negative", tok)
             body: list[Statement] = []
             self.block_into(body, self.nested(depth + 1, tok))
-            if count * len(body) > self.unroll_limit:
+            size = count * len(body)
+            if size > self.unroll_limit:
+                try:
+                    unrolled = f"{size} statements"
+                except ValueError:  # the product has too many digits to print
+                    unrolled = f"{count} x {len(body)} statements"
                 raise self.error(
-                    f"repeat unrolls to {count * len(body)} statements, "
-                    f"over the limit of {self.unroll_limit}",
-                    tok,
+                    f"repeat unrolls to {unrolled}, over the limit of {self.unroll_limit}", tok
                 )
             if body:  # an empty body may carry any count
                 out.extend(body * count)

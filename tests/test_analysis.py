@@ -2,7 +2,7 @@ import json
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import report_oracle
 from conftest import program_paths
@@ -209,6 +209,7 @@ class TestWriterAgainstOracle:
         st.lists(_EMIT_TEXT, min_size=1, max_size=3),
         st.lists(_EMIT_TEXT, min_size=1, max_size=3),
     )
+    @example(first=["a"], second=["\ud800"])  # a lone surrogate reaches the digest
     def test_emitted_text(self, first, second):
         pair = ProgramPair(
             thread0=ThreadProgram(tuple(map(Emit, first))),

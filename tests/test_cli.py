@@ -170,8 +170,18 @@ class TestFormerCrashInputs:
                 "semaphores 99999999999999999999; thread0 { } thread1 { }",
                 "1:1: semaphore count 99999999999999999999 over the limit of 1024",
             ),
+            (
+                "thread0 { repeat " + "9" * 4300 + ' { emit "a"; emit "b"; } } thread1 { }',
+                "1:11: repeat unrolls to " + "9" * 4300 + " x 2 statements, over the limit of 1024",
+            ),
         ],
-        ids=["superscript", "digit-superscript", "5000-digits", "semaphore-count"],
+        ids=[
+            "superscript",
+            "digit-superscript",
+            "5000-digits",
+            "semaphore-count",
+            "4300-digit-repeat",
+        ],
     )
     def test_input_error(self, tmp_path, capsys, source, message):
         path = tmp_path / "crash.toy"

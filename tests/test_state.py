@@ -183,6 +183,13 @@ class TestDigest:
             other = make_snapshot(names=names, values=tuple(changed))
             assert digest(snap) != digest(other)
 
+    def test_lone_surrogates_digest_apart(self):
+        # only the library API can pass a lone surrogate; it hashes as its surrogatepass bytes
+        high = digest(make_snapshot(output="\ud800"))
+        low = digest(make_snapshot(output="\udc00"))
+        assert len(high) == len(low) == 16
+        assert high != low
+
 
 class TestCanonicalSerialization:
     def test_exact_layout(self):

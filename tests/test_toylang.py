@@ -164,6 +164,15 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="limit"):
             parse('thread0 { repeat 9 { emit "x"; } } thread1 { }', unroll_limit=8)
 
+    def test_unroll_limit_with_a_product_too_long_to_print(self):
+        with pytest.raises(ParseError, match="^1:11: repeat unrolls to 18 statements, over the"):
+            parse('thread0 { repeat 9 { emit "a"; emit "b"; } } thread1 { }', unroll_limit=8)
+        nines = "9" * 4300  # the longest literal int() converts; the product has 4301 digits
+        with pytest.raises(ParseError) as caught:
+            parse(f'thread0 {{ repeat {nines} {{ emit "a"; emit "b"; }} }} thread1 {{ }}')
+        message = f"1:11: repeat unrolls to {nines} x 2 statements, over the limit of 1024"
+        assert str(caught.value) == message
+
     def test_repeat_of_an_empty_block_takes_any_count(self):
         pair = parse("thread0 { repeat 99999999999999999999 { } } thread1 { }")
         assert pair.thread0.statements == ()
