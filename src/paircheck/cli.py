@@ -14,8 +14,8 @@ When several findings apply, the lowest nonzero code wins.
 
 Every command writes stdout through one writer, as UTF-8 whatever the
 locale's encoding; ``check`` streams its report one record at a time and
-``bench`` its text table one row at a time.  A reader that closes stdout
-or stderr early (``| head``) does not change the exit code.
+``bench`` its text table one row at a time.  A closed stdout or a closed or
+unwritable stderr keeps the exit code, and errors never go to stdout.
 """
 
 from __future__ import annotations
@@ -130,6 +130,8 @@ def _write_stdout(chunks: Iterable[str]) -> None:
     closes the pipe, the rest is dropped; the caller's exit code stands.
     """
     stdout = sys.stdout
+    if stdout is None:  # fd 1 was closed at start-up (``>&-``)
+        return
     buffer = getattr(stdout, "buffer", None)
     try:
         stdout.flush()  # text written earlier through sys.stdout goes first
@@ -144,11 +146,12 @@ def _write_stdout(chunks: Iterable[str]) -> None:
 
 
 def _write_stderr(message: str) -> None:
-    """Write one message line to stderr; a closed stderr drops it."""
-    try:
-        print(message, file=sys.stderr, flush=True)
-    except BrokenPipeError:
-        _to_devnull(sys.stderr)
+    """Write one line to stderr, never stdout; a closed or unwritable stderr drops it."""
+    if sys.stderr is not None:  # None: fd 2 was closed at start-up (``2>&-``)
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except OSError:
+            _to_devnull(sys.stderr)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -65,14 +65,15 @@ class CombinedCounter(NamedTuple):
     s1: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Snapshot:
     """Complete execution state; equality is field-wise and total.
 
     Variable values are kept in slot order: ``values[k]`` belongs to
     ``names[k]``, and ``names`` is the program's sorted variable names.
-    Every snapshot of one program shares that one ``names`` tuple, so it is
-    left out of equality and hashing.
+    Every snapshot of one program shares that one ``names`` tuple, so the
+    generated ``==`` and hash cover only the other five fields.  Slotted, not
+    frozen (Python allows assignment): paircheck never assigns, nor may callers.
     """
 
     names: tuple[str, ...] = field(compare=False, repr=False)
@@ -160,8 +161,6 @@ class Race:
     current: PartialInterleaving
 
 
-VisitOutcome = FirstVisit | PrunedEqual | Race
-
 _FIRST_VISIT = FirstVisit()
 _PRUNED_EQUAL = PrunedEqual()
 
@@ -183,7 +182,7 @@ class StateTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def visit(self, interleaving: PartialInterleaving) -> VisitOutcome:
+    def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
 
         Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored key

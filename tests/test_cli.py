@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -283,6 +284,14 @@ class TestInstrumentCommand:
         assert out == ""
         assert dst.read_text() == "void f() { hook(); a(); }\n"
 
+    def test_output_file_in_a_missing_directory(self, tmp_path, capsys):
+        src = tmp_path / "f.c"
+        src.write_text("void f() { a(); }\n")
+        dst = tmp_path / "missing" / "out.c"
+        code, out, err = run(capsys, "instrument", str(src), "-o", str(dst))
+        assert (code, out) == (ExitStatus.INPUT_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(dst) in err
+
     def test_strip_round_trip(self, tmp_path, capsys):
         original = "void f() { a(); b(); }\n"
         path = tmp_path / "f.c"
@@ -447,6 +456,37 @@ class TestStdoutBytes:
         proc = paircheck_process(argv, stderr=stderr)
         os.close(stderr)
         out, _ = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (ExitStatus.INPUT_ERROR, b"")
+
+    @pytest.mark.parametrize("command", ["check", "bench", "instrument"])
+    def test_stdout_closed_at_start(self, tmp_path, command):
+        # fd 1 closed before the child starts (``>&-``), so sys.stdout is None
+        source = tmp_path / "f.c"
+        source.write_text("void f() { a(); }\n")
+        argv, want_code = {
+            "check": (["check", str(PROGRAMS_DIR / "ab12.toy")], ExitStatus.RACE),
+            "bench": (["bench", "--max", "3"], ExitStatus.CLEAN),
+            "instrument": (["instrument", str(source)], ExitStatus.CLEAN),
+        }[command]
+        proc = paircheck_process(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (want_code, b"")
+
+    @pytest.mark.parametrize("stderr", ["closed", "read-only"])
+    @pytest.mark.parametrize("error", ["parse-error", "missing-file"])
+    def test_unwritable_stderr_at_start(self, tmp_path, stderr, error):
+        # closed: sys.stderr is None, and the error line must not go to stdout;
+        # read-only (``2</dev/null``): writing it fails with EBADF
+        program = tmp_path / "bad.toy"
+        program.write_text("thread0 { x = 1; } thread1 { }\n")
+        argv = ["check", str(program if error == "parse-error" else tmp_path / "missing.toy")]
+        with open(os.devnull) as read_only:
+            popen = {
+                "closed": {"stderr": None, "preexec_fn": functools.partial(os.close, 2)},
+                "read-only": {"stderr": read_only},
+            }[stderr]
+            proc = paircheck_process(argv, **popen)
+            out, _ = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (ExitStatus.INPUT_ERROR, b"")
 
 

@@ -205,6 +205,39 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="trailing"):
             parse("thread0 { } thread1 { } thread0 { }")
 
+    @pytest.mark.parametrize(
+        "source, unroll_limit, message",
+        [
+            ("var x; thread0 { x = 1 } thread1 { }", 8, "1:24: expected ';', found '}'"),
+            ("var x = y; thread0 { } thread1 { }", 8, "1:9: expected integer, found 'y'"),
+            ("var repeat; thread0 { } thread1 { }", 8, "1:5: expected variable name after 'var'"),
+            ("semaphores -1; thread0 { } thread1 { }", 8, "1:1: semaphore count must be non-negative"),
+            ("thread0 { ; } thread1 { }", 8, "1:11: expected statement, found ';'"),
+            ('thread0 {\n  emit "a";\n', 8, "3:1: expected '}'"),
+            (
+                'thread0 { emit "a"; emit "b"; emit "c"; } thread1 { }',
+                2,
+                "1:41: thread exceeds unroll limit of 2 statements",
+            ),
+            ("var x; thread0 { x = ; } thread1 { }", 8, "1:22: expected expression, found ';'"),
+        ],
+        ids=[
+            "expected-punct",
+            "expected-integer",
+            "keyword-as-variable",
+            "negative-semaphores",
+            "expected-statement",
+            "unclosed-block",
+            "thread-over-unroll-limit",
+            "expected-expression",
+        ],
+    )
+    def test_message_and_position(self, source, unroll_limit, message):
+        with pytest.raises(ParseError) as exc:
+            parse(source, unroll_limit=unroll_limit)
+        line, col = map(int, message.split(":")[:2])
+        assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
 
 class TestEval:
     def test_unknown_variable(self):
