@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii as _esc
+from typing import NamedTuple
 
 from .engine import (
     BudgetExceeded,
     ExplorationConfig,
     ExplorationReport,
-    ExplorationStats,
     Finding,
     Outcome,
     RaceRecord,
@@ -47,8 +46,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     n: int  # statements per thread
     exhaustive_count: int
     pruned_count: int
@@ -108,8 +106,6 @@ def bench_table(
 # ``json.dumps(..., indent=2)`` layout of the fixed schema and escapes every
 # string with the C escaper ``json.dumps`` uses under its default
 # ``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
-
-_STATS_FIELDS = tuple(f.name for f in fields(ExplorationStats))
 
 
 def _json_object(pad: str, members: list[str]) -> str:
@@ -197,7 +193,7 @@ def _json_chunks(report: ExplorationReport) -> Iterator[str]:
     yield from _json_array("races", map(_json_race, report.races))
     yield from _json_array("deadlocks", map(_json_finding, report.deadlocks))
     yield from _json_array("block_forever", map(_json_finding, report.block_forever))
-    stats = [f'"{name}": {getattr(report.stats, name)}' for name in _STATS_FIELDS]
+    stats = [f'"{name}": {value}' for name, value in zip(report.stats._fields, report.stats)]
     yield f'  "stats": {_json_object("  ", stats)}\n}}\n'
 
 

@@ -15,25 +15,24 @@ When several findings apply, the lowest nonzero code wins.
 Every command writes stdout through one writer, as UTF-8 whatever the
 locale's encoding; ``check`` streams its report one record at a time and
 ``bench`` its text table one row at a time.  A closed stdout or a closed or
-unwritable stderr keeps the exit code, and errors never go to stdout.
+unwritable stderr keeps the exit code, and errors never go to stdout; a
+closed stdin read as ``-`` is an input error.
+
+Each ``_cmd_*`` imports the modules it runs.  ``instrument`` loads no
+parser, engine, state table, ``dataclasses``, ``hashlib`` or ``json``:
+``InstrumentOptions`` is a plain class that validates in ``__init__``.
+``check`` loads ``hashlib`` only with ``--digest``, and the records it
+reports are NamedTuples.  Only ``bench`` imports ``json`` here.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from collections.abc import Iterable
 from enum import IntEnum
-
-from .analysis import bench_table, iter_report
-from .engine import BudgetExceeded, ExplorationConfig, explore
-from .instrument import InstrumentError, InstrumentOptions
-from .instrument import instrument as instrument_source
-from .instrument import strip as strip_source
-from .toylang import ParseError, parse
 
 __all__ = ["ExitStatus", "main", "entry"]
 
@@ -98,6 +97,8 @@ def _read_source(path: str, newline: str | None = None) -> str:
     """Read UTF-8 text from a file or ``-``; ``newline=""`` keeps line endings."""
     try:
         if path == "-":
+            if sys.stdin is None:  # fd 0 was closed at start-up (``<&-``)
+                raise _InputError("-: standard input is closed")
             stream = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline=newline)
             try:
                 return stream.read()
@@ -155,6 +156,10 @@ def _write_stderr(message: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from .analysis import iter_report
+    from .engine import ExplorationConfig, explore
+    from .toylang import ParseError, parse
+
     if args.digest and args.no_race_detect:
         _write_stderr("error: --digest needs race detection")
         return ExitStatus.INPUT_ERROR
@@ -189,6 +194,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    import json
+
+    from .analysis import bench_table
+    from .engine import BudgetExceeded
+
     try:
         rows = bench_table(args.n_min, args.n_max, max_total_steps=args.max_steps)
     except ValueError as exc:
@@ -214,13 +224,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_instrument(args: argparse.Namespace) -> int:
+    from .instrument import InstrumentError, InstrumentOptions, instrument, strip
+
     try:
         opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
     except ValueError as exc:
         raise _InputError(exc) from None
     source = _read_source(args.file, newline="")
     try:
-        result = strip_source(source, opts) if args.strip else instrument_source(source, opts)
+        result = strip(source, opts) if args.strip else instrument(source, opts)
     except InstrumentError as exc:
         _write_stderr(f"error: {args.file}:{exc}")
         return ExitStatus.INPUT_ERROR

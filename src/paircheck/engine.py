@@ -31,6 +31,7 @@ remaining live thread does, it would block forever.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .state import (
     DONE,
@@ -95,8 +96,7 @@ class ExplorationConfig:
             raise ValueError("max_total_steps must be non-negative")
 
 
-@dataclass
-class ExplorationStats:
+class ExplorationStats(NamedTuple):
     branch_statements: int = 0  # executed where both threads were live and unblocked
     completion_statements: int = 0  # executed while exactly one thread was live
     complete_interleavings: int = 0
@@ -105,24 +105,21 @@ class ExplorationStats:
     table_entries: int = 0
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """A deadlock or block-forever point: counter plus witness trace."""
 
     counter: CombinedCounter
     trace: str
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """A distinct final snapshot with its first witness trace in DFS order."""
 
     snapshot: Snapshot
     trace: str
 
 
-@dataclass(frozen=True)
-class RaceRecord:
+class RaceRecord(NamedTuple):
     counter: CombinedCounter
     stored_trace: str
     stored_snapshot: Snapshot | None  # None in digest mode
@@ -131,8 +128,7 @@ class RaceRecord:
     current_snapshot: Snapshot
 
 
-@dataclass(frozen=True)
-class ExplorationReport:
+class ExplorationReport(NamedTuple):
     outcomes: tuple[Outcome, ...]
     races: tuple[RaceRecord, ...]
     deadlocks: tuple[Finding, ...]
@@ -260,13 +256,12 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     """
     cfg = cfg or ExplorationConfig()
     table = StateTable(cfg.digest_mode) if cfg.race_detection else None
-    stats = ExplorationStats()
     outcomes: dict[Snapshot, str] = {}
     races: list[RaceRecord] = []
     deadlocks: list[Finding] = []
     block_forever: list[Finding] = []
     pending: list[tuple[PartialInterleaving, int, int]] = []
-    executed = 0
+    executed = branch_statements = completion_statements = interleavings = pruned = 0
     complete = True
     i, kind = initial_interleaving(pair), _BRANCH  # the root is checked like a branch state
     while True:
@@ -275,10 +270,9 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
             match table.visit(i):
                 case PrunedEqual() if cfg.pruning:
                     # the stored visit already explored this subtree
-                    stats.pruned_subtrees += 1
+                    pruned += 1
                     expand = False
                 case Race(key, trace, current):
-                    stats.races_found += 1
                     races.append(
                         RaceRecord(
                             counter=current.counter,
@@ -303,7 +297,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
             done0 = snap.status0 == DONE
             done1 = snap.status1 == DONE
             if done0 and done1:
-                stats.complete_interleavings += 1
+                interleavings += 1
                 outcomes.setdefault(snap, i.trace)
             elif done0 or done1:
                 live = 1 if done0 else 0
@@ -326,16 +320,22 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
         i, tid, kind = pending.pop()
         i = step(pair, i, tid)
         if kind == _BRANCH:
-            stats.branch_statements += 1
+            branch_statements += 1
         elif kind == _COMPLETION:
-            stats.completion_statements += 1
+            completion_statements += 1
         executed += 1
         if executed > cfg.max_total_steps:
             complete = False
             break
 
-    if table is not None:
-        stats.table_entries = len(table)
+    stats = ExplorationStats(
+        branch_statements=branch_statements,
+        completion_statements=completion_statements,
+        complete_interleavings=interleavings,
+        pruned_subtrees=pruned,
+        races_found=len(races),
+        table_entries=0 if table is None else len(table),
+    )
     return ExplorationReport(
         outcomes=tuple(Outcome(s, t) for s, t in outcomes.items()),
         races=tuple(races),

@@ -25,7 +25,6 @@ tool refuses rather than guessing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 __all__ = ["InstrumentError", "InstrumentOptions", "instrument", "strip"]
 
@@ -66,22 +65,27 @@ class InstrumentError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
 class InstrumentOptions:
-    hook_token: str = "hook();"
-    skip_redundant: bool = False
+    """The hook token to insert, and whether to skip already-hooked statements.
 
-    def __post_init__(self) -> None:
+    A plain slotted class, so the ``instrument`` command loads no
+    ``dataclasses``; its ``__init__`` validates the token.
+    """
+
+    __slots__ = ("hook_token", "skip_redundant")
+
+    def __init__(self, hook_token: str = "hook();", skip_redundant: bool = False):
         # a token that opens a brace, literal or comment, or spans lines,
         # would change the code it is inserted into and not strip back
-        token = self.hook_token
-        if not (token[:1].isalpha() or token[:1] == "_") or any(
-            ch in token for ch in '{}"\'/\n\r'
+        if not (hook_token[:1].isalpha() or hook_token[:1] == "_") or any(
+            ch in hook_token for ch in '{}"\'/\n\r'
         ):
             raise ValueError(
-                f"hook token {token!r} must start with a letter or '_' and contain"
+                f"hook token {hook_token!r} must start with a letter or '_' and contain"
                 " no braces, quotes, '/' or line breaks"
             )
+        self.hook_token = hook_token
+        self.skip_redundant = skip_redundant
 
 
 def _hook_name(token: str) -> str:

@@ -20,7 +20,6 @@ snapshot given to one table must come from the same program.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -125,6 +124,8 @@ def digest(snapshot: Snapshot) -> bytes:
     Deterministic across runs and platforms.  A lone surrogate in the
     output is hashed as its ``surrogatepass`` bytes.
     """
+    import hashlib  # here, not at the top: only digest mode pays for loading it
+
     data = snapshot.canonical().encode("utf-8", "surrogatepass")
     return hashlib.blake2b(data, digest_size=16).digest()
 
@@ -152,8 +153,7 @@ class PrunedEqual:
     pass
 
 
-@dataclass(frozen=True)
-class Race:
+class Race(NamedTuple):
     """Same combined counter reached with a different snapshot."""
 
     stored_key: Snapshot | bytes  # the first visit's snapshot, or its digest

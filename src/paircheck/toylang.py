@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .instrument import _position
-
 __all__ = [
     "Assign",
     "BinOp",
@@ -236,6 +234,8 @@ def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
 
     def error(message: str, offset: int) -> ParseError:
+        from .instrument import _position  # loaded only when there is an error
+
         return ParseError(message, *_position(source, offset))
 
     for match in _TOKEN.finditer(source):
@@ -283,6 +283,8 @@ class _Parser:
         return self.tokens[self.pos]
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
+        from .instrument import _position  # loaded only when there is an error
+
         tok = tok or self.cur
         return ParseError(message, *_position(self.source, tok.offset))
 

@@ -119,7 +119,7 @@ class TestCheck:
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr("paircheck.cli.explore", broken)
+        monkeypatch.setattr("paircheck.engine.explore", broken)
         code, out, err = run(capsys, "check", program("ab12.toy"))
         assert code == ExitStatus.INTERNAL_ERROR == 6
         assert out == ""
@@ -471,6 +471,14 @@ class TestStdoutBytes:
         proc = paircheck_process(argv, stdout=None, preexec_fn=functools.partial(os.close, 1))
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (want_code, b"")
+
+    @pytest.mark.parametrize("command", ["check", "instrument"])
+    def test_stdin_closed_at_start(self, command):
+        # fd 0 closed before the child starts (``<&-``), so sys.stdin is None
+        proc = paircheck_process([command, "-"], preexec_fn=functools.partial(os.close, 0))
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (ExitStatus.INPUT_ERROR, b"")
+        assert err == b"error: -: standard input is closed\n"
 
     @pytest.mark.parametrize("stderr", ["closed", "read-only"])
     @pytest.mark.parametrize("error", ["parse-error", "missing-file"])

@@ -1,0 +1,100 @@
+"""The package's lazy exports, and the modules each command loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import paircheck
+from conftest import PROGRAMS_DIR, REPO_ROOT
+
+
+def loaded_modules(tmp_path, code: str) -> tuple[int, set[str]]:
+    """Exit code of ``python -c CODE`` and the names in ``sys.modules`` as it exits."""
+    listing = tmp_path / "modules.txt"
+    dump = f"open({str(listing)!r}, 'w').write(' '.join(sys.modules))"
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import atexit, sys; atexit.register(lambda: {dump})\n{code}"],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        timeout=60,
+    )
+    return proc.returncode, set(listing.read_text().split())
+
+
+def command_modules(tmp_path, *argv: str) -> tuple[int, set[str]]:
+    """As :func:`loaded_modules`, for ``python -m paircheck ARGV``."""
+    return loaded_modules(
+        tmp_path,
+        f"sys.argv[1:] = {list(argv)!r}\nimport runpy\n"
+        "runpy.run_module('paircheck', run_name='__main__', alter_sys=True)",
+    )
+
+
+@pytest.fixture
+def bare_modules(tmp_path) -> set[str]:
+    """What the interpreter loads for nothing (``site`` differs between machines)."""
+    return loaded_modules(tmp_path, "pass")[1]
+
+
+class TestLazyExports:
+    def test_every_export_is_its_submodules_object(self):
+        submodules = [
+            importlib.import_module(f"paircheck.{name}")
+            for name in ("analysis", "engine", "instrument", "state", "toylang")
+        ]
+        for name in paircheck.__all__:
+            if name == "__version__":
+                continue
+            owners = [module for module in submodules if name in module.__all__]
+            assert len(owners) == 1, name
+            assert getattr(paircheck, name) is getattr(owners[0], name), name
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from paircheck import *", namespace)
+        assert set(paircheck.__all__) <= set(namespace)
+        assert namespace["instrument"] is importlib.import_module("paircheck.instrument").instrument
+        assert set(paircheck.__all__) <= set(dir(paircheck))
+
+    def test_submodules_resolve_before_any_import(self, tmp_path):
+        code, modules = loaded_modules(
+            tmp_path, "import paircheck; paircheck.engine.step, paircheck.state.digest"
+        )
+        assert code == 0 and {"paircheck.engine", "paircheck.state"} <= modules
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+            paircheck.nonesuch  # noqa: B018
+
+
+class TestCommandImports:
+    def test_import_paircheck_loads_no_submodule(self, tmp_path, bare_modules):
+        code, modules = loaded_modules(tmp_path, "import paircheck")
+        added = modules - bare_modules
+        assert code == 0 and "paircheck" in added
+        assert not {name for name in added if name.startswith("paircheck.")}
+
+    def test_instrument(self, tmp_path, bare_modules):
+        source = tmp_path / "f.c"
+        source.write_text("void f() { a(); }\n")
+        code, modules = command_modules(tmp_path, "instrument", str(source))
+        added = modules - bare_modules
+        assert code == 0 and "paircheck.instrument" in added
+        unwanted = {"dataclasses", "hashlib", "json"}
+        unwanted |= {f"paircheck.{name}" for name in ("toylang", "state", "engine", "analysis")}
+        assert not added & unwanted
+
+    @pytest.mark.parametrize("digest", [False, True], ids=["full", "digest"])
+    def test_check(self, tmp_path, bare_modules, digest):
+        # hashlib only for digests; the instrumenter only for a parse error's position
+        argv = ["check", *(["--digest"] if digest else []), str(PROGRAMS_DIR / "ab12.toy")]
+        code, modules = command_modules(tmp_path, *argv)
+        added = modules - bare_modules
+        assert code == 1 and "paircheck.engine" in added
+        assert ("hashlib" in added) == digest
+        assert "paircheck.instrument" not in added
