@@ -24,13 +24,13 @@ _EXPORTS = {
     ),
     "engine": (
         "BudgetExceeded", "EngineError", "ExplorationConfig", "ExplorationReport",
-        "ExplorationStats", "Finding", "Outcome", "RaceRecord", "ReplayError", "explore",
-        "initial_interleaving", "replay", "step",
+        "ExplorationStats", "ReplayError", "explore", "initial_interleaving", "replay",
+        "step",
     ),
     "instrument": ("InstrumentError", "InstrumentOptions", "instrument", "strip"),
     "state": (
-        "DIGEST_ALGORITHM", "CombinedCounter", "PartialInterleaving", "Snapshot",
-        "StateTable", "digest",
+        "DIGEST_ALGORITHM", "PartialInterleaving", "Race", "Snapshot", "StateTable",
+        "digest",
     ),
     "toylang": ("ParseError", "ProgramPair", "ThreadProgram", "parse", "render"),
 }

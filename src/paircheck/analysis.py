@@ -19,16 +19,8 @@ from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _esc
 from typing import NamedTuple
 
-from .engine import (
-    BudgetExceeded,
-    ExplorationConfig,
-    ExplorationReport,
-    Finding,
-    Outcome,
-    RaceRecord,
-    explore,
-)
-from .state import DIGEST_ALGORITHM, Snapshot
+from .engine import BudgetExceeded, ExplorationConfig, ExplorationReport, explore
+from .state import DIGEST_ALGORITHM, PartialInterleaving, Race, Snapshot
 from .toylang import parse
 
 __all__ = [
@@ -140,13 +132,13 @@ def _json_snapshot(pad: str, snapshot: Snapshot) -> str:
 # Records are items of a top-level array: braces at indent 4, members at 6.
 
 
-def _json_outcome(outcome: Outcome) -> str:
+def _json_outcome(outcome: PartialInterleaving) -> str:
     members = [f'"trace": {_esc(outcome.trace)}']
     members += _json_snapshot_members("      ", outcome.snapshot)
     return "    " + _json_object("    ", members)
 
 
-def _json_race(race: RaceRecord) -> str:
+def _json_race(race: Race) -> str:
     stored = [f'"trace": {_esc(race.stored_trace)}']
     if race.stored_snapshot is not None:
         stored.append(f'"snapshot": {_json_snapshot("        ", race.stored_snapshot)}')
@@ -164,7 +156,7 @@ def _json_race(race: RaceRecord) -> str:
     return "    " + _json_object("    ", members)
 
 
-def _json_finding(finding: Finding) -> str:
+def _json_finding(finding: PartialInterleaving) -> str:
     members = [
         f'"counter": {_json_counter("      ", finding.counter)}',
         f'"trace": {_esc(finding.trace)}',
@@ -224,7 +216,7 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
                 f"digest={race.stored_digest.hex()} (digest only)\n"
             )
         yield (
-            f"  [{k}] at counter {tuple(race.counter)}\n"
+            f"  [{k}] at counter {race.counter}\n"
             + stored
             + f"      current: trace={race.current_trace or '(empty)'}\n"
             f"               {race.current_snapshot.canonical()}\n"
@@ -240,7 +232,7 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
         yield f"{title}: {len(findings)}\n"
         for k, finding in enumerate(findings, 1):
             trace = finding.trace or "(empty)"
-            yield f"  [{k}] at counter {tuple(finding.counter)} trace={trace}\n"
+            yield f"  [{k}] at counter {finding.counter} trace={trace}\n"
 
     stats = report.stats
     yield (

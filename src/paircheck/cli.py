@@ -160,9 +160,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     from .engine import ExplorationConfig, explore
     from .toylang import ParseError, parse
 
-    if args.digest and args.no_race_detect:
-        _write_stderr("error: --digest needs race detection")
-        return ExitStatus.INPUT_ERROR
     try:
         cfg = ExplorationConfig(
             pruning=not args.no_prune,

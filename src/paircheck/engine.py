@@ -18,6 +18,12 @@ differing one is reported as a race and ends the search below that
 state, except after a completion step: a race found there does not end
 the run, which goes on to record its final outcome.
 
+The report holds the search's own records.  Each outcome, deadlock and
+block-forever entry is the :class:`PartialInterleaving` at which the
+search found it, so it unpacks as ``(snapshot, trace, counter)`` and
+equals ``replay(pair, entry.trace)``.  Each race is the
+:class:`~paircheck.state.Race` the state table returned.
+
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
 semaphore and *blocks* while it is already raised.  A thread whose next
@@ -33,15 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .state import (
-    DONE,
-    CombinedCounter,
-    PartialInterleaving,
-    PrunedEqual,
-    Race,
-    Snapshot,
-    StateTable,
-)
+from .state import DONE, PartialInterleaving, PrunedEqual, Race, Snapshot, StateTable
 from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp
 
 __all__ = [
@@ -50,9 +48,6 @@ __all__ = [
     "ExplorationConfig",
     "ExplorationReport",
     "ExplorationStats",
-    "Finding",
-    "Outcome",
-    "RaceRecord",
     "ReplayError",
     "explore",
     "initial_interleaving",
@@ -91,7 +86,7 @@ class ExplorationConfig:
 
     def __post_init__(self) -> None:
         if self.digest_mode and not self.race_detection:
-            raise ValueError("digest_mode requires race_detection (the table must exist)")
+            raise ValueError("digest mode needs race detection")
         if self.max_total_steps < 0:
             raise ValueError("max_total_steps must be non-negative")
 
@@ -105,34 +100,11 @@ class ExplorationStats(NamedTuple):
     table_entries: int = 0
 
 
-class Finding(NamedTuple):
-    """A deadlock or block-forever point: counter plus witness trace."""
-
-    counter: CombinedCounter
-    trace: str
-
-
-class Outcome(NamedTuple):
-    """A distinct final snapshot with its first witness trace in DFS order."""
-
-    snapshot: Snapshot
-    trace: str
-
-
-class RaceRecord(NamedTuple):
-    counter: CombinedCounter
-    stored_trace: str
-    stored_snapshot: Snapshot | None  # None in digest mode
-    stored_digest: bytes | None  # None in full mode
-    current_trace: str
-    current_snapshot: Snapshot
-
-
 class ExplorationReport(NamedTuple):
-    outcomes: tuple[Outcome, ...]
-    races: tuple[RaceRecord, ...]
-    deadlocks: tuple[Finding, ...]
-    block_forever: tuple[Finding, ...]
+    outcomes: tuple[PartialInterleaving, ...]  # each distinct final snapshot, first in DFS order
+    races: tuple[Race, ...]
+    deadlocks: tuple[PartialInterleaving, ...]
+    block_forever: tuple[PartialInterleaving, ...]
     stats: ExplorationStats
     complete: bool  # False when the step budget cut the search short
     digest_mode: bool
@@ -164,7 +136,7 @@ def initial_interleaving(pair: ProgramPair) -> PartialInterleaving:
         status0=0 if pair.thread0.statements else DONE,
         status1=0 if pair.thread1.statements else DONE,
     )
-    return PartialInterleaving(snapshot, "", CombinedCounter(1, 1))
+    return PartialInterleaving(snapshot, "", (1, 1))
 
 
 def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterleaving:
@@ -204,9 +176,9 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     s0, s1 = i.counter
     if tid == 0:
         new = Snapshot(snap.names, values, output, sems, status, snap.status1)
-        return PartialInterleaving(new, i.trace + "0", CombinedCounter(s0 + 1, s1))
+        return PartialInterleaving(new, i.trace + "0", (s0 + 1, s1))
     new = Snapshot(snap.names, values, output, sems, snap.status0, status)
-    return PartialInterleaving(new, i.trace + "1", CombinedCounter(s0, s1 + 1))
+    return PartialInterleaving(new, i.trace + "1", (s0, s1 + 1))
 
 
 def _would_block(pair: ProgramPair, snapshot: Snapshot, tid: int) -> bool:
@@ -256,10 +228,10 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     """
     cfg = cfg or ExplorationConfig()
     table = StateTable(cfg.digest_mode) if cfg.race_detection else None
-    outcomes: dict[Snapshot, str] = {}
-    races: list[RaceRecord] = []
-    deadlocks: list[Finding] = []
-    block_forever: list[Finding] = []
+    outcomes: dict[Snapshot, PartialInterleaving] = {}
+    races: list[Race] = []
+    deadlocks: list[PartialInterleaving] = []
+    block_forever: list[PartialInterleaving] = []
     pending: list[tuple[PartialInterleaving, int, int]] = []
     executed = branch_statements = completion_statements = interleavings = pruned = 0
     complete = True
@@ -272,17 +244,8 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
                     # the stored visit already explored this subtree
                     pruned += 1
                     expand = False
-                case Race(key, trace, current):
-                    races.append(
-                        RaceRecord(
-                            counter=current.counter,
-                            stored_trace=trace,
-                            stored_snapshot=None if cfg.digest_mode else key,
-                            stored_digest=key if cfg.digest_mode else None,
-                            current_trace=current.trace,
-                            current_snapshot=current.snapshot,
-                        )
-                    )
+                case Race() as race:
+                    races.append(race)
                     # The stored visit already explored every schedule below
                     # this counter, so the subtree is cut (states reachable
                     # only from the divergent side go unexplored, inherent to
@@ -298,18 +261,18 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
             done1 = snap.status1 == DONE
             if done0 and done1:
                 interleavings += 1
-                outcomes.setdefault(snap, i.trace)
+                outcomes.setdefault(snap, i)
             elif done0 or done1:
                 live = 1 if done0 else 0
                 if _would_block(pair, snap, live):
-                    block_forever.append(Finding(i.counter, i.trace))
+                    block_forever.append(i)
                 else:
                     pending.append((i, live, _COMPLETION))
             else:
                 wb0 = _would_block(pair, snap, 0)
                 wb1 = _would_block(pair, snap, 1)
                 if wb0 and wb1:
-                    deadlocks.append(Finding(i.counter, i.trace))
+                    deadlocks.append(i)
                 elif wb0 or wb1:
                     pending.append((i, 1 if wb0 else 0, _FORCED))
                 else:
@@ -337,7 +300,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
         table_entries=0 if table is None else len(table),
     )
     return ExplorationReport(
-        outcomes=tuple(Outcome(s, t) for s, t in outcomes.items()),
+        outcomes=tuple(outcomes.values()),
         races=tuple(races),
         deadlocks=tuple(deadlocks),
         block_forever=tuple(block_forever),

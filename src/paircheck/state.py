@@ -4,18 +4,19 @@ A :class:`Snapshot` is the complete shared state of a two-thread run:
 variable values, the output string, the semaphore bank, and both thread
 statuses (the index of the thread's next statement, or ``DONE``).  A
 :class:`PartialInterleaving` pairs a snapshot with the execution trace
-that produced it and the combined execution counter (per-thread
-statements executed, plus one).
+that produced it and the combined execution counter, a plain ``(s0,
+s1)`` tuple of per-thread statements executed, plus one.
 
 The :class:`StateTable` is keyed on combined counters.  The first
 interleaving to reach a counter is stored as a ``(key, trace)`` entry,
 where the key is the snapshot itself or, in digest mode, its 128-bit
 digest (hash compaction); later arrivals are compared against it by key
 equality.  An equal key means the subtree below was already explored from
-an identical state (prunable); a differing one is a race: two schedules
-reached the same program point with different observable behavior.  Keys
-are compared with ``==``, which leaves the variable names out, so every
-snapshot given to one table must come from the same program.
+an identical state (prunable); a differing one is a :class:`Race`: two
+schedules reached the same program point with different observable
+behavior.  Keys are compared with ``==``, which leaves the variable names
+out, so every snapshot given to one table must come from the same
+program.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import NamedTuple
 from .toylang import _escape
 
 __all__ = [
-    "CombinedCounter",
     "DIGEST_ALGORITHM",
     "DONE",
     "FirstVisit",
@@ -53,15 +53,8 @@ def _status_key(status: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Counters, traces, snapshots
+# Traces and snapshots
 # ---------------------------------------------------------------------------
-
-
-class CombinedCounter(NamedTuple):
-    """Per-thread execution counters: statements executed plus one."""
-
-    s0: int
-    s1: int
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -135,7 +128,7 @@ class PartialInterleaving(NamedTuple):
 
     snapshot: Snapshot
     trace: str  # over {"0", "1"}; trace[k] is the thread of the (k+1)-th statement
-    counter: CombinedCounter
+    counter: tuple[int, int]  # per thread: statements executed plus one
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +147,18 @@ class PrunedEqual:
 
 
 class Race(NamedTuple):
-    """Same combined counter reached with a different snapshot."""
+    """Same combined counter reached with a different snapshot.
 
-    stored_key: Snapshot | bytes  # the first visit's snapshot, or its digest
+    The stored side is the first visit's trace and its snapshot, or in
+    digest mode only its digest; the current side is the later arrival.
+    """
+
+    counter: tuple[int, int]
     stored_trace: str
-    current: PartialInterleaving
+    stored_snapshot: Snapshot | None  # None in digest mode
+    stored_digest: bytes | None  # None in full mode
+    current_trace: str
+    current_snapshot: Snapshot
 
 
 _FIRST_VISIT = FirstVisit()
@@ -177,7 +177,7 @@ class StateTable:
 
     def __init__(self, digest_mode: bool = False):
         self.digest_mode = digest_mode
-        self._entries: dict[CombinedCounter, tuple[Snapshot | bytes, str]] = {}
+        self._entries: dict[tuple[int, int], tuple[Snapshot | bytes, str]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -186,15 +186,18 @@ class StateTable:
         """Record a first visit, or compare against the stored one.
 
         Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored key
-        equal; table unchanged), or ``Race`` (keys differ; table
-        unchanged).
+        equal; table unchanged), or a ``Race`` record of both visits (keys
+        differ; table unchanged).
         """
-        snapshot = interleaving.snapshot
+        snapshot, trace, counter = interleaving
         key = digest(snapshot) if self.digest_mode else snapshot
-        entry = self._entries.get(interleaving.counter)
+        entry = self._entries.get(counter)
         if entry is None:
-            self._entries[interleaving.counter] = (key, interleaving.trace)
+            self._entries[counter] = (key, trace)
             return _FIRST_VISIT
-        if entry[0] == key:
+        stored, stored_trace = entry
+        if stored == key:
             return _PRUNED_EQUAL
-        return Race(entry[0], entry[1], interleaving)
+        if self.digest_mode:
+            return Race(counter, stored_trace, None, stored, trace, snapshot)
+        return Race(counter, stored_trace, stored, None, trace, snapshot)

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 
-from paircheck.engine import ExplorationReport, RaceRecord
-from paircheck.state import DIGEST_ALGORITHM, Snapshot
+from paircheck.engine import ExplorationReport
+from paircheck.state import DIGEST_ALGORITHM, Race, Snapshot
 
 
 def _snapshot_dict(snapshot: Snapshot) -> dict:
@@ -24,7 +24,7 @@ def _snapshot_dict(snapshot: Snapshot) -> dict:
     }
 
 
-def _race_dict(race: RaceRecord) -> dict:
+def _race_dict(race: Race) -> dict:
     stored: dict = {"trace": race.stored_trace}
     if race.stored_snapshot is not None:
         stored["snapshot"] = _snapshot_dict(race.stored_snapshot)

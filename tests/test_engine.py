@@ -15,7 +15,7 @@ from paircheck.engine import (
     replay,
     step,
 )
-from paircheck.state import DONE, CombinedCounter, digest
+from paircheck.state import DONE, digest
 from paircheck.toylang import parse
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
@@ -30,7 +30,7 @@ def outputs(report):
 class TestInitialInterleaving:
     def test_counters_start_at_one(self, ab12):
         i = initial_interleaving(ab12)
-        assert i.counter == CombinedCounter(1, 1)
+        assert i.counter == (1, 1)
         assert i.trace == ""
         assert i.snapshot.output == ""
         assert i.snapshot.status0 == 0
@@ -57,7 +57,7 @@ class TestStep:
         i = step(ab12, initial_interleaving(ab12), 0)
         assert i.snapshot.status0 == 1
         assert i.snapshot.output == "a"
-        assert i.counter == CombinedCounter(2, 1)
+        assert i.counter == (2, 1)
         assert i.trace == "0"
 
     def test_last_statement_completes(self, ab12):
@@ -71,7 +71,7 @@ class TestStep:
         i = step(pair, initial_interleaving(pair), 0)
         assert i.snapshot.status0 == DONE
         assert i.snapshot.semaphores == (False,)
-        assert i.counter == CombinedCounter(2, 1)
+        assert i.counter == (2, 1)
 
     def test_down_lowers_raised_semaphore(self):
         pair = parse("semaphores 1; thread0 { up(0); down(0); } thread1 { }")
@@ -140,14 +140,14 @@ class TestExplore:
         report = explore(pair)
         assert len(report.races) == 1
         race = report.races[0]
-        assert race.counter == CombinedCounter(2, 2)
+        assert race.counter == (2, 2)
         assert {race.stored_trace, race.current_trace} == {"01", "10"}
 
     def test_double_up_deadlocks_on_both_prefixes(self):
         pair = parse("semaphores 2; thread0 { up(0); up(0); } thread1 { up(1); up(1); }")
         report = explore(pair, EXHAUSTIVE)
         assert {f.trace for f in report.deadlocks} == {"01", "10"}
-        assert all(f.counter == CombinedCounter(2, 2) for f in report.deadlocks)
+        assert all(f.counter == (2, 2) for f in report.deadlocks)
         assert not report.outcomes
 
     def test_block_forever_detection(self):
@@ -411,3 +411,18 @@ class TestOracleAgreementTableModes:
                     assert stored.snapshot == race.stored_snapshot, index
         assert race_free == 136
         assert witnesses == expected_witnesses
+
+
+class TestReportRecords:
+    """Outcomes and findings are the states at which the search found them."""
+
+    @pytest.mark.parametrize("mode", [*TABLE_MODES, "no-table"])
+    def test_entries_equal_their_replayed_states(self, mode):
+        cfg = EXHAUSTIVE if mode == "no-table" else TABLE_MODES[mode][0]
+        entries = 0
+        for index, pair in enumerate(fixed_corpus(200)):
+            report = explore(pair, cfg)
+            for entry in report.outcomes + report.deadlocks + report.block_forever:
+                entries += 1
+                assert entry == replay(pair, entry.trace), index
+        assert entries

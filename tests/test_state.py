@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
 from paircheck.state import (
     DONE,
-    CombinedCounter,
     FirstVisit,
     PrunedEqual,
     Race,
@@ -118,10 +117,13 @@ class TestStateTable:
         assert isinstance(table.visit(stored), FirstVisit)
         outcome = table.visit(current)
         assert isinstance(outcome, Race)
-        assert outcome.stored_key is stored.snapshot
+        assert outcome.counter == current.counter
+        assert outcome.stored_snapshot is stored.snapshot
+        assert outcome.stored_digest is None
         assert outcome.stored_trace == "10"
-        assert outcome.current is current
-        assert outcome.stored_key != current.snapshot
+        assert outcome.current_trace == current.trace
+        assert outcome.current_snapshot is current.snapshot
+        assert outcome.stored_snapshot != current.snapshot
 
     def test_commuting_states_prune(self):
         table = StateTable()
@@ -139,8 +141,8 @@ class TestStateTable:
         # the first visit is still the one a later race reports
         outcome = table.visit(replay(AB12, "10"))
         assert isinstance(outcome, Race)
-        assert outcome.current.counter == CombinedCounter(2, 2)
-        assert outcome.stored_key is first.snapshot
+        assert outcome.counter == (2, 2)
+        assert outcome.stored_snapshot is first.snapshot
         assert outcome.stored_trace == "01"
         assert len(table) == 1
 
@@ -151,7 +153,8 @@ class TestStateTable:
         outcome = table.visit(replay(AB12, "01"))
         assert isinstance(outcome, Race)
         assert outcome.stored_trace == "10"
-        assert outcome.stored_key == digest(stored.snapshot)
+        assert outcome.stored_snapshot is None
+        assert outcome.stored_digest == digest(stored.snapshot)
 
     def test_digest_mode_prunes_equal(self):
         table = StateTable(digest_mode=True)
@@ -208,6 +211,6 @@ class TestCanonicalSerialization:
 
 def test_trace_consistency_helper():
     i = replay(AB12, "011")
-    assert i.counter == CombinedCounter(2, 3)
+    assert i.counter == (2, 3)
     # each counter is one more than its thread's symbols in the trace
     assert (i.trace.count("0") + 1, i.trace.count("1") + 1) == i.counter
