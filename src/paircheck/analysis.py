@@ -14,10 +14,13 @@ point.  The two reported columns follow closed forms:
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii as _esc
 from typing import NamedTuple
+
+try:  # the C escaper of json.dumps, without loading the json package
+    from _json import encode_basestring_ascii as _esc
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _esc
 
 from .engine import BudgetExceeded, ExplorationConfig, ExplorationReport, explore
 from .state import DIGEST_ALGORITHM, PartialInterleaving, Race, Snapshot
@@ -268,4 +271,6 @@ def render_report(report: ExplorationReport, format: str = "text") -> str:
 
 def report_to_dict(report: ExplorationReport) -> dict:
     """Stable machine-readable mirror of a report (the JSON schema)."""
+    import json  # only here: check and bench render without the json package
+
     return json.loads(render_report(report, "json"))

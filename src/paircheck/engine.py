@@ -32,15 +32,35 @@ it), so every explored state is reproducible by replaying its trace:
 there are no hidden scheduling events.  If both live threads stand
 before blocking ``up`` calls, that state is a deadlock; if the sole
 remaining live thread does, it would block forever.
+
+Each program is compiled once, when its ``ProgramPair`` is built, into a
+:class:`CompiledProgram` (``pair.compiled``), so stepping interprets
+nothing.  Every ``(thread, statement index)`` has one transition that
+builds the successor snapshot and interleaving directly, with the
+thread's next status and trace symbol fixed at compile time; :func:`step`
+checks the thread and its status and calls it.  A table per thread gives
+the semaphore each statement waits on (an ``up``) or -1, which is how
+the search tells which threads would block.  The program's canonical
+encoder gives digest mode the bytes of ``Snapshot.canonical`` without
+formatting each snapshot from scratch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .state import DONE, PartialInterleaving, PrunedEqual, Race, Snapshot, StateTable
-from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp
+from .state import (
+    DONE,
+    PartialInterleaving,
+    PrunedEqual,
+    Race,
+    Snapshot,
+    StateTable,
+    canonical_encoder,
+)
+from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp, Statement, _compile_assign
 
 __all__ = [
     "BudgetExceeded",
@@ -121,6 +141,107 @@ class ExplorationReport(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+
+# A compiled statement: from an interleaving whose thread stands before the
+# statement to its successor.
+Transition = Callable[[PartialInterleaving], PartialInterleaving]
+
+_tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+
+class CompiledProgram(NamedTuple):
+    """A :class:`ProgramPair` compiled once for stepping; see ``ProgramPair.compiled``."""
+
+    transitions: tuple[tuple[Transition, ...], tuple[Transition, ...]]  # [tid][index]
+    # [tid][index]: the semaphore the statement waits on if it is an up,
+    # else -1; one more -1 at the end is the entry of DONE (index -1)
+    blocks: tuple[tuple[int, ...], tuple[int, ...]]
+    encode: Callable[[Snapshot], str]  # Snapshot.canonical for this program's snapshots
+
+
+def compile_program(pair: ProgramPair) -> CompiledProgram:
+    """Compile each statement of ``pair`` into its transition.
+
+    Unknown variables raise ``KeyError``, and other nodes ``TypeError``.
+    """
+    names = pair.names
+    slots = {name: k for k, name in enumerate(names)}
+    threads = (pair.thread0.statements, pair.thread1.statements)
+    transitions = tuple(
+        tuple(_transition(statements, k, tid, names, slots) for k in range(len(statements)))
+        for tid, statements in enumerate(threads)
+    )
+    blocks = tuple(
+        tuple(stmt.index if isinstance(stmt, SemUp) else -1 for stmt in statements) + (-1,)
+        for statements in threads
+    )
+    return CompiledProgram(transitions, blocks, canonical_encoder(names, *map(len, threads)))
+
+
+def _transition(
+    statements: tuple[Statement, ...],
+    index: int,
+    tid: int,
+    names: tuple[str, ...],
+    slots: dict[str, int],
+) -> Transition:
+    """Compile statement ``index`` of thread ``tid``, whose statements are ``statements``.
+
+    The thread's next status (``index + 1``, or ``DONE`` after its last
+    statement) and its trace symbol are fixed here.  Each kind builds
+    the successor itself: a shared helper would cost a call on every
+    step.
+    """
+    stmt = statements[index]
+    status = DONE if index == len(statements) - 1 else index + 1
+    match stmt:
+        case Assign():
+            update = _compile_assign(stmt, slots)
+
+            def transition(i):
+                old, trace, (s0, s1) = i
+                values = update(old.values)
+                if tid:
+                    new = Snapshot(names, values, old.output, old.semaphores, old.status0, status)
+                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
+                new = Snapshot(names, values, old.output, old.semaphores, status, old.status1)
+                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
+
+        case Emit(text):
+
+            def transition(i):
+                old, trace, (s0, s1) = i
+                output = old.output + text
+                if tid:
+                    new = Snapshot(names, old.values, output, old.semaphores, old.status0, status)
+                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
+                new = Snapshot(names, old.values, output, old.semaphores, status, old.status1)
+                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
+
+        case SemDown(k) | SemUp(k):
+            up = isinstance(stmt, SemUp)
+
+            def transition(i):
+                old, trace, (s0, s1) = i
+                sems = old.semaphores
+                if sems[k] != up:  # a down lowers a raised semaphore, an up raises a lowered one
+                    sems = sems[:k] + (up,) + sems[k + 1 :]
+                elif up:
+                    raise EngineError(f"thread {tid} would block on up({k})")
+                if tid:
+                    new = Snapshot(names, old.values, old.output, sems, old.status0, status)
+                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
+                new = Snapshot(names, old.values, old.output, sems, status, old.status1)
+                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
+
+        case _:
+            raise TypeError(f"not a statement: {stmt!r}")
+    return transition
+
+
+# ---------------------------------------------------------------------------
 # Core stepping operations
 # ---------------------------------------------------------------------------
 
@@ -147,44 +268,19 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     record the statement, and the thread's status moves to its next
     statement index, or to ``DONE`` after its last statement.
 
-    Raises :class:`EngineError` when the thread is finished or its next
-    statement is an ``up`` on a raised semaphore (it would block).
+    Raises :class:`EngineError` when ``tid`` is not 0 or 1, when the
+    thread is finished, or when its next statement is an ``up`` on a
+    raised semaphore (it would block).
     """
-    snap = i.snapshot
-    index = snap.status(tid)
+    if tid == 0:
+        index = i.snapshot.status0
+    elif tid == 1:
+        index = i.snapshot.status1
+    else:
+        raise EngineError(f"no thread {tid!r}")
     if index == DONE:
         raise EngineError(f"thread {tid} is finished")
-    statements = pair.thread(tid).statements
-    stmt = statements[index]
-    values, output, sems = snap.values, snap.output, snap.semaphores
-    match stmt:
-        case Assign():
-            values = pair.updates[tid][index](values)
-        case Emit(text):
-            output += text
-        case SemDown(sem):
-            if sems[sem]:
-                sems = sems[:sem] + (False,) + sems[sem + 1 :]
-        case SemUp(sem):
-            if sems[sem]:
-                raise EngineError(f"thread {tid} would block on up({sem})")
-            sems = sems[:sem] + (True,) + sems[sem + 1 :]
-        case _:
-            raise TypeError(f"not a statement: {stmt!r}")
-    index += 1
-    status = DONE if index == len(statements) else index
-    s0, s1 = i.counter
-    if tid == 0:
-        new = Snapshot(snap.names, values, output, sems, status, snap.status1)
-        return PartialInterleaving(new, i.trace + "0", (s0 + 1, s1))
-    new = Snapshot(snap.names, values, output, sems, snap.status0, status)
-    return PartialInterleaving(new, i.trace + "1", (s0, s1 + 1))
-
-
-def _would_block(pair: ProgramPair, snapshot: Snapshot, tid: int) -> bool:
-    """Whether live thread ``tid``'s next statement is an ``up`` on a raised semaphore."""
-    stmt = pair.thread(tid).statements[snapshot.status(tid)]
-    return isinstance(stmt, SemUp) and snapshot.semaphores[stmt.index]
+    return pair.compiled.transitions[tid][index](i)
 
 
 def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
@@ -227,7 +323,9 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     the report is returned with ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
-    table = StateTable(cfg.digest_mode) if cfg.race_detection else None
+    _, (blocks0, blocks1), encode = pair.compiled
+    table = StateTable(cfg.digest_mode, encode) if cfg.race_detection else None
+    max_total_steps = cfg.max_total_steps
     outcomes: dict[Snapshot, PartialInterleaving] = {}
     races: list[Race] = []
     deadlocks: list[PartialInterleaving] = []
@@ -257,27 +355,28 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
             # it; thread 1's step goes below thread 0's, so thread 0's
             # whole subtree is searched first.
             snap = i.snapshot
-            done0 = snap.status0 == DONE
-            done1 = snap.status1 == DONE
+            status0, status1 = snap.status0, snap.status1
+            # each thread's next statement waits on semaphore k if k >= 0 and
+            # it is raised; a finished thread (DONE) waits on none
+            k0, k1 = blocks0[status0], blocks1[status1]
+            wb0 = k0 >= 0 and snap.semaphores[k0]
+            wb1 = k1 >= 0 and snap.semaphores[k1]
+            done0, done1 = status0 == DONE, status1 == DONE
             if done0 and done1:
                 interleavings += 1
                 outcomes.setdefault(snap, i)
             elif done0 or done1:
-                live = 1 if done0 else 0
-                if _would_block(pair, snap, live):
+                if wb0 or wb1:
                     block_forever.append(i)
                 else:
-                    pending.append((i, live, _COMPLETION))
+                    pending.append((i, 1 if done0 else 0, _COMPLETION))
+            elif wb0 and wb1:
+                deadlocks.append(i)
+            elif wb0 or wb1:
+                pending.append((i, 1 if wb0 else 0, _FORCED))
             else:
-                wb0 = _would_block(pair, snap, 0)
-                wb1 = _would_block(pair, snap, 1)
-                if wb0 and wb1:
-                    deadlocks.append(i)
-                elif wb0 or wb1:
-                    pending.append((i, 1 if wb0 else 0, _FORCED))
-                else:
-                    pending.append((i, 1, _BRANCH))
-                    pending.append((i, 0, _BRANCH))
+                pending.append((i, 1, _BRANCH))
+                pending.append((i, 0, _BRANCH))
         if not pending:
             break
         i, tid, kind = pending.pop()
@@ -287,7 +386,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
         elif kind == _COMPLETION:
             completion_statements += 1
         executed += 1
-        if executed > cfg.max_total_steps:
+        if executed > max_total_steps:
             complete = False
             break
 

@@ -9,18 +9,19 @@ s1)`` tuple of per-thread statements executed, plus one.
 
 The :class:`StateTable` is keyed on combined counters.  The first
 interleaving to reach a counter is stored as a ``(key, trace)`` entry,
-where the key is the snapshot itself or, in digest mode, its 128-bit
-digest (hash compaction); later arrivals are compared against it by key
-equality.  An equal key means the subtree below was already explored from
-an identical state (prunable); a differing one is a :class:`Race`: two
-schedules reached the same program point with different observable
-behavior.  Keys are compared with ``==``, which leaves the variable names
-out, so every snapshot given to one table must come from the same
-program.
+where the key is the snapshot itself or, in digest mode, the 128-bit
+digest of its canonical serialization (hash compaction); later arrivals
+are compared against it by key equality.  An equal key means the subtree
+below was already explored from an identical state (prunable); a
+differing one is a :class:`Race`: two schedules reached the same program
+point with different observable behavior.  Keys are compared with ``==``,
+which leaves the variable names out, so every snapshot given to one table
+must come from the same program.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -111,16 +112,58 @@ class Snapshot:
         )
 
 
-def digest(snapshot: Snapshot) -> bytes:
+_UD = bytes.maketrans(b"\0\1", b"DU")  # a semaphore bank's bytes to its U/D key
+
+
+def canonical_encoder(names: tuple[str, ...], len0: int, len1: int) -> Callable[[Snapshot], str]:
+    """:meth:`Snapshot.canonical` compiled for the snapshots of one program.
+
+    ``names`` are the program's sorted variable names and ``len0`` and
+    ``len1`` its thread lengths, so each status is below its thread's
+    length or ``DONE``.  The variables are one ``%``-format; the
+    semaphore bank and the statuses are table lookups.
+    """
+    # DONE (-1) picks the last key of each status-key tuple, "done"
+    head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + '};out="'
+    keys0 = tuple(f";st0=run@{k}" for k in range(len0)) + (";st0=done",)
+    keys1 = tuple(f";st1=run@{k}" for k in range(len1)) + (";st1=done",)
+
+    def encode(snapshot: Snapshot) -> str:
+        return (
+            head % snapshot.values
+            + _escape(snapshot.output)
+            + '";sems='
+            + bytes(snapshot.semaphores).translate(_UD).decode()
+            + keys0[snapshot.status0]
+            + keys1[snapshot.status1]
+        )
+
+    return encode
+
+
+_blake2b = None  # the blake2b constructor, loaded by the first digest
+
+
+def _load_blake2b():
+    global _blake2b
+    try:
+        from _blake2 import blake2b  # what hashlib.blake2b is, without loading OpenSSL
+    except ImportError:
+        from hashlib import blake2b
+    _blake2b = blake2b
+    return blake2b
+
+
+def digest(snapshot: Snapshot, encode: Callable[[Snapshot], str] = Snapshot.canonical) -> bytes:
     """128-bit digest of the canonical serialization (blake2b-128).
 
     Deterministic across runs and platforms.  A lone surrogate in the
-    output is hashed as its ``surrogatepass`` bytes.
+    output is hashed as its ``surrogatepass`` bytes.  ``encode`` gives
+    the serialization; a program's :func:`canonical_encoder` gives the
+    same string as :meth:`Snapshot.canonical`, faster.
     """
-    import hashlib  # here, not at the top: only digest mode pays for loading it
-
-    data = snapshot.canonical().encode("utf-8", "surrogatepass")
-    return hashlib.blake2b(data, digest_size=16).digest()
+    data = encode(snapshot).encode("utf-8", "surrogatepass")
+    return (_blake2b or _load_blake2b())(data, digest_size=16).digest()
 
 
 class PartialInterleaving(NamedTuple):
@@ -168,15 +211,19 @@ _PRUNED_EQUAL = PrunedEqual()
 class StateTable:
     """Map from combined counter to the first visit seen there.
 
-    Each entry is ``(key, trace)``: the key is the snapshot, or its
-    128-bit digest in digest mode.  Entries are never evicted or
+    Each entry is ``(key, trace)``: the key is the snapshot, or in
+    digest mode the digest of ``encode(snapshot)``, which ``explore``
+    makes the program's compiled encoder.  Entries are never evicted or
     overwritten.  Every interleaving visited must come from the same
     :class:`~paircheck.toylang.ProgramPair`, because keys are compared
     with plain ``==`` and no schema check.
     """
 
-    def __init__(self, digest_mode: bool = False):
+    def __init__(
+        self, digest_mode: bool = False, encode: Callable[[Snapshot], str] = Snapshot.canonical
+    ):
         self.digest_mode = digest_mode
+        self.encode = encode
         self._entries: dict[tuple[int, int], tuple[Snapshot | bytes, str]] = {}
 
     def __len__(self) -> int:
@@ -190,7 +237,7 @@ class StateTable:
         differ; table unchanged).
         """
         snapshot, trace, counter = interleaving
-        key = digest(snapshot) if self.digest_mode else snapshot
+        key = digest(snapshot, self.encode) if self.digest_mode else snapshot
         entry = self._entries.get(counter)
         if entry is None:
             self._entries[counter] = (key, trace)

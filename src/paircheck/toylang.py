@@ -29,7 +29,10 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from .engine import CompiledProgram
 
 __all__ = [
     "Assign",
@@ -131,25 +134,16 @@ class ProgramPair:
     num_semaphores: int
     variables: tuple[tuple[str, int], ...]  # (name, initial value), declaration order
     # Derived once per program: the variable names in sorted order (slot k
-    # holds names[k]), and per thread one compiled update per statement
-    # (None where the statement is not an assignment).
+    # holds names[k]), and the program compiled for the engine (its
+    # per-statement transitions, block tables and canonical encoder).
     names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    updates: tuple[tuple[Update | None, ...], ...] = field(
-        init=False, compare=False, repr=False
-    )
+    compiled: CompiledProgram = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        names = tuple(sorted(name for name, _ in self.variables))
-        slots = {name: k for k, name in enumerate(names)}
-        updates = tuple(
-            tuple(
-                _compile_assign(stmt, slots) if isinstance(stmt, Assign) else None
-                for stmt in thread.statements
-            )
-            for thread in (self.thread0, self.thread1)
-        )
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "updates", updates)
+        from .engine import compile_program  # the engine imports this module
+
+        object.__setattr__(self, "names", tuple(sorted(name for name, _ in self.variables)))
+        object.__setattr__(self, "compiled", compile_program(self))
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.thread0 if tid == 0 else self.thread1

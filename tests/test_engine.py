@@ -113,6 +113,16 @@ class TestStep:
                 step(pair, i, 0)
         assert step(pair, i, 1).snapshot.semaphores == (False,)
 
+    @pytest.mark.parametrize(
+        "source",
+        ['thread0 { emit "a"; } thread1 { emit "b"; }', "var x; thread0 { } thread1 { x = 1; }"],
+    )
+    @pytest.mark.parametrize("tid", [2, -1])
+    def test_stepping_a_thread_other_than_0_or_1_is_usage_error(self, source, tid):
+        pair = parse(source)
+        with pytest.raises(EngineError, match=f"no thread {tid}"):
+            step(pair, initial_interleaving(pair), tid)
+
 
 class TestExplore:
     def test_ab12_exhaustive_outputs(self, ab12):

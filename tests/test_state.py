@@ -1,9 +1,12 @@
 import random
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
+from corpus import fixed_corpus
+from paircheck import engine, state
+from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay, step
 from paircheck.state import (
     DONE,
     FirstVisit,
@@ -13,7 +16,7 @@ from paircheck.state import (
     StateTable,
     digest,
 )
-from paircheck.toylang import parse
+from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
 
 AB12 = parse('thread0 { emit "a"; emit "b"; } thread1 { emit "1"; emit "2"; }')
 COMMUTING = parse("var x; var y; thread0 { x = x + 1; } thread1 { y = y + 1; }")
@@ -192,6 +195,79 @@ class TestDigest:
         low = digest(make_snapshot(output="\udc00"))
         assert len(high) == len(low) == 16
         assert high != low
+
+    def test_blake2b_is_hashlibs_and_the_fallback_digests_alike(self, monkeypatch):
+        import hashlib
+
+        snap = initial_interleaving(AB12).snapshot
+        digest(snap)
+        assert state._blake2b is hashlib.blake2b
+        # an interpreter without the _blake2 module takes hashlib's constructor
+        monkeypatch.setitem(sys.modules, "_blake2", None)
+        monkeypatch.setattr(state, "_blake2b", None)
+        assert digest(snap).hex() == "63eabeac9174ad7e3455f65915d9b9c2"
+        assert state._blake2b is hashlib.blake2b
+
+
+# variable names that are format directives, which the encoder must not expand
+_FORMAT_NAMES = ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, (("%s", 0), ("{}", 0)))
+
+
+@st.composite
+def _program_snapshots(draw):
+    """A hand-built program and one snapshot of it, for the compiled encoder."""
+    names = draw(st.lists(st.text("xy%{}=,", min_size=1, max_size=3), unique=True, max_size=4))
+    lengths = [draw(st.sampled_from([0, 1, 3, 1024])) for _ in range(2)]
+    semaphores = tuple(draw(st.lists(st.booleans(), max_size=8)))
+    pair = ProgramPair(
+        *(ThreadProgram((Emit("a"),) * length) for length in lengths),
+        num_semaphores=len(semaphores),
+        variables=tuple((name, 0) for name in names),
+    )
+    extreme = st.sampled_from([-(2**63), 2**63 - 1, -1, 0])
+    values = [draw(extreme | st.integers(-(2**63), 2**63 - 1)) for _ in names]
+    special = st.sampled_from(['\\', '"', "\n", "\t", "\r", "%", "{", "a", "\ud800", "\x00", "é"])
+    statuses = [
+        draw(st.sampled_from([DONE, *range(length)[:2], *range(length)[-1:]])) for length in lengths
+    ]
+    snapshot = Snapshot(
+        names=pair.names,
+        values=tuple(values),
+        output=draw(st.text(special) | st.text()),
+        semaphores=semaphores,
+        status0=statuses[0],
+        status1=statuses[1],
+    )
+    return pair, snapshot
+
+
+class TestCompiledEncoder:
+    """A program's compiled encoder gives exactly the bytes of ``Snapshot.canonical``."""
+
+    def test_every_state_an_exhaustive_search_reaches(self, monkeypatch):
+        reached = []
+
+        def recording_step(pair, i, tid):
+            successor = step(pair, i, tid)
+            reached.append(successor.snapshot)
+            return successor
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        for pair in fixed_corpus(200):
+            reached[:] = [initial_interleaving(pair).snapshot]
+            explore(pair, ExplorationConfig(pruning=False, race_detection=False))
+            encode = pair.compiled.encode
+            for snap in reached:
+                assert encode(snap) == snap.canonical()
+                assert digest(snap, encode) == digest(snap)
+
+    @given(_program_snapshots())
+    @example((_FORMAT_NAMES, initial_interleaving(_FORMAT_NAMES).snapshot))
+    def test_hand_built_programs(self, case):
+        pair, snapshot = case
+        encode = pair.compiled.encode
+        assert encode(snapshot) == snapshot.canonical()
+        assert digest(snapshot, encode) == digest(snapshot)
 
 
 class TestCanonicalSerialization:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexer_oracle
+from paircheck.engine import initial_interleaving
 from paircheck.instrument import _position
 from paircheck.toylang import (
     DEFAULT_UNROLL_LIMIT,
@@ -253,11 +254,16 @@ class TestEval:
             variables=(("y", 0), ("x", 5)),
         )
         assert pair.names == ("x", "y")
-        update, none = pair.updates[0]
-        assert none is None and pair.updates[1] == ()
-        assert update((5, 0)) == (5, 15)
+        transitions = pair.compiled.transitions
+        assert len(transitions[0]) == 2 and transitions[1] == ()
+        i = transitions[0][0](initial_interleaving(pair))
+        assert (i.snapshot.values, i.snapshot.status0, i.trace, i.counter) == ((5, 15), 1, "0", (2, 1))
         # the derived fields take no part in equality
         assert pair == ProgramPair(pair.thread0, pair.thread1, 0, pair.variables)
+
+    def test_hand_built_assignment_to_undeclared_variable(self):
+        with pytest.raises(KeyError):
+            ProgramPair(ThreadProgram((Assign("z", IntLit(1)),)), ThreadProgram(()), 0, ())
 
     def test_wraparound_add(self):
         assert eval_expr(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
