@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": (
         "BenchRow", "bench_table", "disjoint_pair", "iter_report", "render_report",
-        "report_to_dict",
     ),
     "engine": (
         "BudgetExceeded", "EngineError", "ExplorationConfig", "ExplorationReport",

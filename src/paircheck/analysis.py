@@ -15,6 +15,7 @@ point.  The two reported columns follow closed forms:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from math import comb
 from typing import NamedTuple
 
 try:  # the C escaper of json.dumps, without loading the json package
@@ -32,7 +33,6 @@ __all__ = [
     "disjoint_pair",
     "iter_report",
     "render_report",
-    "report_to_dict",
 ]
 
 
@@ -64,23 +64,31 @@ def bench_table(
 ) -> list[BenchRow]:
     """Run the benchmark workload for each n, exhaustively and with pruning.
 
-    Raises :class:`BudgetExceeded` if an exhaustive run does not finish
-    within ``max_total_steps``.
+    Raises :class:`BudgetExceeded`, before running anything, if an
+    exhaustive run would not finish within ``max_total_steps``.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
+    exhaustive_cfg = ExplorationConfig(
+        pruning=False, race_detection=False, max_total_steps=max_total_steps
+    )
+    pruned_cfg = ExplorationConfig(pruning=True, race_detection=True, max_total_steps=max_total_steps)
+
+    def fits(n: int) -> bool:
+        # The exhaustive run executes C(2n+2, n+1) - 2 statements, one per
+        # nonempty prefix of an interleaving.  That grows with n and is at
+        # least 2**(n+1) - 2, so it is over any budget of fewer than n bits.
+        return n <= max_total_steps.bit_length() and comb(2 * n + 2, n + 1) - 2 <= max_total_steps
+
+    if not fits(n_max):
+        n = n_min
+        while fits(n):
+            n += 1
+        raise BudgetExceeded(f"exhaustive run for n={n} exceeded the step budget")
     rows = []
     for n in range(n_min, n_max + 1):
         pair = disjoint_pair(n)
-        exhaustive_cfg = ExplorationConfig(
-            pruning=False, race_detection=False, max_total_steps=max_total_steps
-        )
-        pruned_cfg = ExplorationConfig(
-            pruning=True, race_detection=True, max_total_steps=max_total_steps
-        )
         full = explore(pair, exhaustive_cfg)
-        if not full.complete:
-            raise BudgetExceeded(f"exhaustive run for n={n} exceeded the step budget")
         pruned = explore(pair, pruned_cfg)  # a subset of the run above: within budget
         rows.append(
             BenchRow(
@@ -268,9 +276,3 @@ def render_report(report: ExplorationReport, format: str = "text") -> str:
     """Render a report for terminals (``text``) or machines (``json``)."""
     return "".join(iter_report(report, format))
 
-
-def report_to_dict(report: ExplorationReport) -> dict:
-    """Stable machine-readable mirror of a report (the JSON schema)."""
-    import json  # only here: check and bench render without the json package
-
-    return json.loads(render_report(report, "json"))

@@ -33,10 +33,12 @@ there are no hidden scheduling events.  If both live threads stand
 before blocking ``up`` calls, that state is a deadlock; if the sole
 remaining live thread does, it would block forever.
 
-Each program is compiled once, when its ``ProgramPair`` is built, into a
+``toylang`` only parses; how a statement runs is decided here.  Each
+program is compiled once, when its ``ProgramPair`` is built, into a
 :class:`CompiledProgram` (``pair.compiled``), so stepping interprets
-nothing.  Every ``(thread, statement index)`` has one transition that
-builds the successor snapshot and interleaving directly, with the
+nothing.  Every expression becomes a closure over the slot-ordered
+variable values, and every ``(thread, statement index)`` one transition
+that builds the successor snapshot and interleaving directly, with the
 thread's next status and trace symbol fixed at compile time; :func:`step`
 checks the thread and its status and calls it.  A table per thread gives
 the semaphore each statement waits on (an ``up``) or -1, which is how
@@ -49,18 +51,14 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from .state import (
-    DONE,
-    PartialInterleaving,
-    PrunedEqual,
-    Race,
-    Snapshot,
-    StateTable,
-    canonical_encoder,
+    _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Snapshot, StateTable,
+    canonical_encoder, wrap64,
 )
-from .toylang import Assign, Emit, ProgramPair, SemDown, SemUp, Statement, _compile_assign
+from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
 __all__ = [
     "BudgetExceeded",
@@ -164,7 +162,8 @@ class CompiledProgram(NamedTuple):
 def compile_program(pair: ProgramPair) -> CompiledProgram:
     """Compile each statement of ``pair`` into its transition.
 
-    Unknown variables raise ``KeyError``, and other nodes ``TypeError``.
+    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
+    and other nodes ``TypeError``.
     """
     names = pair.names
     slots = {name: k for k, name in enumerate(names)}
@@ -180,6 +179,33 @@ def compile_program(pair: ProgramPair) -> CompiledProgram:
     return CompiledProgram(transitions, blocks, canonical_encoder(names, *map(len, threads)))
 
 
+def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:
+    """Compile an expression to a closure over the slot-ordered values.
+
+    Every result is wrapped to 64 bits (:func:`~paircheck.state.wrap64`).
+    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
+    and other nodes ``TypeError``, at compile time.
+    """
+    match expr:
+        case IntLit(value):
+            constant = wrap64(value)
+            return lambda values: constant
+        case Var(name):
+            return itemgetter(slots[name])
+        case BinOp(op, left, right):
+            a = _compile_expr(left, slots)
+            b = _compile_expr(right, slots)
+            # wrap64 inlined: one call per operator instead of two
+            if op == "+":
+                return lambda values: (a(values) + b(values) - _I64_MIN) % _U64 + _I64_MIN
+            if op == "-":
+                return lambda values: (a(values) - b(values) - _I64_MIN) % _U64 + _I64_MIN
+            if op == "*":
+                return lambda values: (a(values) * b(values) - _I64_MIN) % _U64 + _I64_MIN
+            raise ValueError(f"unknown operator {op!r}")
+    raise TypeError(f"not an expression: {expr!r}")
+
+
 def _transition(
     statements: tuple[Statement, ...],
     index: int,
@@ -192,17 +218,21 @@ def _transition(
     The thread's next status (``index + 1``, or ``DONE`` after its last
     statement) and its trace symbol are fixed here.  Each kind builds
     the successor itself: a shared helper would cost a call on every
-    step.
+    step.  An assignment copies the slot tuple with its one new value; a
+    literal's value is a one-tuple made here, so it costs no call.
     """
     stmt = statements[index]
     status = DONE if index == len(statements) - 1 else index + 1
     match stmt:
-        case Assign():
-            update = _compile_assign(stmt, slots)
+        case Assign(target, expr):
+            k = slots[target]
+            evaluate = _compile_expr(expr, slots)
+            constant = (wrap64(expr.value),) if isinstance(expr, IntLit) else None
 
             def transition(i):
                 old, trace, (s0, s1) = i
-                values = update(old.values)
+                values = old.values
+                values = values[:k] + (constant or (evaluate(values),)) + values[k + 1 :]
                 if tid:
                     new = Snapshot(names, values, old.output, old.semaphores, old.status0, status)
                     return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))

@@ -17,6 +17,10 @@ differing one is a :class:`Race`: two schedules reached the same program
 point with different observable behavior.  Keys are compared with ``==``,
 which leaves the variable names out, so every snapshot given to one table
 must come from the same program.
+
+The module also defines the output escaping of the canonical bytes (which
+``toylang.render`` shares) and :func:`wrap64`, the 64-bit wrap of every
+value, and imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-from .toylang import _escape
 
 __all__ = [
     "DIGEST_ALGORITHM",
@@ -40,6 +42,24 @@ __all__ = [
 ]
 
 DIGEST_ALGORITHM = "blake2b-128"
+
+
+# ---------------------------------------------------------------------------
+# Values and escaping
+# ---------------------------------------------------------------------------
+
+_I64_MIN = -(1 << 63)
+_U64 = 1 << 64
+
+
+def wrap64(value: int) -> int:
+    """Wrap to 64-bit signed two's complement."""
+    return (value - _I64_MIN) % _U64 + _I64_MIN
+
+
+def _escape(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 # ---------------------------------------------------------------------------

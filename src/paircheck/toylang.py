@@ -1,4 +1,4 @@
-"""Parser for the two-thread toy language.
+"""Syntax of the two-thread toy language: AST, lexer, parser and renderer.
 
 Programs are a pair of straight-line statement lists over shared
 variables, an append-only output string, and a bank of semaphores.
@@ -21,15 +21,19 @@ Grammar (UTF-8 text, ``#`` line comments)::
 Defaults: zero semaphores; declared variables start at 0.  ``repeat``
 blocks, parentheses, and the operator tree of one expression may each nest
 at most :data:`MAX_NESTING` levels deep.
+
+This module only describes programs; running them is the engine's job.
+Building a :class:`ProgramPair` hands it to ``engine.compile_program``,
+which compiles its expressions and statements for stepping.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
+
+from .state import _escape, wrap64
 
 if TYPE_CHECKING:
     from .engine import CompiledProgram
@@ -47,7 +51,6 @@ __all__ = [
     "Statement",
     "ThreadProgram",
     "Var",
-    "eval_expr",
     "parse",
     "render",
     "wrap64",
@@ -56,16 +59,14 @@ __all__ = [
 DEFAULT_UNROLL_LIMIT = 1024
 
 # Deepest nesting the parser accepts, separately for ``repeat`` blocks,
-# parentheses, and the operator tree of one expression.  It keeps parsing
-# and evaluation well inside the interpreter's default recursion limit.
+# parentheses, and the operator tree of one expression.  It keeps parsing,
+# and the engine's compiling and evaluating of expressions, well inside the
+# interpreter's default recursion limit.
 MAX_NESTING = 100
 
 _KEYWORDS = frozenset(
     {"thread0", "thread1", "var", "semaphores", "emit", "up", "down", "repeat"}
 )
-
-_I64_MIN = -(1 << 63)
-_U64 = 1 << 64
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +123,6 @@ class ThreadProgram:
     statements: tuple[Statement, ...]
 
 
-# A compiled assignment: maps the variable values in slot order before the
-# statement to the values after it.
-Update = Callable[[tuple[int, ...]], tuple[int, ...]]
-
-
 @dataclass(frozen=True)
 class ProgramPair:
     thread0: ThreadProgram
@@ -147,49 +143,6 @@ class ProgramPair:
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.thread0 if tid == 0 else self.thread1
-
-
-def wrap64(value: int) -> int:
-    """Wrap to 64-bit signed two's complement."""
-    return (value - _I64_MIN) % _U64 + _I64_MIN
-
-
-def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:
-    """Compile an expression to a closure over the slot-ordered values.
-
-    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
-    and other nodes ``TypeError``, at compile time.
-    """
-    match expr:
-        case IntLit(value):
-            constant = wrap64(value)
-            return lambda values: constant
-        case Var(name):
-            return itemgetter(slots[name])
-        case BinOp(op, left, right):
-            a = _compile_expr(left, slots)
-            b = _compile_expr(right, slots)
-            # wrap64 inlined: one call per operator instead of two
-            if op == "+":
-                return lambda values: (a(values) + b(values) - _I64_MIN) % _U64 + _I64_MIN
-            if op == "-":
-                return lambda values: (a(values) - b(values) - _I64_MIN) % _U64 + _I64_MIN
-            if op == "*":
-                return lambda values: (a(values) * b(values) - _I64_MIN) % _U64 + _I64_MIN
-            raise ValueError(f"unknown operator {op!r}")
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _compile_assign(stmt: Assign, slots: dict[str, int]) -> Update:
-    k = slots[stmt.target]
-    evaluate = _compile_expr(stmt.expr, slots)
-    return lambda values: values[:k] + (evaluate(values),) + values[k + 1 :]
-
-
-def eval_expr(expr: Expr, variables: dict[str, int]) -> int:
-    """Evaluate an expression; total over 64-bit ints with wrap-around."""
-    slots = {name: k for k, name in enumerate(variables)}
-    return _compile_expr(expr, slots)(tuple(variables.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +451,6 @@ def _render_expr(expr: Expr) -> str:
         case BinOp(op, left, right):
             return f"({_render_expr(left)} {op} {_render_expr(right)})"
     raise TypeError(f"not an expression: {expr!r}")
-
-
-def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 def _render_stmt(stmt: Statement) -> str:

@@ -7,12 +7,12 @@ from hypothesis import example, given, strategies as st
 import report_oracle
 from conftest import program_paths
 from corpus import fixed_corpus
+from paircheck import analysis
 from paircheck.analysis import (
     bench_table,
     disjoint_pair,
     iter_report,
     render_report,
-    report_to_dict,
 )
 from paircheck.engine import BudgetExceeded, ExplorationConfig, explore
 from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
@@ -54,6 +54,31 @@ class TestBenchTable:
     def test_budget_exhaustion(self):
         with pytest.raises(BudgetExceeded):
             bench_table(8, 8, max_total_steps=100)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_budget_is_the_exhaustive_run_exactly(self, n):
+        executed = comb(2 * n + 2, n + 1) - 2
+        stats = explore(disjoint_pair(n), EXHAUSTIVE).stats
+        assert stats.branch_statements + stats.completion_statements == executed
+        assert bench_table(n, n, max_total_steps=executed)[0].n == n
+        with pytest.raises(BudgetExceeded, match=f"^exhaustive run for n={n} exceeded"):
+            bench_table(n, n, max_total_steps=executed - 1)
+
+    def test_over_budget_runs_nothing(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("an over-budget bench built or explored a program")
+
+        monkeypatch.setattr(analysis, "disjoint_pair", unexpected)
+        monkeypatch.setattr(analysis, "explore", unexpected)
+        for args, kwargs, n in [
+            ((12, 12), {}, 12),
+            ((10**9, 10**9), {"max_total_steps": 1}, 10**9),
+            # the first n over the budget is named; the smaller ones do not run
+            ((1, 10**9), {}, 12),
+            ((3, 5), {"max_total_steps": 0}, 3),
+        ]:
+            with pytest.raises(BudgetExceeded, match=f"^exhaustive run for n={n} exceeded"):
+                bench_table(*args, **kwargs)
 
 
 class TestRenderText:
@@ -169,12 +194,6 @@ class TestRenderJson:
 
     def test_json_is_stable(self, ab12):
         assert render_report(explore(ab12), "json") == render_report(explore(ab12), "json")
-
-    def test_report_to_dict_mirrors_json_rendering(self, bundled_programs):
-        for pair in bundled_programs.values():
-            for options in MODES.values():
-                report = explore(pair, ExplorationConfig(**options))
-                assert report_to_dict(report) == report_oracle.report_to_dict(report)
 
 
 def _pinned_reports():

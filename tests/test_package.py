@@ -72,6 +72,18 @@ class TestLazyExports:
             paircheck.nonesuch  # noqa: B018
 
 
+class TestLayering:
+    @pytest.mark.parametrize(
+        "module, allowed",
+        [("state", set()), ("toylang", {"paircheck.state"})],
+    )
+    def test_module_loads_only_the_layers_below(self, tmp_path, module, allowed):
+        # state rests on nothing in the package, and the parser only on state
+        code, modules = loaded_modules(tmp_path, f"import paircheck.{module}")
+        loaded = {name for name in modules if name.startswith("paircheck.")}
+        assert code == 0 and loaded == {f"paircheck.{module}"} | allowed
+
+
 class TestCommandImports:
     def test_import_paircheck_loads_no_submodule(self, tmp_path, bare_modules):
         code, modules = loaded_modules(tmp_path, "import paircheck")

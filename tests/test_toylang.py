@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexer_oracle
-from paircheck.engine import initial_interleaving
+from paircheck.engine import initial_interleaving, replay
 from paircheck.instrument import _position
 from paircheck.toylang import (
     DEFAULT_UNROLL_LIMIT,
@@ -17,12 +17,22 @@ from paircheck.toylang import (
     ThreadProgram,
     MAX_NESTING,
     Var,
-    eval_expr,
     _lex,
     parse,
     render,
     wrap64,
 )
+
+
+def assigned_value(expr, variables: dict[str, int]) -> int:
+    """What ``r = expr;`` stores, run as a one-statement program from ``variables``."""
+    pair = ProgramPair(
+        ThreadProgram((Assign("r", expr),)),
+        ThreadProgram(()),
+        0,
+        (*variables.items(), ("r", 0)),
+    )
+    return replay(pair, "0").snapshot.variable("r")
 
 
 class TestParse:
@@ -104,7 +114,7 @@ class TestNestingBound:
 
     def test_operator_chain_at_and_past_the_bound(self):
         pair = self.parse_expr(" + ".join(["x"] * (MAX_NESTING + 1)))
-        assert eval_expr(pair.thread0.statements[0].expr, {"x": 1}) == MAX_NESTING + 1
+        assert assigned_value(pair.thread0.statements[0].expr, {"x": 1}) == MAX_NESTING + 1
         with pytest.raises(ParseError, match="nesting deeper") as exc:
             self.parse_expr(" * ".join(["x"] * (MAX_NESTING + 2)))
         # reported at the operator that makes the tree too deep: the chain
@@ -243,7 +253,7 @@ class TestParseErrors:
 class TestEval:
     def test_unknown_variable(self):
         with pytest.raises(KeyError):
-            eval_expr(BinOp("+", Var("x"), Var("y")), {"x": 1})
+            assigned_value(BinOp("+", Var("x"), Var("y")), {"x": 1})
 
     def test_hand_built_pair_compiles_its_assignments(self):
         assign = Assign("y", BinOp("*", Var("x"), IntLit(3)))
@@ -266,10 +276,16 @@ class TestEval:
             ProgramPair(ThreadProgram((Assign("z", IntLit(1)),)), ThreadProgram(()), 0, ())
 
     def test_wraparound_add(self):
-        assert eval_expr(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
+        assert assigned_value(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
 
     def test_wraparound_mul(self):
-        assert eval_expr(BinOp("*", IntLit(2**62), IntLit(4)), {}) == 0
+        assert assigned_value(BinOp("*", IntLit(2**62), IntLit(4)), {}) == 0
+
+    def test_wraparound_literal_assignment(self):
+        # a literal right-hand side is folded into the transition, wrapped
+        assert assigned_value(IntLit(2**63), {}) == -(2**63)
+        pair = parse("var x; thread0 { x = 18446744073709551617; } thread1 { }")
+        assert replay(pair, "0").snapshot.values == (1,)
 
     def test_wrap64_bounds(self):
         assert wrap64(2**63) == -(2**63)
