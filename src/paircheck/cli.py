@@ -18,11 +18,12 @@ locale's encoding; ``check`` streams its report one record at a time and
 unwritable stderr keeps the exit code, and errors never go to stdout; a
 closed stdin read as ``-`` is an input error.
 
-Each ``_cmd_*`` imports the modules it runs.  ``instrument`` loads no
-parser, engine, state table, ``dataclasses``, ``hashlib`` or ``json``:
-``InstrumentOptions`` is a plain class that validates in ``__init__``.
-``check`` loads ``hashlib`` only with ``--digest``, and the records it
-reports are NamedTuples.  Only ``bench`` imports ``json`` here.
+Each ``_cmd_*`` imports the modules it runs.  No command loads
+``dataclasses``: the records are NamedTuples or plain slotted classes.
+``instrument`` loads no parser, engine, state table, ``hashlib`` or
+``json``.  ``check`` loads neither ``hashlib`` nor ``json``, and the
+``_blake2`` module only with ``--digest``.  Only ``bench`` imports
+``json`` here.
 """
 
 from __future__ import annotations

@@ -50,13 +50,12 @@ formatting each snapshot from scratch.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 from .state import (
-    _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Snapshot, StateTable,
-    canonical_encoder, wrap64,
+    _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Record, Snapshot, StateTable,
+    _set, canonical_encoder, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -95,18 +94,19 @@ class BudgetExceeded(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExplorationConfig:
-    pruning: bool = True
-    race_detection: bool = True
-    digest_mode: bool = False
-    max_total_steps: int = 1_000_000
+class ExplorationConfig(Record):
+    __slots__ = __match_args__ = ("pruning", "race_detection", "digest_mode", "max_total_steps")
 
-    def __post_init__(self) -> None:
-        if self.digest_mode and not self.race_detection:
+    def __init__(self, pruning: bool = True, race_detection: bool = True,
+                 digest_mode: bool = False, max_total_steps: int = 1_000_000):
+        if digest_mode and not race_detection:
             raise ValueError("digest mode needs race detection")
-        if self.max_total_steps < 0:
+        if max_total_steps < 0:
             raise ValueError("max_total_steps must be non-negative")
+        _set(self, "pruning", pruning)
+        _set(self, "race_detection", race_detection)
+        _set(self, "digest_mode", digest_mode)
+        _set(self, "max_total_steps", max_total_steps)
 
 
 class ExplorationStats(NamedTuple):
@@ -162,14 +162,20 @@ class CompiledProgram(NamedTuple):
 def compile_program(pair: ProgramPair) -> CompiledProgram:
     """Compile each statement of ``pair`` into its transition.
 
-    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
-    and other nodes ``TypeError``.
+    Unknown variables raise ``KeyError`` and other nodes ``TypeError``.
+    What else the parser rejects raises ``ValueError``: an unknown operator,
+    a variable declared twice, or a semaphore count or index out of range.
     """
-    names = pair.names
+    names, sems = pair.names, pair.num_semaphores
+    twice = [a for a, b in zip(names, names[1:]) if a == b]
+    if twice:
+        raise ValueError(f"variable {twice[0]!r} declared twice")
+    if sems < 0:
+        raise ValueError("semaphore count must be non-negative")
     slots = {name: k for k, name in enumerate(names)}
     threads = (pair.thread0.statements, pair.thread1.statements)
     transitions = tuple(
-        tuple(_transition(statements, k, tid, names, slots) for k in range(len(statements)))
+        tuple(_transition(statements, k, tid, names, slots, sems) for k in range(len(statements)))
         for tid, statements in enumerate(threads)
     )
     blocks = tuple(
@@ -212,6 +218,7 @@ def _transition(
     tid: int,
     names: tuple[str, ...],
     slots: dict[str, int],
+    sems: int,
 ) -> Transition:
     """Compile statement ``index`` of thread ``tid``, whose statements are ``statements``.
 
@@ -251,6 +258,8 @@ def _transition(
                 return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
 
         case SemDown(k) | SemUp(k):
+            if not 0 <= k < sems:
+                raise ValueError(f"semaphore index {k} out of range (program declares {sems})")
             up = isinstance(stmt, SemUp)
 
             def transition(i):

@@ -68,8 +68,7 @@ class InstrumentError(Exception):
 class InstrumentOptions:
     """The hook token to insert, and whether to skip already-hooked statements.
 
-    A plain slotted class, so the ``instrument`` command loads no
-    ``dataclasses``; its ``__init__`` validates the token.
+    A plain slotted class whose ``__init__`` validates the token.
     """
 
     __slots__ = ("hook_token", "skip_redundant")

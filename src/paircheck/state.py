@@ -18,15 +18,18 @@ point with different observable behavior.  Keys are compared with ``==``,
 which leaves the variable names out, so every snapshot given to one table
 must come from the same program.
 
-The module also defines the output escaping of the canonical bytes (which
-``toylang.render`` shares) and :func:`wrap64`, the 64-bit wrap of every
-value, and imports nothing from the rest of the package.
+The module also defines :class:`Record`, the slotted base of the
+package's records (snapshots, the AST, programs and the exploration
+config), which gives them field-wise ``==``, hash and repr without the
+``dataclasses`` module; the output escaping of the canonical bytes (which
+``toylang.render`` shares); and :func:`wrap64`, the 64-bit wrap of every
+value.  It imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -74,27 +77,88 @@ def _status_key(status: int) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's records: field-wise ``==``, hash and repr; frozen.
+
+    A subclass names its fields in ``__slots__`` and ``__match_args__`` and
+    sets each in its own ``__init__`` with :data:`_set`.  ``==``, hash and
+    repr cover ``_fields``, by default ``__match_args__``; records of two
+    classes are never equal.  Setting or deleting a field raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__match_args__)
+        get = attrgetter(*fields)  # the fields as a tuple, or one field as itself
+        cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+# ---------------------------------------------------------------------------
 # Traces and snapshots
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Snapshot:
+class Snapshot(Record):
     """Complete execution state; equality is field-wise and total.
 
     Variable values are kept in slot order: ``values[k]`` belongs to
     ``names[k]``, and ``names`` is the program's sorted variable names.
-    Every snapshot of one program shares that one ``names`` tuple, so the
-    generated ``==`` and hash cover only the other five fields.  Slotted, not
-    frozen (Python allows assignment): paircheck never assigns, nor may callers.
+    ``semaphores[k]`` is True while semaphore k is up; a status is the next
+    statement index, or ``DONE``.  ``names`` is one tuple per program, so
+    ``==``, hash and repr cover only the other five fields.  Not frozen, so
+    that building one (once per step) is plain slot stores: paircheck never
+    assigns, nor may callers.
     """
 
-    names: tuple[str, ...] = field(compare=False, repr=False)
-    values: tuple[int, ...]
-    output: str
-    semaphores: tuple[bool, ...]  # True = up
-    status0: int  # next statement index, or DONE
-    status1: int
+    __slots__ = __match_args__ = ("names", "values", "output", "semaphores", "status0", "status1")
+    _fields = __match_args__[1:]
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+
+    def __init__(self, names, values, output, semaphores, status0, status1):
+        self.names = names
+        self.values = values
+        self.output = output
+        self.semaphores = semaphores
+        self.status0 = status0
+        self.status1 = status1
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.values, self.output, self.semaphores, self.status0, self.status1) == (
+                other.values, other.output, other.semaphores, other.status0, other.status1
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.output, self.semaphores, self.status0, self.status1))
 
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
@@ -199,14 +263,12 @@ class PartialInterleaving(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FirstVisit:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PrunedEqual:
-    pass
+    __slots__ = ()
 
 
 class Race(NamedTuple):

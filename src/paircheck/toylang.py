@@ -23,20 +23,18 @@ blocks, parentheses, and the operator tree of one expression may each nest
 at most :data:`MAX_NESTING` levels deep.
 
 This module only describes programs; running them is the engine's job.
+The nodes and programs are frozen slotted records (``state.Record``).
 Building a :class:`ProgramPair` hands it to ``engine.compile_program``,
-which compiles its expressions and statements for stepping.
+which checks it as the parser does and compiles its expressions and
+statements for stepping.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .state import _escape, wrap64
-
-if TYPE_CHECKING:
-    from .engine import CompiledProgram
+from .state import Record, _escape, _set, wrap64
 
 __all__ = [
     "Assign",
@@ -74,72 +72,80 @@ _KEYWORDS = frozenset(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Record):
+    __slots__ = __match_args__ = ("value",)
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = __match_args__ = ("name",)
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of "+", "-", "*"
-    left: "Expr"
-    right: "Expr"
+class BinOp(Record):
+    __slots__ = __match_args__ = ("op", "left", "right")
+    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of "+", "-", "*"
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = IntLit | Var | BinOp
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: str
-    expr: Expr
+class Assign(Record):
+    __slots__ = __match_args__ = ("target", "expr")
+    def __init__(self, target: str, expr: Expr):
+        _set(self, "target", target)
+        _set(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class Emit:
-    text: str  # 1+ characters, appended atomically
+class Emit(Record):
+    __slots__ = __match_args__ = ("text",)
+    def __init__(self, text: str):  # 1+ characters, appended atomically
+        _set(self, "text", text)
 
 
-@dataclass(frozen=True)
-class SemUp:
-    index: int
+class SemUp(Record):
+    __slots__ = __match_args__ = ("index",)
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
-class SemDown:
-    index: int
+class SemDown(Record):
+    __slots__ = __match_args__ = ("index",)
+    def __init__(self, index: int):
+        _set(self, "index", index)
 
 
 Statement = Assign | Emit | SemUp | SemDown
 
 
-@dataclass(frozen=True)
-class ThreadProgram:
-    statements: tuple[Statement, ...]
+class ThreadProgram(Record):
+    __slots__ = __match_args__ = ("statements",)
+    def __init__(self, statements: tuple[Statement, ...]):
+        _set(self, "statements", statements)
 
 
-@dataclass(frozen=True)
-class ProgramPair:
-    thread0: ThreadProgram
-    thread1: ThreadProgram
-    num_semaphores: int
-    variables: tuple[tuple[str, int], ...]  # (name, initial value), declaration order
-    # Derived once per program: the variable names in sorted order (slot k
-    # holds names[k]), and the program compiled for the engine (its
-    # per-statement transitions, block tables and canonical encoder).
-    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
-    compiled: CompiledProgram = field(init=False, compare=False, repr=False)
+class ProgramPair(Record):
+    __match_args__ = ("thread0", "thread1", "num_semaphores", "variables")
+    # Derived once per program and left out of ==, hash and repr: the variable
+    # names in sorted order (slot k holds names[k]), and the program compiled
+    # for the engine, which checks it as the parser does (ValueError if not).
+    __slots__ = (*__match_args__, "names", "compiled")
 
-    def __post_init__(self) -> None:
+    def __init__(self, thread0: ThreadProgram, thread1: ThreadProgram, num_semaphores: int,
+                 variables: tuple[tuple[str, int], ...]):  # (name, initial value) in order
         from .engine import compile_program  # the engine imports this module
 
-        object.__setattr__(self, "names", tuple(sorted(name for name, _ in self.variables)))
-        object.__setattr__(self, "compiled", compile_program(self))
+        _set(self, "thread0", thread0)
+        _set(self, "thread1", thread1)
+        _set(self, "num_semaphores", num_semaphores)
+        _set(self, "variables", variables)
+        _set(self, "names", tuple(sorted(name for name, _ in variables)))
+        _set(self, "compiled", compile_program(self))
 
     def thread(self, tid: int) -> ThreadProgram:
         return self.thread0 if tid == 0 else self.thread1

@@ -78,10 +78,12 @@ class TestLayering:
         [("state", set()), ("toylang", {"paircheck.state"})],
     )
     def test_module_loads_only_the_layers_below(self, tmp_path, module, allowed):
-        # state rests on nothing in the package, and the parser only on state
+        # state rests on nothing in the package, and the parser only on state;
+        # their records are plain slotted classes, so neither loads dataclasses
         code, modules = loaded_modules(tmp_path, f"import paircheck.{module}")
         loaded = {name for name in modules if name.startswith("paircheck.")}
         assert code == 0 and loaded == {f"paircheck.{module}"} | allowed
+        assert not modules & {"dataclasses", "inspect"}
 
 
 class TestCommandImports:
@@ -104,10 +106,20 @@ class TestCommandImports:
     @pytest.mark.parametrize("digest", [False, True], ids=["full", "digest"])
     def test_check(self, tmp_path, bare_modules, digest):
         # _blake2 only for digests, and never hashlib (OpenSSL) or the json
-        # package; the instrumenter only for a parse error's position
+        # package; the instrumenter only for a parse error's position; the
+        # records are plain slotted classes, so no dataclasses (nor the
+        # inspect it loads)
         argv = ["check", *(["--digest"] if digest else []), str(PROGRAMS_DIR / "ab12.toy")]
         code, modules = command_modules(tmp_path, *argv)
         added = modules - bare_modules
         assert code == 1 and "paircheck.engine" in added
         assert ("_blake2" in added) == digest
-        assert not added & {"hashlib", "_hashlib", "json", "paircheck.instrument"}
+        unwanted = {"hashlib", "_hashlib", "json", "paircheck.instrument", "dataclasses", "inspect"}
+        assert not added & unwanted
+
+    def test_bench(self, tmp_path, bare_modules):
+        # the table's JSON form needs json; the records need no dataclasses
+        code, modules = command_modules(tmp_path, "bench", "--min", "1", "--max", "2")
+        added = modules - bare_modules
+        assert code == 0 and "paircheck.analysis" in added
+        assert not added & {"hashlib", "_hashlib", "paircheck.instrument", "dataclasses", "inspect"}

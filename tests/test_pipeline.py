@@ -224,8 +224,15 @@ def test_generated_programs_through_check(program, budget):
         check_witnesses(pair, doc)
         if doc["complete"]:
             check_oracle(mode, doc, oracle)
-            mirror = check(source(decls, body1, body0), *flags, "--format", "json")
-            assert json.loads(mirror[1])["race_found"] == doc["race_found"], mode
+            mirror = json.loads(check(source(decls, body1, body0), *flags, "--format", "json")[1])
+            assert mirror["race_found"] == doc["race_found"], mode
+            if not doc["race_found"] or mode == "no-race-detect":
+                # such a run finds every final state and whether any schedule
+                # gets stuck, and swapping the threads changes none of them
+                outcomes = {frozen(outcome) for outcome in doc["outcomes"]}
+                assert {frozen(outcome) for outcome in mirror["outcomes"]} == outcomes, mode
+                for key in ("deadlocks", "block_forever"):
+                    assert bool(mirror[key]) == bool(doc[key]), (mode, key)
 
 
 _EDITS = st.tuples(

@@ -275,6 +275,24 @@ class TestEval:
         with pytest.raises(KeyError):
             ProgramPair(ThreadProgram((Assign("z", IntLit(1)),)), ThreadProgram(()), 0, ())
 
+    @pytest.mark.parametrize(
+        "thread0, thread1, num_semaphores, variables, message",
+        [
+            ((SemUp(2),), (), 1, (), "semaphore index 2 out of range (program declares 1)"),
+            ((), (SemDown(-1),), 1, (), "semaphore index -1 out of range (program declares 1)"),
+            ((SemUp(0),), (), 0, (), "semaphore index 0 out of range (program declares 0)"),
+            ((), (), 0, (("x", 1), ("y", 0), ("x", 2)), "variable 'x' declared twice"),
+            ((), (), -1, (), "semaphore count must be non-negative"),
+        ],
+        ids=["up-past-bank", "negative-down", "no-bank", "duplicate-variable", "negative-count"],
+    )
+    def test_hand_built_pair_is_checked_as_parsed_source_is(
+        self, thread0, thread1, num_semaphores, variables, message
+    ):
+        with pytest.raises(ValueError) as raised:
+            ProgramPair(ThreadProgram(thread0), ThreadProgram(thread1), num_semaphores, variables)
+        assert str(raised.value) == message
+
     def test_wraparound_add(self):
         assert assigned_value(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
 
