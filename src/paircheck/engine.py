@@ -38,9 +38,12 @@ program is compiled once, when its ``ProgramPair`` is built, into a
 :class:`CompiledProgram` (``pair.compiled``), so stepping interprets
 nothing.  Every expression becomes a closure over the slot-ordered
 variable values, and every ``(thread, statement index)`` one transition
-that builds the successor snapshot and interleaving directly, with the
-thread's next status and trace symbol fixed at compile time; :func:`step`
-checks the thread and its status and calls it.  A table per thread gives
+closure.  A transition unpacks the old snapshot, a plain NamedTuple, once,
+computes the one field its statement changes (the values, the output or
+the semaphore bank), and builds the successor snapshot and interleaving
+with ``tuple.__new__`` in one place per thread, with the thread's next
+status and trace symbol fixed at compile time; :func:`step` checks the
+thread and its status and calls it.  A table per thread gives
 the semaphore each statement waits on (an ``up``) or -1, which is how
 the search tells which threads would block.  The program's canonical
 encoder gives digest mode the bytes of ``Snapshot.canonical`` without
@@ -162,20 +165,27 @@ class CompiledProgram(NamedTuple):
 def compile_program(pair: ProgramPair) -> CompiledProgram:
     """Compile each statement of ``pair`` into its transition.
 
-    Unknown variables raise ``KeyError`` and other nodes ``TypeError``.
-    What else the parser rejects raises ``ValueError``: an unknown operator,
-    a variable declared twice, or a semaphore count or index out of range.
+    Unknown variables raise ``KeyError``, other nodes and an initial value
+    that is not an ``int`` ``TypeError``.  What else the parser rejects
+    raises ``ValueError``: an unknown operator, a variable declared twice,
+    an initial value outside the signed 64-bit range, an empty emit, or a
+    semaphore count or index out of range.
     """
     names, sems = pair.names, pair.num_semaphores
     twice = [a for a, b in zip(names, names[1:]) if a == b]
     if twice:
         raise ValueError(f"variable {twice[0]!r} declared twice")
+    for name, value in pair.variables:
+        if type(value) is not int:
+            raise TypeError(f"initial value of {name!r} is not an int: {value!r}")
+        if wrap64(value) != value:
+            raise ValueError(f"initial value of {name!r} out of the signed 64-bit range: {value}")
     if sems < 0:
         raise ValueError("semaphore count must be non-negative")
     slots = {name: k for k, name in enumerate(names)}
     threads = (pair.thread0.statements, pair.thread1.statements)
     transitions = tuple(
-        tuple(_transition(statements, k, tid, names, slots, sems) for k in range(len(statements)))
+        tuple(_transition(statements, k, tid, slots, sems) for k in range(len(statements)))
         for tid, statements in enumerate(threads)
     )
     blocks = tuple(
@@ -212,71 +222,58 @@ def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...
     raise TypeError(f"not an expression: {expr!r}")
 
 
+# What a transition changes: the values, the output, or the semaphore bank.
+_ASSIGN, _EMIT, _SEMAPHORE = range(3)
+
+
 def _transition(
-    statements: tuple[Statement, ...],
-    index: int,
-    tid: int,
-    names: tuple[str, ...],
-    slots: dict[str, int],
-    sems: int,
+    statements: tuple[Statement, ...], index: int, tid: int, slots: dict[str, int], sems: int
 ) -> Transition:
     """Compile statement ``index`` of thread ``tid``, whose statements are ``statements``.
 
     The thread's next status (``index + 1``, or ``DONE`` after its last
-    statement) and its trace symbol are fixed here.  Each kind builds
-    the successor itself: a shared helper would cost a call on every
-    step.  An assignment copies the slot tuple with its one new value; a
-    literal's value is a one-tuple made here, so it costs no call.
+    statement) and its trace symbol are fixed here.  The transition
+    unpacks the old snapshot once, computes the one field its statement
+    changes, and builds the successor with ``tuple.__new__``: a helper
+    would cost a call on every step.  An assignment copies the slot tuple
+    with its one new value; a literal's value is a one-tuple made here,
+    so it costs no call.
     """
     stmt = statements[index]
     status = DONE if index == len(statements) - 1 else index + 1
+    k = text = constant = evaluate = up = None
     match stmt:
         case Assign(target, expr):
-            k = slots[target]
+            kind, k = _ASSIGN, slots[target]
             evaluate = _compile_expr(expr, slots)
             constant = (wrap64(expr.value),) if isinstance(expr, IntLit) else None
-
-            def transition(i):
-                old, trace, (s0, s1) = i
-                values = old.values
-                values = values[:k] + (constant or (evaluate(values),)) + values[k + 1 :]
-                if tid:
-                    new = Snapshot(names, values, old.output, old.semaphores, old.status0, status)
-                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
-                new = Snapshot(names, values, old.output, old.semaphores, status, old.status1)
-                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
-
         case Emit(text):
-
-            def transition(i):
-                old, trace, (s0, s1) = i
-                output = old.output + text
-                if tid:
-                    new = Snapshot(names, old.values, output, old.semaphores, old.status0, status)
-                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
-                new = Snapshot(names, old.values, output, old.semaphores, status, old.status1)
-                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
-
+            if not text:
+                raise ValueError("emit string must have at least one character")
+            kind = _EMIT
         case SemDown(k) | SemUp(k):
             if not 0 <= k < sems:
                 raise ValueError(f"semaphore index {k} out of range (program declares {sems})")
-            up = isinstance(stmt, SemUp)
-
-            def transition(i):
-                old, trace, (s0, s1) = i
-                sems = old.semaphores
-                if sems[k] != up:  # a down lowers a raised semaphore, an up raises a lowered one
-                    sems = sems[:k] + (up,) + sems[k + 1 :]
-                elif up:
-                    raise EngineError(f"thread {tid} would block on up({k})")
-                if tid:
-                    new = Snapshot(names, old.values, old.output, sems, old.status0, status)
-                    return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
-                new = Snapshot(names, old.values, old.output, sems, status, old.status1)
-                return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
-
+            kind, up = _SEMAPHORE, isinstance(stmt, SemUp)
         case _:
             raise TypeError(f"not a statement: {stmt!r}")
+
+    def transition(i):
+        (names, values, output, bank, status0, status1), trace, (s0, s1) = i
+        if kind == _ASSIGN:
+            values = values[:k] + (constant or (evaluate(values),)) + values[k + 1 :]
+        elif kind == _EMIT:
+            output += text
+        elif bank[k] != up:  # a down lowers a raised semaphore, an up raises a lowered one
+            bank = bank[:k] + (up,) + bank[k + 1 :]
+        elif up:
+            raise EngineError(f"thread {tid} would block on up({k})")
+        if tid:
+            new = _tuple_new(Snapshot, (names, values, output, bank, status0, status))
+            return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
+        new = _tuple_new(Snapshot, (names, values, output, bank, status, status1))
+        return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
+
     return transition
 
 

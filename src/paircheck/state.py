@@ -14,13 +14,13 @@ digest of its canonical serialization (hash compaction); later arrivals
 are compared against it by key equality.  An equal key means the subtree
 below was already explored from an identical state (prunable); a
 differing one is a :class:`Race`: two schedules reached the same program
-point with different observable behavior.  Keys are compared with ``==``,
-which leaves the variable names out, so every snapshot given to one table
-must come from the same program.
+point with different observable behavior.  A snapshot is a NamedTuple,
+so a full-mode key is compared with the C-level tuple ``==``, over the
+same six fields the digest covers.
 
 The module also defines :class:`Record`, the slotted base of the
-package's records (snapshots, the AST, programs and the exploration
-config), which gives them field-wise ``==``, hash and repr without the
+package's other records (the AST, programs and the exploration config),
+which gives them field-wise ``==``, hash and repr without the
 ``dataclasses`` module; the output escaping of the canonical bytes (which
 ``toylang.render`` shares); and :func:`wrap64`, the 64-bit wrap of every
 value.  It imports nothing from the rest of the package.
@@ -86,14 +86,14 @@ class Record:
 
     A subclass names its fields in ``__slots__`` and ``__match_args__`` and
     sets each in its own ``__init__`` with :data:`_set`.  ``==``, hash and
-    repr cover ``_fields``, by default ``__match_args__``; records of two
-    classes are never equal.  Setting or deleting a field raises ``AttributeError``.
+    repr cover ``__match_args__``; records of two classes are never equal.
+    Setting or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        fields = cls._fields = cls.__dict__.get("_fields", cls.__match_args__)
+        fields = cls.__match_args__
         get = attrgetter(*fields)  # the fields as a tuple, or one field as itself
         cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
 
@@ -106,7 +106,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self._fields, self._key(self)))
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._key(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -126,39 +126,24 @@ _set = object.__setattr__  # how a record's __init__ sets its fields
 # ---------------------------------------------------------------------------
 
 
-class Snapshot(Record):
-    """Complete execution state; equality is field-wise and total.
+class Snapshot(NamedTuple):
+    """Complete execution state: plain data, compared and hashed as its field tuple.
 
     Variable values are kept in slot order: ``values[k]`` belongs to
     ``names[k]``, and ``names`` is the program's sorted variable names.
     ``semaphores[k]`` is True while semaphore k is up; a status is the next
-    statement index, or ``DONE``.  ``names`` is one tuple per program, so
-    ``==``, hash and repr cover only the other five fields.  Not frozen, so
-    that building one (once per step) is plain slot stores: paircheck never
-    assigns, nor may callers.
+    statement index, or ``DONE``.  Every field takes part in ``==``, hash
+    and repr, so a snapshot equals the plain tuple of its six fields.
+    Every snapshot of one program shares the program's one ``names``
+    tuple, which the C-level tuple ``==`` passes by identity.
     """
 
-    __slots__ = __match_args__ = ("names", "values", "output", "semaphores", "status0", "status1")
-    _fields = __match_args__[1:]
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-
-    def __init__(self, names, values, output, semaphores, status0, status1):
-        self.names = names
-        self.values = values
-        self.output = output
-        self.semaphores = semaphores
-        self.status0 = status0
-        self.status1 = status1
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.values, self.output, self.semaphores, self.status0, self.status1) == (
-                other.values, other.output, other.semaphores, other.status0, other.status1
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.output, self.semaphores, self.status0, self.status1))
+    names: tuple[str, ...]
+    values: tuple[int, ...]
+    output: str
+    semaphores: tuple[bool, ...]
+    status0: int
+    status1: int
 
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
@@ -296,9 +281,10 @@ class StateTable:
     Each entry is ``(key, trace)``: the key is the snapshot, or in
     digest mode the digest of ``encode(snapshot)``, which ``explore``
     makes the program's compiled encoder.  Entries are never evicted or
-    overwritten.  Every interleaving visited must come from the same
-    :class:`~paircheck.toylang.ProgramPair`, because keys are compared
-    with plain ``==`` and no schema check.
+    overwritten.  Every interleaving visited should come from the same
+    :class:`~paircheck.toylang.ProgramPair`: keys are compared with plain
+    ``==``, so snapshots of two programs with different variable names
+    differ, and ``encode`` formats one program's snapshots.
     """
 
     def __init__(

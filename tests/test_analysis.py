@@ -206,12 +206,14 @@ def _pinned_reports():
 
 
 # Emitted text that exercises JSON string escaping: quotes, backslashes,
-# control characters, and non-ASCII text inside and outside the BMP.
+# control characters, and non-ASCII text inside and outside the BMP.  An
+# emit needs at least one character, as the parser requires.
 _EMIT_TEXT = st.text(
     alphabet=st.one_of(
         st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x85\u2028é€😀'),
         st.characters(),
     ),
+    min_size=1,
     max_size=5,
 )
 

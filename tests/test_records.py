@@ -1,10 +1,10 @@
 """The package's records: repr, pattern positions, equality, hash and immutability.
 
-The AST nodes, ``ThreadProgram``, ``ProgramPair``, ``ExplorationConfig``
-and ``Snapshot`` are plain slotted classes on one small base.  These tests
-hold them to the repr, ``__match_args__``, ``==`` and hash the package has
-always given them, so the reports, digests and matches built on them do
-not move.
+The AST nodes, ``ThreadProgram``, ``ProgramPair`` and ``ExplorationConfig``
+are plain slotted classes on one small base, and ``Snapshot`` is a
+NamedTuple.  These tests hold them to their repr, ``__match_args__``,
+``==`` and hash, so the reports, digests and matches built on them do not
+move.
 """
 
 import copy
@@ -49,10 +49,10 @@ class TestRepr:
         source = 'var x; var y = -2; semaphores 1; thread0 { x = x + 1; up(0); emit "a\\"\\n"; }'
         assert repr(parse(source + " thread1 { down(0); }")) == repr(PAIR)
 
-    def test_snapshot_leaves_out_names(self):
+    def test_snapshot_shows_names(self):
         assert repr(SNAPSHOT) == (
-            "Snapshot(values=(1, -2), output='ab\\n', semaphores=(True, False), "
-            "status0=1, status1=-1)"
+            "Snapshot(names=('x', 'y'), values=(1, -2), output='ab\\n', "
+            "semaphores=(True, False), status0=1, status1=-1)"
         )
 
     def test_config(self):
@@ -99,7 +99,9 @@ class TestEqualityAndHash:
     def test_hash_is_the_hash_of_the_field_tuple(self):
         assert hash(IntLit(7)) == hash((7,))
         assert hash(BinOp("*", IntLit(2), Var("y"))) == hash(("*", IntLit(2), Var("y")))
-        assert hash(SNAPSHOT) == hash(((1, -2), "ab\n", (True, False), 1, DONE))
+        # a snapshot is a NamedTuple: every field, names too, and equal to its plain tuple
+        fields = (("x", "y"), (1, -2), "ab\n", (True, False), 1, DONE)
+        assert SNAPSHOT == fields and hash(SNAPSHOT) == hash(fields)
         assert hash(ExplorationConfig()) == hash((True, True, False, 1_000_000))
 
     def test_same_fields_of_another_class_differ(self):
@@ -142,10 +144,15 @@ class TestImmutability:
                 setattr(PAIR, field, None)
         assert PAIR.names == ("x", "y")
 
-    def test_snapshot_is_not_frozen(self):
+    def test_snapshot_is_frozen(self):
+        # snapshots are state-table and outcome keys, so none may change
         snap = Snapshot(("x",), (1,), "", (), 0, 0)
-        snap.output = "a"
-        assert snap == Snapshot(("x",), (1,), "a", (), 0, 0)
+        for field in Snapshot._fields:
+            with pytest.raises(AttributeError):
+                setattr(snap, field, None)
+            with pytest.raises(AttributeError):
+                delattr(snap, field)
+        assert snap == Snapshot(("x",), (1,), "", (), 0, 0)
 
 
 class TestExplorationConfig:

@@ -10,6 +10,7 @@ from paircheck.engine import ExplorationConfig, explore, initial_interleaving, r
 from paircheck.state import (
     DONE,
     FirstVisit,
+    PartialInterleaving,
     PrunedEqual,
     Race,
     Snapshot,
@@ -73,9 +74,10 @@ class TestSlotLayout:
         with pytest.raises(KeyError):
             snap.variable("z")
 
-    def test_names_left_out_of_equality_and_hash(self):
+    def test_names_take_part_in_equality_and_hash(self):
         a, b = make_snapshot(), make_snapshot(names=("p", "q"))
-        assert a == b and hash(a) == hash(b)
+        assert a != b and len({a, b}) == 2
+        assert hash(a) == hash(tuple(a)) and hash(b) == hash(tuple(b))
 
     def test_snapshots_of_one_program_share_names(self):
         pair = parse("var y; var x; thread0 { x = 1; y = x; } thread1 { x = 2; }")
@@ -163,6 +165,17 @@ class TestStateTable:
         table = StateTable(digest_mode=True)
         table.visit(replay(COMMUTING, "10"))
         assert isinstance(table.visit(replay(COMMUTING, "01")), PrunedEqual)
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_snapshots_differing_only_in_names_race(self, digest_mode):
+        # the full-mode key compares every field the digest covers, names too
+        table = StateTable(digest_mode=digest_mode)
+        stored = PartialInterleaving(make_snapshot(), "01", (2, 2))
+        current = PartialInterleaving(make_snapshot(names=("p", "q")), "10", (2, 2))
+        assert isinstance(table.visit(stored), FirstVisit)
+        outcome = table.visit(current)
+        assert isinstance(outcome, Race)
+        assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
 
 
 class TestDigest:

@@ -283,8 +283,14 @@ class TestEval:
             ((SemUp(0),), (), 0, (), "semaphore index 0 out of range (program declares 0)"),
             ((), (), 0, (("x", 1), ("y", 0), ("x", 2)), "variable 'x' declared twice"),
             ((), (), -1, (), "semaphore count must be non-negative"),
+            ((), (), 0, (("x", 2**64 + 5),),
+             "initial value of 'x' out of the signed 64-bit range: 18446744073709551621"),
+            ((), (), 0, (("x", -(2**63) - 1),),
+             "initial value of 'x' out of the signed 64-bit range: -9223372036854775809"),
+            ((Emit("a"),), (Emit(""),), 0, (), "emit string must have at least one character"),
         ],
-        ids=["up-past-bank", "negative-down", "no-bank", "duplicate-variable", "negative-count"],
+        ids=["up-past-bank", "negative-down", "no-bank", "duplicate-variable", "negative-count",
+             "initial-value-above-range", "initial-value-below-range", "empty-emit"],
     )
     def test_hand_built_pair_is_checked_as_parsed_source_is(
         self, thread0, thread1, num_semaphores, variables, message
@@ -292,6 +298,17 @@ class TestEval:
         with pytest.raises(ValueError) as raised:
             ProgramPair(ThreadProgram(thread0), ThreadProgram(thread1), num_semaphores, variables)
         assert str(raised.value) == message
+
+    @pytest.mark.parametrize("value", ["a", 5.0, True], ids=["str", "float", "bool"])
+    def test_hand_built_initial_value_must_be_an_int(self, value):
+        with pytest.raises(TypeError) as raised:
+            ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, (("x", value),))
+        assert str(raised.value) == f"initial value of 'x' is not an int: {value!r}"
+
+    def test_hand_built_initial_values_at_the_64_bit_bounds(self):
+        variables = (("x", 2**63 - 1), ("y", -(2**63)))
+        pair = ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, variables)
+        assert replay(pair, "").snapshot.values == (2**63 - 1, -(2**63))
 
     def test_wraparound_add(self):
         assert assigned_value(BinOp("+", IntLit(2**63 - 1), IntLit(1)), {}) == -(2**63)
