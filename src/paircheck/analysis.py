@@ -24,7 +24,7 @@ except ImportError:
     from json.encoder import encode_basestring_ascii as _esc
 
 from .engine import BudgetExceeded, ExplorationConfig, ExplorationReport, explore
-from .state import DIGEST_ALGORITHM, PartialInterleaving, Race, Snapshot
+from .state import _UD, DIGEST_ALGORITHM, PartialInterleaving, Race
 from .toylang import parse
 
 __all__ = [
@@ -109,6 +109,8 @@ def bench_table(
 # ``json.dumps(..., indent=2)`` layout of the fixed schema and escapes every
 # string with the C escaper ``json.dumps`` uses under its default
 # ``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
+# Each outcome and race record is one ``%``-format over a template built from
+# its variable names, once per report and again when a record's names differ.
 
 
 def _json_object(pad: str, members: list[str]) -> str:
@@ -124,47 +126,54 @@ def _json_counter(pad: str, counter: tuple[int, int]) -> str:
     return f"[\n{inner}{counter[0]},\n{inner}{counter[1]}\n{pad}]"
 
 
-def _json_snapshot_members(pad: str, snapshot: Snapshot) -> list[str]:
-    """The ``variables``, ``output`` and ``semaphores`` members, at indent ``pad``."""
-    pairs = zip(snapshot.names, snapshot.values)
-    variables = _json_object(pad, [f"{_esc(name)}: {value}" for name, value in pairs])
-    semaphores = "".join("U" if up else "D" for up in snapshot.semaphores)
-    return [
-        f'"variables": {variables}',
-        f'"output": {_esc(snapshot.output)}',
-        f'"semaphores": {_esc(semaphores)}',
-    ]
-
-
-def _json_snapshot(pad: str, snapshot: Snapshot) -> str:
-    return _json_object(pad, _json_snapshot_members(pad + "  ", snapshot))
+def _json_snapshot_members(pad: str, names: tuple[str, ...]) -> list[str]:
+    """Snapshot members at ``pad``: ``%s`` per value, the escaped output and U/D bank."""
+    variables = [_esc(name).replace("%", "%%") + ": %s" for name in names]
+    return [f'"variables": {_json_object(pad, variables)}', '"output": %s', '"semaphores": "%s"']
 
 
 # Records are items of a top-level array: braces at indent 4, members at 6.
 
 
-def _json_outcome(outcome: PartialInterleaving) -> str:
-    members = [f'"trace": {_esc(outcome.trace)}']
-    members += _json_snapshot_members("      ", outcome.snapshot)
-    return "    " + _json_object("    ", members)
+def _json_templates(stored: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, ...]:
+    """Outcome and race templates over ``names``, and ``stored`` for a full race's stored side."""
+    trace, counter = '"trace": %s', f'"counter": {_json_counter(" " * 6, ("%s", "%s"))}'
+    stored_snapshot, current_snapshot = (
+        _json_object(" " * 8, _json_snapshot_members(" " * 10, n)) for n in (stored, names)
+    )
+    current = '"current": ' + _json_object(" " * 6, [trace, f'"snapshot": {current_snapshot}'])
+    records = [[trace, *_json_snapshot_members(" " * 6, names)]]
+    for stored_member in ('"digest": "%s"', f'"snapshot": {stored_snapshot}'):
+        stored_side = '"stored": ' + _json_object(" " * 6, [trace, stored_member])
+        records.append([counter, stored_side, current])
+    return tuple("    " + _json_object("    ", members) for members in records)
 
 
-def _json_race(race: Race) -> str:
-    stored = [f'"trace": {_esc(race.stored_trace)}']
-    if race.stored_snapshot is not None:
-        stored.append(f'"snapshot": {_json_snapshot("        ", race.stored_snapshot)}')
-    if race.stored_digest is not None:
-        stored.append(f'"digest": {_esc(race.stored_digest.hex())}')
-    current = [
-        f'"trace": {_esc(race.current_trace)}',
-        f'"snapshot": {_json_snapshot("        ", race.current_snapshot)}',
-    ]
-    members = [
-        f'"counter": {_json_counter("      ", race.counter)}',
-        f'"stored": {_json_object("      ", stored)}',
-        f'"current": {_json_object("      ", current)}',
-    ]
-    return "    " + _json_object("    ", members)
+def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
+    names = None
+    for snapshot, trace, _ in outcomes:
+        if snapshot.names != names:
+            names = snapshot.names
+            template = _json_templates(names, names)[0]
+        bank = bytes(snapshot.semaphores).translate(_UD).decode()
+        yield template % (_esc(trace), *snapshot.values, _esc(snapshot.output), bank)
+
+
+def _json_races(races: Iterable[Race]) -> Iterator[str]:
+    stored_names = names = None
+    for counter, stored_trace, stored, digest, trace, current in races:
+        # a digest-mode race has no stored snapshot: its template uses the current names
+        if current.names != names or (stored or current).names != stored_names:
+            names, stored_names = current.names, (stored or current).names
+            _, digest_race, full_race = _json_templates(stored_names, names)
+        bank = bytes(current.semaphores).translate(_UD).decode()
+        current_side = (_esc(trace), *current.values, _esc(current.output), bank)
+        if stored is None:  # digest mode: the stored side is a trace and a digest
+            yield digest_race % (*counter, _esc(stored_trace), digest.hex(), *current_side)
+        else:
+            bank = bytes(stored.semaphores).translate(_UD).decode()
+            stored_side = (_esc(stored_trace), *stored.values, _esc(stored.output), bank)
+            yield full_race % (*counter, *stored_side, *current_side)
 
 
 def _json_finding(finding: PartialInterleaving) -> str:
@@ -192,8 +201,8 @@ def _json_chunks(report: ExplorationReport) -> Iterator[str]:
         f'  "race_found": {"true" if report.race_found else "false"},\n'
         f'  "digest_algorithm": {algorithm},\n'
     )
-    yield from _json_array("outcomes", map(_json_outcome, report.outcomes))
-    yield from _json_array("races", map(_json_race, report.races))
+    yield from _json_array("outcomes", _json_outcomes(report.outcomes))
+    yield from _json_array("races", _json_races(report.races))
     yield from _json_array("deadlocks", map(_json_finding, report.deadlocks))
     yield from _json_array("block_forever", map(_json_finding, report.block_forever))
     stats = [f'"{name}": {value}' for name, value in zip(report.stats._fields, report.stats)]

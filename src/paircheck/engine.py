@@ -165,21 +165,26 @@ class CompiledProgram(NamedTuple):
 def compile_program(pair: ProgramPair) -> CompiledProgram:
     """Compile each statement of ``pair`` into its transition.
 
-    Unknown variables raise ``KeyError``, other nodes and an initial value
-    that is not an ``int`` ``TypeError``.  What else the parser rejects
-    raises ``ValueError``: an unknown operator, a variable declared twice,
-    an initial value outside the signed 64-bit range, an empty emit, or a
-    semaphore count or index out of range.
+    Unknown variables raise ``KeyError``; other nodes, a variable name that
+    is not a ``str``, and an initial value or semaphore count that is not an
+    ``int`` (a ``bool`` is not one) raise ``TypeError``.  What else the
+    parser rejects raises ``ValueError``: an unknown operator, a variable
+    declared twice, an initial value outside the signed 64-bit range, an
+    empty emit, or a semaphore count or index out of range.
     """
     names, sems = pair.names, pair.num_semaphores
     twice = [a for a, b in zip(names, names[1:]) if a == b]
     if twice:
         raise ValueError(f"variable {twice[0]!r} declared twice")
     for name, value in pair.variables:
+        if type(name) is not str:
+            raise TypeError(f"variable name is not a str: {name!r}")
         if type(value) is not int:
             raise TypeError(f"initial value of {name!r} is not an int: {value!r}")
         if wrap64(value) != value:
             raise ValueError(f"initial value of {name!r} out of the signed 64-bit range: {value}")
+    if type(sems) is not int:
+        raise TypeError(f"semaphore count is not an int: {sems!r}")
     if sems < 0:
         raise ValueError("semaphore count must be non-negative")
     slots = {name: k for k, name in enumerate(names)}

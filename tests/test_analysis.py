@@ -15,10 +15,31 @@ from paircheck.analysis import (
     render_report,
 )
 from paircheck.engine import BudgetExceeded, ExplorationConfig, explore
-from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
+from paircheck.toylang import Assign, Emit, IntLit, ProgramPair, ThreadProgram, parse
 from test_report_pins import BUDGETS, MODES
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
+
+# ``benchmarks/gen.py racy --seed 1 --length 24``, five statements a line:
+# 18 outcomes and 686 races, in full and in digest mode.
+RACY_24 = """
+var v0 = -5; var v1 = 9; var v2 = -7; var v3 = -1;
+semaphores 2;
+thread0 {
+  down(0); v0 = v0 * v3 + 55; v0 = v1 - v3 + 45; v1 = v1 - v3 + 54; emit "a";
+  down(0); emit "b"; emit "a"; emit "b"; v3 = v1 - v2 - 65;
+  v3 = v0 + v3 - 54; v1 = v2 + v2 - 85; v0 = v1 - v3 - 94; v0 = v3 - v0 - 83; up(0);
+  down(0); v1 = v1 + v0 + 52; v2 = v2 - v3 + 50; emit "a"; v1 = v3 - v0 - 73;
+  v1 = v3 - v3 - 45; v0 = v2 * v3 + 30; v1 = v1 * v0 - 5; emit "a";
+}
+thread1 {
+  v3 = v2 - v3 + 4; v2 = v3 - v2 + 34; v0 = v2 * v1 - 3; emit "x"; v0 = v3 + v1 + 58;
+  v3 = v1 + v3 + 51; emit "y"; v3 = v0 + v2 + 7; v2 = v0 - v0 - 96; v1 = v3 + v2 + 72;
+  emit "x"; down(0); emit "y"; v1 = v0 + v3 - 13; v1 = v3 - v1 + 86;
+  v3 = v2 + v3 - 79; v3 = v2 + v0 + 42; emit "x"; emit "y"; v3 = v1 * v2 + 49;
+  up(1); down(1); down(1); v1 = v0 + v0 + 22;
+}
+"""
 
 
 class TestBenchTable:
@@ -195,6 +216,15 @@ class TestRenderJson:
     def test_json_is_stable(self, ab12):
         assert render_report(explore(ab12), "json") == render_report(explore(ab12), "json")
 
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_one_chunk_per_record(self, digest_mode):
+        # the report is streamed, never joined: a head chunk, one chunk per
+        # record, a closing chunk per array and the stats chunk
+        report = explore(parse(RACY_24), ExplorationConfig(digest_mode=digest_mode))
+        assert (len(report.outcomes), len(report.races)) == (18, 686)
+        records = report.outcomes + report.races + report.deadlocks + report.block_forever
+        assert len(list(iter_report(report, "json"))) == len(records) + 6
+
 
 def _pinned_reports():
     """Every report ``test_report_pins.py`` hashes, in the same order."""
@@ -215,6 +245,17 @@ _EMIT_TEXT = st.text(
     ),
     min_size=1,
     max_size=5,
+)
+
+# Variable names that a %-template or a JSON key could trip on: format
+# directives, JSON and canonical-form punctuation, control characters and
+# non-ASCII text, alone or mixed with any other character.
+_VARIABLE_NAME = st.one_of(
+    st.sampled_from(["%", "%s", "%%", "%(x)s", '"', "\\", "{", "}", "=", ","]),
+    st.text(
+        alphabet=st.one_of(st.sampled_from('%s"\\{}=,\x00\n\x1f\x7fé€😀\ud800'), st.characters()),
+        max_size=4,
+    ),
 )
 
 
@@ -243,4 +284,35 @@ class TestWriterAgainstOracle:
             for fmt in ("json", "text"):
                 chunks = list(iter_report(report, fmt))
                 assert "".join(chunks) == report_oracle.render_report(report, fmt)
+            assert all(chunk.isascii() for chunk in iter_report(report, "json"))
+
+    def test_report_mixing_programs(self):
+        # a hand-built report may mix programs, even within one race; the
+        # crossed race follows one whose current snapshot has the same names
+        one = parse("var x; thread0 { x = 1; } thread1 { x = 2; }")
+        two = parse('var a; var b; semaphores 1; thread0 { a = 1; emit "p"; } thread1 { emit "q"; }')
+        full = [explore(pair) for pair in (one, two)]
+        digest = [explore(pair, ExplorationConfig(digest_mode=True)) for pair in (one, two)]
+        crossed = full[0].races[0]._replace(stored_snapshot=full[1].outcomes[0].snapshot)
+        report = full[0]._replace(
+            outcomes=full[0].outcomes + full[1].outcomes + full[0].outcomes,
+            races=full[0].races + (crossed,) + digest[1].races + full[1].races + digest[0].races,
+        )
+        for fmt in ("json", "text"):
+            assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
+
+    @given(st.lists(_VARIABLE_NAME, max_size=3, unique=True))
+    @example(names=["%s", "%"])
+    def test_variable_names(self, names):
+        # a name is spliced into the per-program %-templates of the JSON writer
+        def thread(tid, text):
+            assign = (Assign(names[tid % len(names)], IntLit(tid + 1)),) if names else ()
+            return ThreadProgram((*assign, Emit(text)))
+
+        variables = tuple((name, 0) for name in names)
+        pair = ProgramPair(thread(0, "a"), thread(1, "b"), 1, variables)
+        for options in MODES.values():
+            report = explore(pair, ExplorationConfig(**options))
+            for fmt in ("json", "text"):
+                assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
             assert all(chunk.isascii() for chunk in iter_report(report, "json"))

@@ -305,6 +305,18 @@ class TestEval:
             ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, (("x", value),))
         assert str(raised.value) == f"initial value of 'x' is not an int: {value!r}"
 
+    @pytest.mark.parametrize("name", [1, None], ids=["int", "none"])
+    def test_hand_built_variable_name_must_be_a_str(self, name):
+        with pytest.raises(TypeError) as raised:
+            ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, ((name, 0),))
+        assert str(raised.value) == f"variable name is not a str: {name!r}"
+
+    @pytest.mark.parametrize("count", [True, 1.0], ids=["bool", "float"])
+    def test_hand_built_semaphore_count_must_be_an_int(self, count):
+        with pytest.raises(TypeError) as raised:
+            ProgramPair(ThreadProgram(()), ThreadProgram(()), count, ())
+        assert str(raised.value) == f"semaphore count is not an int: {count!r}"
+
     def test_hand_built_initial_values_at_the_64_bit_bounds(self):
         variables = (("x", 2**63 - 1), ("y", -(2**63)))
         pair = ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, variables)
