@@ -16,10 +16,16 @@ avoided with small token filters:
 * the runtime's own ``done()`` terminator is never hooked, and with
   ``skip_redundant`` a statement already covered by a hook is skipped.
 
-The text is read as the tokens of ``_TOKEN`` below, in one pass.  Input
-bytes are preserved, line endings included, except for the inserted
-tokens and one space after each.  Unbalanced braces abort the run: the
-tool refuses rather than guessing.
+The text is read in one pass as the tokens of the grammar below, and
+Python work is spent only where the state can change.  While a statement
+start is armed, or the statement's first word is still unknown, one
+regex match skips whitespace, comments and literals and stops at the
+next word or other character.  Otherwise one match skips to the next
+brace, parenthesis or ``;`` outside comments and literals.  ``strip``
+skips in one match to the next hook token outside comments and literals.
+Input bytes are preserved, line endings included, except for the
+inserted tokens and one space after each.  Unbalanced braces abort the
+run: the tool refuses rather than guessing.
 """
 
 from __future__ import annotations
@@ -51,9 +57,20 @@ _RUNTIME_TERMINATOR = "done"
 # * a word, ``\w+`` (letters, digits and ``_``; an identifier is a word
 #   minus any leading ``str.isdigit`` characters, which are punctuation);
 # * any other single character.
+#
+# ``_NEXT`` and ``_TO_PUNCT`` each skip, in one match, the tokens that
+# cannot change the state they are used in (see the module docstring),
+# then read the token they stop at into the named group ``word`` or
+# ``other``; neither matches only at the end of input.  A skip has no
+# required suffix, so the regex engine never backtracks into a literal or
+# comment to make a later part match.  In ``_NEXT`` group 1 matches if a
+# skipped inert run opens with a quote: a literal is not a hookable
+# statement start, so it disarms.
 _INERT = r"""(?://[^\n]*|/\*(?:.*?\*/|.*)|"(?:[^"\\\n]|\\.?)*"?|'(?:[^'\\\n]|\\.?)*'?)+"""
-_TOKEN = re.compile(rf"[ \t\r\n]+|({_INERT})|(\w+)|(.)", re.S)
-_KIND_INERT, _KIND_WORD = 1, 2
+_NEXT = re.compile(
+    rf"(?:[ \t\r\n]+|(?:(?=[\"'])())?{_INERT})*(?:(?P<word>\w+)|(?P<other>.))?", re.S
+)
+_TO_PUNCT = re.compile(rf"(?:[^(){{}};\"'/]+|{_INERT}|/)*(?P<other>[(){{}};])?", re.S)
 
 
 class InstrumentError(Exception):
@@ -114,12 +131,20 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
     armed_after_hook = False
     stmt_first_word: str | None = None
 
-    for match in _TOKEN.finditer(source):
-        kind = match.lastindex
+    pos = 0
+    while True:
+        if armed or stmt_first_word is None:
+            match = _NEXT.match(source, pos)
+            if match.start(1) >= 0:
+                armed = False  # a literal is not a hookable statement start
+        else:
+            match = _TO_PUNCT.match(source, pos)
+        kind = match.lastgroup
         if kind is None:
-            continue
+            break
+        pos = match.end()
         text = match.group(kind)
-        if kind == _KIND_WORD:
+        if kind == "word":
             if text[0].isdigit():  # leading digits are punctuation
                 armed = False
                 if text.isdigit():
@@ -144,9 +169,6 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
             out.append(source[copied:at])
             out.append(hook)
             copied = at
-        elif kind == _KIND_INERT:
-            if text[0] in "\"'":
-                armed = False  # a literal is not a hookable statement start
         else:
             armed = False
             if text == "(":
@@ -164,7 +186,7 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
             elif text == "}":
                 balance -= 1
                 if balance < 0:
-                    raise InstrumentError("unbalanced '}'", *_position(source, match.start()))
+                    raise InstrumentError("unbalanced '}'", *_position(source, pos - 1))
                 if not pdepth:
                     depth -= 1
                     if depth >= 1:
@@ -183,17 +205,25 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
 def strip(source: str, opts: InstrumentOptions | None = None) -> str:
     """Remove standalone hook tokens outside literals and comments."""
     opts = opts or InstrumentOptions()
-    pattern = re.compile(f"{_INERT}|{re.escape(opts.hook_token)} ?", re.S)
+    token = opts.hook_token
+    first = re.escape(token[0])
+    # skip to the next hook token outside inert runs: any other text, an
+    # inert run, a lone '/', or the token's first character not followed by
+    # the rest of it
+    pattern = re.compile(
+        rf"(?:[^{first}\"'/]+|{_INERT}|/|{first}(?!{re.escape(token[1:])}))*"
+        rf"({re.escape(token)} ?)?",
+        re.S,
+    )
     out: list[str] = []
     pos = 0
-    while match := pattern.search(source, pos):
-        start = match.start()
+    while True:
+        match = pattern.match(source, pos)
+        start = match.start(1)
+        if start < 0:
+            break
         if start > pos:
             out.append(source[pos:start])
-        if source[start] in "/\"'":
-            out.append(match.group())
-            pos = match.end()
-            continue
         # the token starts with an identifier character, so it must not
         # continue the identifier last written (``myhook();``)
         prev = out[-1][-1] if out else ""

@@ -1,11 +1,17 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from paircheck import parse
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS_DIR = REPO_ROOT / "programs"
+
+# ``pytest --hypothesis-profile long`` gives each property ten times the
+# default profile's 100 examples; the properties in test_pipeline.py that
+# set their own count scale it by the same factor.
+settings.register_profile("long", max_examples=1000)
 
 
 def program_paths() -> list[Path]:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -330,6 +332,16 @@ _TRAPS = [
     # line = line breaks before + 1; column counts \r and \t as one each
     ("void f() {\n\ta();\n", ("3:1: 1 unclosed '{'", 3, 1)),
     ("{\r\n}\r}", ("2:3: unbalanced '}'", 2, 3)),
+    # a skip to the next brace, parenthesis or ';' never backtracks into an
+    # unterminated literal to find one there
+    ('x("{)}', 'x("{)}'),
+    # a comment between ';' and a word leaves the statement start armed
+    ("void f() { a;/*c*/b; }", "void f() { hook(); a;/*c*/hook(); b; }"),
+    # both ';' of a for header are inside parentheses
+    (
+        "void f() { for (;;) { a(); } b(); }",
+        "void f() { hook(); for (;;) { hook(); a(); } hook(); b(); }",
+    ),
 ]
 
 
@@ -348,6 +360,11 @@ _STRIP_TRAPS = [
     ("ah();h();h", "h();h", "ah();"),
     ('a"x"foo', "foo", 'a"x"'),
     ("éfoo", "foo", "éfoo"),
+    # an inert run is written whole, so its last character decides
+    ('"a"hook();', "hook();", '"a"'),
+    ("/*x*/hook();", "hook();", "/*x*/"),
+    # the token's first character is common, alone and inside identifiers
+    ("v_v_hook();vv_hook(); v_hook();v", "v_hook();", "v_v_hook();vv_hook(); v"),
 ]
 
 
@@ -357,3 +374,23 @@ def test_strip_trap_inputs(source, token, expected):
     assert strip(source, opts) == expected
     _assert_like_oracle(source, opts)
 
+
+# About 200 KB runs of the characters the scan patterns branch on.  Each
+# takes a fraction of a second; a pattern that backtracks catastrophically
+# on one of them fails the bound instead of stalling the suite.
+_LONG_RUNS = {
+    "quotes": "void f() { " + '"' * 200_000 + " }",
+    "comment-openers": "void f() { " + "/*" * 100_000 + " }",
+    "parentheses": "void f() { " + "(" * 200_000 + " }",
+    "semicolons": "void f() { " + ";" * 200_000 + " }",
+    "hooks": "void f() { " + "hook();" * 30_000 + " }",
+    "token-first-characters": "void f() { " + "h" * 200_000 + " }",
+}
+
+
+@pytest.mark.parametrize("source", _LONG_RUNS.values(), ids=_LONG_RUNS)
+@pytest.mark.parametrize("fn", [instrument, strip])
+def test_long_runs_finish_in_time(fn, source):
+    start = time.perf_counter()
+    _outcome(fn, source, InstrumentOptions())
+    assert time.perf_counter() - start < 5.0

@@ -46,6 +46,12 @@ PROFILE = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+
+def _budget(examples: int) -> int:
+    """``examples`` under the default profile, scaled with the loaded one."""
+    return examples * settings.default.max_examples // 100
+
+
 _NAMES = ("x", "y", "z")
 _LEAVES = st.one_of(
     st.integers(0, 9).map(str),
@@ -203,7 +209,7 @@ def check_oracle(mode: str, doc: dict, oracle) -> None:
         assert bool(doc["block_forever"]) == oracle.block_forever
 
 
-@settings(PROFILE, max_examples=120)
+@settings(PROFILE, max_examples=_budget(120))
 @given(program=programs(), budget=st.none() | st.integers(0, 40))
 def test_generated_programs_through_check(program, budget):
     decls, body0, body1 = program
@@ -242,7 +248,7 @@ _EDITS = st.tuples(
 )
 
 
-@settings(PROFILE, max_examples=300)
+@settings(PROFILE, max_examples=_budget(300))
 @given(program=programs(), edits=st.lists(_EDITS, min_size=1, max_size=3),
        mode=st.sampled_from(list(MODES)))
 def test_damaged_sources_never_crash(program, edits, mode):
