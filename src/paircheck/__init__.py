@@ -18,20 +18,18 @@ import sys
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analysis": (
-        "BenchRow", "bench_table", "disjoint_pair", "iter_report", "render_report",
-    ),
+    "analysis": ("BenchRow", "BudgetExceeded", "bench_table", "disjoint_pair", "render"),
     "engine": (
-        "BudgetExceeded", "EngineError", "ExplorationConfig", "ExplorationReport",
-        "ExplorationStats", "ReplayError", "explore", "initial_interleaving", "replay",
-        "step",
+        "EngineError", "ExplorationConfig", "ExplorationReport", "ExplorationStats",
+        "ReplayError", "explore", "initial_interleaving", "replay", "step",
     ),
     "instrument": ("InstrumentError", "InstrumentOptions", "instrument", "strip"),
+    "report": ("iter_report", "render_report"),
     "state": (
         "DIGEST_ALGORITHM", "PartialInterleaving", "Race", "Snapshot", "StateTable",
         "digest",
     ),
-    "toylang": ("ParseError", "ProgramPair", "ThreadProgram", "parse", "render"),
+    "toylang": ("ParseError", "ProgramPair", "ThreadProgram", "parse"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

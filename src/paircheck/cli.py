@@ -21,9 +21,9 @@ closed stdin read as ``-`` is an input error.
 Each ``_cmd_*`` imports the modules it runs.  No command loads
 ``dataclasses``: the records are NamedTuples or plain slotted classes.
 ``instrument`` loads no parser, engine, state table, ``hashlib`` or
-``json``.  ``check`` loads neither ``hashlib`` nor ``json``, and the
-``_blake2`` module only with ``--digest``.  Only ``bench`` imports
-``json`` here.
+``json``.  ``check`` loads no benchmark or instrumenter, even on a parse
+error, no ``hashlib`` or ``json``, and ``_blake2`` only with ``--digest``.
+``bench`` loads no report writer, and only it imports ``json`` here.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def _write_stderr(message: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis import iter_report
     from .engine import ExplorationConfig, explore
+    from .report import iter_report
     from .toylang import ParseError, parse
 
     try:
@@ -194,8 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis import bench_table
-    from .engine import BudgetExceeded
+    from .analysis import BudgetExceeded, bench_table
 
     try:
         rows = bench_table(args.n_min, args.n_max, max_total_steps=args.max_steps)

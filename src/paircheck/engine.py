@@ -63,7 +63,6 @@ from .state import (
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
 __all__ = [
-    "BudgetExceeded",
     "EngineError",
     "ExplorationConfig",
     "ExplorationReport",
@@ -86,10 +85,6 @@ class ReplayError(EngineError):
     def __init__(self, message: str, position: int):
         super().__init__(f"position {position}: {message}")
         self.position = position
-
-
-class BudgetExceeded(Exception):
-    """A bench run hit its statement budget (raised by ``bench_table``, not ``explore``)."""
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +308,16 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     thread is finished, or when its next statement is an ``up`` on a
     raised semaphore (it would block).
     """
+    # index with the literal: a tid such as 1.0 equals 1 but cannot index a tuple
     if tid == 0:
-        index = i.snapshot.status0
+        index, transitions = i.snapshot.status0, pair.compiled.transitions[0]
     elif tid == 1:
-        index = i.snapshot.status1
+        index, transitions = i.snapshot.status1, pair.compiled.transitions[1]
     else:
         raise EngineError(f"no thread {tid!r}")
     if index == DONE:
         raise EngineError(f"thread {tid} is finished")
-    return pair.compiled.transitions[tid][index](i)
+    return transitions[index](i)
 
 
 def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:

@@ -22,7 +22,7 @@ The module also defines :class:`Record`, the slotted base of the
 package's other records (the AST, programs and the exploration config),
 which gives them field-wise ``==``, hash and repr without the
 ``dataclasses`` module; the output escaping of the canonical bytes (which
-``toylang.render`` shares); and :func:`wrap64`, the 64-bit wrap of every
+``analysis.render`` shares); and :func:`wrap64`, the 64-bit wrap of every
 value.  It imports nothing from the rest of the package.
 """
 

@@ -1,4 +1,4 @@
-"""Syntax of the two-thread toy language: AST, lexer, parser and renderer.
+"""Syntax of the two-thread toy language: AST, lexer and parser.
 
 Programs are a pair of straight-line statement lists over shared
 variables, an append-only output string, and a bank of semaphores.
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .state import Record, _escape, _set, wrap64
+from .state import Record, _set, wrap64
 
 __all__ = [
     "Assign",
@@ -50,7 +50,6 @@ __all__ = [
     "ThreadProgram",
     "Var",
     "parse",
-    "render",
     "wrap64",
 ]
 
@@ -165,6 +164,12 @@ class ParseError(Exception):
         self.col = col
 
 
+def _error(source: str, message: str, offset: int) -> ParseError:
+    """A :class:`ParseError` at ``offset`` of ``source``; a ``\\r`` counts as a column."""
+    line = source.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
+
+
 class _Token(NamedTuple):
     kind: str  # "ident", "int", "string", "punct", "eof"
     value: str | int
@@ -185,12 +190,6 @@ _TOKEN = re.compile(
 
 def _lex(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-
-    def error(message: str, offset: int) -> ParseError:
-        from .instrument import _position  # loaded only when there is an error
-
-        return ParseError(message, *_position(source, offset))
-
     for match in _TOKEN.finditer(source):
         kind, start = match.lastgroup, match.start()
         if kind == "word" and (source[start].isalpha() or source[start] == "_"):
@@ -200,19 +199,20 @@ def _lex(source: str) -> list[_Token]:
             try:
                 tokens.append(_Token("int", int(digits), start))
             except ValueError:  # more digits than the interpreter converts
-                raise error(f"integer literal too long ({len(digits)} digits)", start) from None
+                message = f"integer literal too long ({len(digits)} digits)"
+                raise _error(source, message, start) from None
         elif kind == "string":
             if not match[kind]:
                 end = match.end()
                 if source.startswith("\\", end) and end + 1 < len(source):
-                    raise error(f"bad escape \\{source[end + 1]}", end + 1)
-                raise error("unterminated string literal", start)
+                    raise _error(source, f"bad escape \\{source[end + 1]}", end + 1)
+                raise _error(source, "unterminated string literal", start)
             text = _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], match["text"])
             tokens.append(_Token("string", text, start))
         elif kind == "punct":
             tokens.append(_Token("punct", match[kind], start))
         elif kind is not None:  # any other character, or a word not starting with a letter or _
-            raise error(f"unexpected character {source[start]!r}", start)
+            raise _error(source, f"unexpected character {source[start]!r}", start)
     tokens.append(_Token("eof", "", len(source)))
     return tokens
 
@@ -236,10 +236,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        from .instrument import _position  # loaded only when there is an error
-
-        tok = tok or self.cur
-        return ParseError(message, *_position(self.source, tok.offset))
+        return _error(self.source, message, (tok or self.cur).offset)
 
     def advance(self) -> _Token:
         tok = self.cur
@@ -441,47 +438,3 @@ def parse(source: str, *, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> ProgramPa
     ``unroll_limit``, and nesting deeper than :data:`MAX_NESTING`.
     """
     return _Parser(source, unroll_limit).program()
-
-
-# ---------------------------------------------------------------------------
-# Canonical renderer (round-trip aid)
-# ---------------------------------------------------------------------------
-
-
-def _render_expr(expr: Expr) -> str:
-    match expr:
-        case IntLit(value):
-            return str(value) if value >= 0 else f"(0 - {-value})"
-        case Var(name):
-            return name
-        case BinOp(op, left, right):
-            return f"({_render_expr(left)} {op} {_render_expr(right)})"
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _render_stmt(stmt: Statement) -> str:
-    match stmt:
-        case Assign(target, expr):
-            return f"{target} = {_render_expr(expr)};"
-        case Emit(text):
-            return f'emit "{_escape(text)}";'
-        case SemUp(index):
-            return f"up({index});"
-        case SemDown(index):
-            return f"down({index});"
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def render(pair: ProgramPair) -> str:
-    """Render a program back to canonical (unrolled) source text."""
-    lines: list[str] = []
-    for name, init in pair.variables:
-        lines.append(f"var {name};" if init == 0 else f"var {name} = {init};")
-    if pair.num_semaphores:
-        lines.append(f"semaphores {pair.num_semaphores};")
-    for label, thread in (("thread0", pair.thread0), ("thread1", pair.thread1)):
-        lines.append(label + " {")
-        for stmt in thread.statements:
-            lines.append("  " + _render_stmt(stmt))
-        lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -8,13 +8,9 @@ import report_oracle
 from conftest import program_paths
 from corpus import fixed_corpus
 from paircheck import analysis
-from paircheck.analysis import (
-    bench_table,
-    disjoint_pair,
-    iter_report,
-    render_report,
-)
-from paircheck.engine import BudgetExceeded, ExplorationConfig, explore
+from paircheck.analysis import BudgetExceeded, bench_table, disjoint_pair
+from paircheck.engine import ExplorationConfig, explore
+from paircheck.report import iter_report, render_report
 from paircheck.toylang import Assign, Emit, IntLit, ProgramPair, ThreadProgram, parse
 from test_report_pins import BUDGETS, MODES
 

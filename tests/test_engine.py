@@ -123,6 +123,13 @@ class TestStep:
         with pytest.raises(EngineError, match=f"no thread {tid}"):
             step(pair, initial_interleaving(pair), tid)
 
+    @pytest.mark.parametrize("tid", [0, 1])
+    def test_a_thread_id_equal_to_0_or_1_steps_that_thread(self, tid):
+        # 1.0 == 1 passes the thread check, and must not reach a tuple index
+        pair = parse('var x; thread0 { x = 1; } thread1 { emit "b"; }')
+        i = initial_interleaving(pair)
+        assert step(pair, i, float(tid)) == step(pair, i, tid)
+
 
 class TestExplore:
     def test_ab12_exhaustive_outputs(self, ab12):

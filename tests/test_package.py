@@ -45,7 +45,7 @@ class TestLazyExports:
     def test_every_export_is_its_submodules_object(self):
         submodules = [
             importlib.import_module(f"paircheck.{name}")
-            for name in ("analysis", "engine", "instrument", "state", "toylang")
+            for name in ("analysis", "engine", "instrument", "report", "state", "toylang")
         ]
         for name in paircheck.__all__:
             if name == "__version__":
@@ -75,11 +75,12 @@ class TestLazyExports:
 class TestLayering:
     @pytest.mark.parametrize(
         "module, allowed",
-        [("state", set()), ("toylang", {"paircheck.state"})],
+        [("state", set()), ("toylang", {"paircheck.state"}), ("report", {"paircheck.state"})],
     )
     def test_module_loads_only_the_layers_below(self, tmp_path, module, allowed):
-        # state rests on nothing in the package, and the parser only on state;
-        # their records are plain slotted classes, so neither loads dataclasses
+        # state rests on nothing in the package, and the parser and the report
+        # writer only on state; the records are plain slotted classes, so none
+        # loads dataclasses
         code, modules = loaded_modules(tmp_path, f"import paircheck.{module}")
         loaded = {name for name in modules if name.startswith("paircheck.")}
         assert code == 0 and loaded == {f"paircheck.{module}"} | allowed
@@ -100,26 +101,39 @@ class TestCommandImports:
         added = modules - bare_modules
         assert code == 0 and "paircheck.instrument" in added
         unwanted = {"dataclasses", "hashlib", "json"}
-        unwanted |= {f"paircheck.{name}" for name in ("toylang", "state", "engine", "analysis")}
+        checker = ("toylang", "state", "engine", "analysis", "report")
+        unwanted |= {f"paircheck.{name}" for name in checker}
         assert not added & unwanted
 
     @pytest.mark.parametrize("digest", [False, True], ids=["full", "digest"])
     def test_check(self, tmp_path, bare_modules, digest):
         # _blake2 only for digests, and never hashlib (OpenSSL) or the json
-        # package; the instrumenter only for a parse error's position; the
-        # records are plain slotted classes, so no dataclasses (nor the
-        # inspect it loads)
+        # package; neither the instrumenter nor the benchmark; the records are
+        # plain slotted classes, so no dataclasses (nor the inspect it loads)
         argv = ["check", *(["--digest"] if digest else []), str(PROGRAMS_DIR / "ab12.toy")]
         code, modules = command_modules(tmp_path, *argv)
         added = modules - bare_modules
-        assert code == 1 and "paircheck.engine" in added
+        assert code == 1 and {"paircheck.engine", "paircheck.report"} <= added
         assert ("_blake2" in added) == digest
-        unwanted = {"hashlib", "_hashlib", "json", "paircheck.instrument", "dataclasses", "inspect"}
+        unwanted = {"hashlib", "_hashlib", "json", "dataclasses", "inspect"}
+        unwanted |= {"paircheck.instrument", "paircheck.analysis"}
         assert not added & unwanted
 
+    def test_check_parse_error(self, tmp_path, bare_modules):
+        # the parser places its own errors: no instrumenter for the position
+        source = tmp_path / "undeclared.toy"
+        source.write_text("thread0 { x = 1; } thread1 { }\n")
+        code, modules = command_modules(tmp_path, "check", str(source))
+        added = modules - bare_modules
+        assert code == 4 and "paircheck.toylang" in added
+        assert not added & {"paircheck.instrument", "paircheck.analysis"}
+
     def test_bench(self, tmp_path, bare_modules):
-        # the table's JSON form needs json; the records need no dataclasses
+        # the table's JSON form needs json; the records need no dataclasses,
+        # and the table no report writer
         code, modules = command_modules(tmp_path, "bench", "--min", "1", "--max", "2")
         added = modules - bare_modules
         assert code == 0 and "paircheck.analysis" in added
-        assert not added & {"hashlib", "_hashlib", "paircheck.instrument", "dataclasses", "inspect"}
+        unwanted = {"hashlib", "_hashlib", "dataclasses", "inspect"}
+        unwanted |= {"paircheck.instrument", "paircheck.report"}
+        assert not added & unwanted

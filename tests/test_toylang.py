@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexer_oracle
+from paircheck.analysis import render
 from paircheck.engine import initial_interleaving, replay
 from paircheck.instrument import _position
 from paircheck.toylang import (
@@ -19,7 +20,6 @@ from paircheck.toylang import (
     Var,
     _lex,
     parse,
-    render,
     wrap64,
 )
 
