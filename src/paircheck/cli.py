@@ -21,8 +21,9 @@ closed stdin read as ``-`` is an input error.
 Each ``_cmd_*`` imports the modules it runs.  No command loads
 ``dataclasses``: the records are NamedTuples or plain slotted classes.
 ``instrument`` loads no parser, engine, state table, ``hashlib`` or
-``json``.  ``check`` loads no benchmark or instrumenter, even on a parse
-error, no ``hashlib`` or ``json``, and ``_blake2`` only with ``--digest``.
+``json``.  ``check`` loads no benchmark or instrumenter, no report writer
+on a parse error, no ``hashlib`` or ``json``, and ``_blake2`` only with
+``--digest``.
 ``bench`` loads no report writer, and only it imports ``json`` here.
 """
 
@@ -158,7 +159,6 @@ def _write_stderr(message: str) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .engine import ExplorationConfig, explore
-    from .report import iter_report
     from .toylang import ParseError, parse
 
     try:
@@ -176,6 +176,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ParseError as exc:
         _write_stderr(f"error: {args.file}:{exc}")
         return ExitStatus.INPUT_ERROR
+
+    from .report import iter_report  # here, so a parse error loads no report writer
 
     report = explore(pair, cfg)
     _write_stdout(iter_report(report, args.format))

@@ -99,6 +99,8 @@ class ExplorationConfig(Record):
                  digest_mode: bool = False, max_total_steps: int = 1_000_000):
         if digest_mode and not race_detection:
             raise ValueError("digest mode needs race detection")
+        if type(max_total_steps) is not int:
+            raise TypeError(f"max_total_steps is not an int: {max_total_steps!r}")
         if max_total_steps < 0:
             raise ValueError("max_total_steps must be non-negative")
         _set(self, "pruning", pruning)

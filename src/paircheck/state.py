@@ -8,15 +8,17 @@ that produced it and the combined execution counter, a plain ``(s0,
 s1)`` tuple of per-thread statements executed, plus one.
 
 The :class:`StateTable` is keyed on combined counters.  The first
-interleaving to reach a counter is stored as a ``(key, trace)`` entry,
-where the key is the snapshot itself or, in digest mode, the 128-bit
-digest of its canonical serialization (hash compaction); later arrivals
-are compared against it by key equality.  An equal key means the subtree
-below was already explored from an identical state (prunable); a
-differing one is a :class:`Race`: two schedules reached the same program
-point with different observable behavior.  A snapshot is a NamedTuple,
-so a full-mode key is compared with the C-level tuple ``==``, over the
-same six fields the digest covers.
+interleaving to reach a counter is stored as a ``(snapshot, trace)``
+entry or, in digest mode, a ``(digest, trace, tag)`` entry: the 128-bit
+digest of its canonical serialization (hash compaction) and one byte of
+its ``hash``.  Later arrivals are compared against it.  An equal state
+means the subtree below was already explored from an identical state
+(prunable); a differing one is a :class:`Race`: two schedules reached
+the same program point with different observable behavior.  A snapshot
+is a NamedTuple, so a full-mode entry is compared with the C-level tuple
+``==``, over the same six fields the digest covers.  The tag only proves
+inequality: differing tags are a race without a digest of the later
+arrival, and equal tags fall through to the digest comparison.
 
 The module also defines :class:`Record`, the slotted base of the
 package's other records (the AST, programs and the exploration config),
@@ -278,13 +280,14 @@ _PRUNED_EQUAL = PrunedEqual()
 class StateTable:
     """Map from combined counter to the first visit seen there.
 
-    Each entry is ``(key, trace)``: the key is the snapshot, or in
-    digest mode the digest of ``encode(snapshot)``, which ``explore``
-    makes the program's compiled encoder.  Entries are never evicted or
-    overwritten.  Every interleaving visited should come from the same
-    :class:`~paircheck.toylang.ProgramPair`: keys are compared with plain
-    ``==``, so snapshots of two programs with different variable names
-    differ, and ``encode`` formats one program's snapshots.
+    Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
+    trace, tag)``: the digest of ``encode(snapshot)``, which ``explore``
+    makes the program's compiled encoder, and the tag ``hash(snapshot) &
+    0xFF``, a cached small int.  Entries are never evicted or overwritten.
+    Every interleaving visited should come from the same
+    :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
+    plain ``==``, so snapshots of two programs with different variable
+    names differ, and ``encode`` formats one program's snapshots.
     """
 
     def __init__(
@@ -292,7 +295,7 @@ class StateTable:
     ):
         self.digest_mode = digest_mode
         self.encode = encode
-        self._entries: dict[tuple[int, int], tuple[Snapshot | bytes, str]] = {}
+        self._entries: dict[tuple[int, int], tuple[Snapshot, str] | tuple[bytes, str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -300,19 +303,26 @@ class StateTable:
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
 
-        Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored key
-        equal; table unchanged), or a ``Race`` record of both visits (keys
-        differ; table unchanged).
+        Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored
+        state equal; table unchanged), or a ``Race`` record of both visits
+        (states differ; table unchanged).  In digest mode a revisit is
+        digested only when its tag matches: equal snapshots share a tag.
         """
         snapshot, trace, counter = interleaving
-        key = digest(snapshot, self.encode) if self.digest_mode else snapshot
         entry = self._entries.get(counter)
+        if not self.digest_mode:
+            if entry is None:
+                self._entries[counter] = (snapshot, trace)
+                return _FIRST_VISIT
+            stored, stored_trace = entry
+            if stored == snapshot:
+                return _PRUNED_EQUAL
+            return Race(counter, stored_trace, stored, None, trace, snapshot)
+        tag = hash(snapshot) & 0xFF
         if entry is None:
-            self._entries[counter] = (key, trace)
+            self._entries[counter] = (digest(snapshot, self.encode), trace, tag)
             return _FIRST_VISIT
-        stored, stored_trace = entry
-        if stored == key:
+        stored, stored_trace, stored_tag = entry
+        if stored_tag == tag and stored == digest(snapshot, self.encode):
             return _PRUNED_EQUAL
-        if self.digest_mode:
-            return Race(counter, stored_trace, None, stored, trace, snapshot)
-        return Race(counter, stored_trace, stored, None, trace, snapshot)
+        return Race(counter, stored_trace, None, stored, trace, snapshot)

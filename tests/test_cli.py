@@ -106,6 +106,11 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_bad_config_is_reported_before_the_file_is_read(self, capsys):
+        code, _, err = run(capsys, "check", "no-such-file.toy", "--max-steps", "-1")
+        assert code == ExitStatus.INPUT_ERROR
+        assert "max_total_steps" in err and "no-such-file" not in err
+
     @pytest.mark.parametrize("command", ["check", "instrument"])
     def test_non_utf8_source_is_input_error(self, tmp_path, capsys, command):
         path = tmp_path / "latin1.toy"

@@ -120,13 +120,14 @@ class TestCommandImports:
         assert not added & unwanted
 
     def test_check_parse_error(self, tmp_path, bare_modules):
-        # the parser places its own errors: no instrumenter for the position
+        # the parser places its own errors: no instrumenter for the position;
+        # the report writer is loaded only once the source has parsed
         source = tmp_path / "undeclared.toy"
         source.write_text("thread0 { x = 1; } thread1 { }\n")
         code, modules = command_modules(tmp_path, "check", str(source))
         added = modules - bare_modules
         assert code == 4 and "paircheck.toylang" in added
-        assert not added & {"paircheck.instrument", "paircheck.analysis"}
+        assert not added & {"paircheck.instrument", "paircheck.analysis", "paircheck.report"}
 
     def test_bench(self, tmp_path, bare_modules):
         # the table's JSON form needs json; the records need no dataclasses,

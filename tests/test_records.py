@@ -179,6 +179,14 @@ class TestExplorationConfig:
         with pytest.raises(ValueError, match="^max_total_steps must be non-negative$"):
             ExplorationConfig(max_total_steps=-1)
 
+    @pytest.mark.parametrize(
+        "budget, shown", [(True, "True"), (1.5, "1.5"), (float("inf"), "inf"), ("10", "'10'")]
+    )
+    def test_budget_that_is_not_an_int(self, budget, shown):
+        # a bool is not an int budget: True would run a budget of 1
+        with pytest.raises(TypeError, match=f"^max_total_steps is not an int: {shown}$"):
+            ExplorationConfig(max_total_steps=budget)
+
 
 
 @pytest.mark.parametrize("record", [*FROZEN, SNAPSHOT], ids=lambda record: type(record).__name__)

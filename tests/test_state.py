@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import REPO_ROOT
 from corpus import fixed_corpus
 from paircheck import engine, state
 from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay, step
@@ -176,6 +179,112 @@ class TestStateTable:
         outcome = table.visit(current)
         assert isinstance(outcome, Race)
         assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
+
+
+def _revisit(stored, tag_matches):
+    """A snapshot unequal to ``stored`` whose tag matches its tag, or differs from it.
+
+    Searches the first variable's value, so it finds one under any hash seed.
+    """
+    for value in range(2, 10_000):
+        other = stored._replace(values=(value, *stored.values[1:]))
+        if (hash(other) & 0xFF == hash(stored) & 0xFF) == tag_matches:
+            return other
+    raise AssertionError("no snapshot found")
+
+
+class TestDigestTag:
+    """In digest mode a revisit is digested only when its one-byte hash tag matches."""
+
+    @pytest.fixture
+    def digest_calls(self, monkeypatch):
+        calls = []
+
+        def counting_digest(snapshot, encode=Snapshot.canonical):
+            calls.append(snapshot)
+            return digest(snapshot, encode)
+
+        monkeypatch.setattr(state, "digest", counting_digest)
+        return calls
+
+    def _race(self, table, stored, current, digest_calls):
+        assert isinstance(table.visit(PartialInterleaving(stored, "01", (2, 2))), FirstVisit)
+        digest_calls.clear()
+        outcome = table.visit(PartialInterleaving(current, "10", (2, 2)))
+        assert isinstance(outcome, Race)
+        assert outcome.stored_snapshot is None
+        assert outcome.stored_digest == digest(stored)
+        assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
+        assert outcome.current_snapshot is current
+
+    def test_a_differing_tag_is_a_race_without_a_digest(self, digest_calls):
+        stored = make_snapshot()
+        self._race(StateTable(digest_mode=True), stored, _revisit(stored, False), digest_calls)
+        assert digest_calls == []
+
+    def test_a_colliding_tag_is_still_a_race(self, digest_calls):
+        stored = make_snapshot()
+        current = _revisit(stored, True)
+        self._race(StateTable(digest_mode=True), stored, current, digest_calls)
+        assert digest_calls == [current]
+
+    def test_an_equal_revisit_is_digested_once_and_pruned(self, digest_calls):
+        table = StateTable(digest_mode=True)
+        table.visit(replay(COMMUTING, "10"))
+        digest_calls.clear()
+        assert isinstance(table.visit(replay(COMMUTING, "01")), PrunedEqual)
+        assert len(digest_calls) == 1
+
+    def test_full_mode_digests_nothing(self, digest_calls):
+        stored = make_snapshot()
+        table = StateTable()
+        current = _revisit(stored, True)
+        table.visit(PartialInterleaving(stored, "01", (2, 2)))
+        assert isinstance(table.visit(PartialInterleaving(stored, "10", (2, 2))), PrunedEqual)
+        assert isinstance(table.visit(PartialInterleaving(current, "10", (2, 2))), Race)
+        assert digest_calls == []
+
+
+# benchmarks/gen.py racy --seed 1 --length 24: races, equal revisits and every statement kind
+RACY_24 = """
+var v0 = -5; var v1 = 9; var v2 = -7; var v3 = -1;
+semaphores 2;
+thread0 {
+  down(0); v0 = v0 * v3 + 55; v0 = v1 - v3 + 45; v1 = v1 - v3 + 54; emit "a"; down(0);
+  emit "b"; emit "a"; emit "b"; v3 = v1 - v2 - 65; v3 = v0 + v3 - 54; v1 = v2 + v2 - 85;
+  v0 = v1 - v3 - 94; v0 = v3 - v0 - 83; up(0); down(0); v1 = v1 + v0 + 52;
+  v2 = v2 - v3 + 50; emit "a"; v1 = v3 - v0 - 73; v1 = v3 - v3 - 45; v0 = v2 * v3 + 30;
+  v1 = v1 * v0 - 5; emit "a";
+}
+thread1 {
+  v3 = v2 - v3 + 4; v2 = v3 - v2 + 34; v0 = v2 * v1 - 3; emit "x"; v0 = v3 + v1 + 58;
+  v3 = v1 + v3 + 51; emit "y"; v3 = v0 + v2 + 7; v2 = v0 - v0 - 96; v1 = v3 + v2 + 72;
+  emit "x"; down(0); emit "y"; v1 = v0 + v3 - 13; v1 = v3 - v1 + 86; v3 = v2 + v3 - 79;
+  v3 = v2 + v0 + 42; emit "x"; emit "y"; v3 = v1 * v2 + 49; up(1); down(1); down(1);
+  v1 = v0 + v0 + 22;
+}
+"""
+
+
+def test_digest_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # the hash seed picks which snapshots the tag tells apart, never the report
+    source = tmp_path / "racy.toy"
+    source.write_text(RACY_24, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    argv = ["check", "--digest", "--format", "json", str(source)]
+    for seed in ("0", "1", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "paircheck", *argv],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stderr == b""
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    report = explore(parse(RACY_24), ExplorationConfig(digest_mode=True))
+    assert report.races and report.stats.pruned_subtrees
 
 
 class TestDigest:
