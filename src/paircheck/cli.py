@@ -50,7 +50,11 @@ class ExitStatus(IntEnum):
 
 
 class _InputError(Exception):
-    """Bad usage or unreadable input; printed as one ``error:`` line."""
+    """A refusal of usage or input; ``main`` prints one ``error:`` line and exits ``status``."""
+
+    def __init__(self, message: object, status: int = ExitStatus.INPUT_ERROR):
+        super().__init__(message)
+        self.status = status
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,8 +178,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         pair = parse(source)
     except ParseError as exc:
-        _write_stderr(f"error: {args.file}:{exc}")
-        return ExitStatus.INPUT_ERROR
+        raise _InputError(f"{args.file}:{exc}") from None
 
     from .report import iter_report  # here, so a parse error loads no report writer
 
@@ -201,11 +204,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         rows = bench_table(args.n_min, args.n_max, max_total_steps=args.max_steps)
     except ValueError as exc:
-        _write_stderr(f"error: {exc}")
-        return ExitStatus.INPUT_ERROR
+        raise _InputError(exc) from None
     except BudgetExceeded as exc:
-        _write_stderr(f"error: {exc}")
-        return ExitStatus.BUDGET_EXHAUSTED
+        raise _InputError(exc, ExitStatus.BUDGET_EXHAUSTED) from None
     if args.format == "json":
         payload = [
             {"n": r.n, "exhaustive": r.exhaustive_count, "pruned": r.pruned_count}
@@ -233,15 +234,13 @@ def _cmd_instrument(args: argparse.Namespace) -> int:
     try:
         result = strip(source, opts) if args.strip else instrument(source, opts)
     except InstrumentError as exc:
-        _write_stderr(f"error: {args.file}:{exc}")
-        return ExitStatus.INPUT_ERROR
+        raise _InputError(f"{args.file}:{exc}") from None
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 handle.write(result)
         except OSError as exc:
-            _write_stderr(f"error: {exc}")
-            return ExitStatus.INPUT_ERROR
+            raise _InputError(exc) from None
     else:
         _write_stdout((result,))
     return ExitStatus.CLEAN
@@ -251,14 +250,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_instrument(args)
+        command = {"check": _cmd_check, "bench": _cmd_bench, "instrument": _cmd_instrument}
+        return command[args.command](args)
     except _InputError as exc:
         _write_stderr(f"error: {exc}")
-        return ExitStatus.INPUT_ERROR
+        return exc.status
     except Exception as exc:  # noqa: BLE001 - a crash must not exit 1, which means "race"
         # imported only here: it costs about a millisecond of start-up on every run
         import traceback

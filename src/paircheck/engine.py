@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from .state import (
     _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Record, Snapshot, StateTable,
-    _set, canonical_encoder, wrap64,
+    canonical_encoder, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -97,16 +97,16 @@ class ExplorationConfig(Record):
 
     def __init__(self, pruning: bool = True, race_detection: bool = True,
                  digest_mode: bool = False, max_total_steps: int = 1_000_000):
+        for name, flag in zip(self.__match_args__, (pruning, race_detection, digest_mode)):
+            if type(flag) is not bool:
+                raise TypeError(f"{name} is not a bool: {flag!r}")
         if digest_mode and not race_detection:
             raise ValueError("digest mode needs race detection")
         if type(max_total_steps) is not int:
             raise TypeError(f"max_total_steps is not an int: {max_total_steps!r}")
         if max_total_steps < 0:
             raise ValueError("max_total_steps must be non-negative")
-        _set(self, "pruning", pruning)
-        _set(self, "race_detection", race_detection)
-        _set(self, "digest_mode", digest_mode)
-        _set(self, "max_total_steps", max_total_steps)
+        super().__init__(pruning, race_detection, digest_mode, max_total_steps)
 
 
 class ExplorationStats(NamedTuple):

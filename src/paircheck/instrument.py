@@ -85,7 +85,9 @@ class InstrumentError(Exception):
 class InstrumentOptions:
     """The hook token to insert, and whether to skip already-hooked statements.
 
-    A plain slotted class whose ``__init__`` validates the token.
+    A plain slotted class whose ``__init__`` validates the token, and frozen
+    as ``state.Record`` is, which this module does not load: setting or
+    deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ("hook_token", "skip_redundant")
@@ -100,8 +102,13 @@ class InstrumentOptions:
                 f"hook token {hook_token!r} must start with a letter or '_' and contain"
                 " no braces, quotes, '/' or line breaks"
             )
-        self.hook_token = hook_token
-        self.skip_redundant = skip_redundant
+        object.__setattr__(self, "hook_token", hook_token)
+        object.__setattr__(self, "skip_redundant", skip_redundant)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"InstrumentOptions is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def _hook_name(token: str) -> str:

@@ -74,6 +74,13 @@ def _escape(text: str) -> str:
 DONE = -1
 
 
+def _thread_index(tid: object) -> int:
+    """0 or 1 for a thread id equal to 0 or 1, the ids ``step`` takes; else ``ValueError``."""
+    if tid == 0 or tid == 1:
+        return int(tid)
+    raise ValueError(f"no thread {tid!r}")
+
+
 def _status_key(status: int) -> str:
     return "done" if status == DONE else f"run@{status}"
 
@@ -84,12 +91,13 @@ def _status_key(status: int) -> str:
 
 
 class Record:
-    """Base of the package's records: field-wise ``==``, hash and repr; frozen.
+    """Base of the package's records: ``__init__``, field-wise ``==``, hash and repr; frozen.
 
-    A subclass names its fields in ``__slots__`` and ``__match_args__`` and
-    sets each in its own ``__init__`` with :data:`_set`.  ``==``, hash and
-    repr cover ``__match_args__``; records of two classes are never equal.
-    Setting or deleting a field raises ``AttributeError``.
+    A subclass declares ``__slots__ = __match_args__ = (...)``.  ``__init__``
+    takes each field once, by position or keyword, else ``TypeError``; a record
+    with more slots, defaults or checks sets its fields with ``super().__init__``.
+    ``==``, hash and repr cover ``__match_args__``, and records of two classes
+    are never equal.  Setting or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -98,6 +106,18 @@ class Record:
         fields = cls.__match_args__
         get = attrgetter(*fields)  # the fields as a tuple, or one field as itself
         cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):  # the parser gives every field by position
+            rest = fields[len(args):]  # the fields the keywords must give
+            if len(args) > len(fields) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__}() takes each of the fields {fields} once")
+            args += tuple(map(kwargs.get, rest))
+        k = 0  # a counter: cheaper than zip or enumerate, and the parser builds many nodes
+        for name in fields:
+            _set(self, name, args[k])
+            k += 1
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -120,7 +140,7 @@ class Record:
     __delattr__ = __setattr__
 
 
-_set = object.__setattr__  # how a record's __init__ sets its fields
+_set = object.__setattr__  # how a record sets its fields past __setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +179,7 @@ class Snapshot(NamedTuple):
             raise KeyError(name) from None
 
     def status(self, tid: int) -> int:
-        return self.status0 if tid == 0 else self.status1
+        return (self.status0, self.status1)[_thread_index(tid)]
 
     def canonical(self) -> str:
         """Canonical serialization; the byte layout behind digests.

@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .state import Record, _set, wrap64
+from .state import Record, _set, _thread_index, wrap64
 
 __all__ = [
     "Assign",
@@ -65,6 +65,9 @@ _KEYWORDS = frozenset(
     {"thread0", "thread1", "var", "semaphores", "emit", "up", "down", "repeat"}
 )
 
+# How tightly each binary operator binds; a higher number binds tighter.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -73,22 +76,14 @@ _KEYWORDS = frozenset(
 
 class IntLit(Record):
     __slots__ = __match_args__ = ("value",)
-    def __init__(self, value: int):
-        _set(self, "value", value)
 
 
 class Var(Record):
     __slots__ = __match_args__ = ("name",)
-    def __init__(self, name: str):
-        _set(self, "name", name)
 
 
 class BinOp(Record):
-    __slots__ = __match_args__ = ("op", "left", "right")
-    def __init__(self, op: str, left: Expr, right: Expr):  # op is one of "+", "-", "*"
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = __match_args__ = ("op", "left", "right")  # op is one of "+", "-", "*"
 
 
 Expr = IntLit | Var | BinOp
@@ -96,27 +91,18 @@ Expr = IntLit | Var | BinOp
 
 class Assign(Record):
     __slots__ = __match_args__ = ("target", "expr")
-    def __init__(self, target: str, expr: Expr):
-        _set(self, "target", target)
-        _set(self, "expr", expr)
 
 
 class Emit(Record):
-    __slots__ = __match_args__ = ("text",)
-    def __init__(self, text: str):  # 1+ characters, appended atomically
-        _set(self, "text", text)
+    __slots__ = __match_args__ = ("text",)  # 1+ characters, appended atomically
 
 
 class SemUp(Record):
     __slots__ = __match_args__ = ("index",)
-    def __init__(self, index: int):
-        _set(self, "index", index)
 
 
 class SemDown(Record):
     __slots__ = __match_args__ = ("index",)
-    def __init__(self, index: int):
-        _set(self, "index", index)
 
 
 Statement = Assign | Emit | SemUp | SemDown
@@ -124,8 +110,6 @@ Statement = Assign | Emit | SemUp | SemDown
 
 class ThreadProgram(Record):
     __slots__ = __match_args__ = ("statements",)
-    def __init__(self, statements: tuple[Statement, ...]):
-        _set(self, "statements", statements)
 
 
 class ProgramPair(Record):
@@ -139,15 +123,12 @@ class ProgramPair(Record):
                  variables: tuple[tuple[str, int], ...]):  # (name, initial value) in order
         from .engine import compile_program  # the engine imports this module
 
-        _set(self, "thread0", thread0)
-        _set(self, "thread1", thread1)
-        _set(self, "num_semaphores", num_semaphores)
-        _set(self, "variables", variables)
+        super().__init__(thread0, thread1, num_semaphores, variables)
         _set(self, "names", tuple(sorted(name for name, _ in variables)))
         _set(self, "compiled", compile_program(self))
 
     def thread(self, tid: int) -> ThreadProgram:
-        return self.thread0 if tid == 0 else self.thread1
+        return (self.thread0, self.thread1)[_thread_index(tid)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +346,13 @@ class _Parser:
             if body:  # an empty body may carry any count
                 out.extend(body * count)
             return
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            name = str(self.advance().value)
-            if name not in self.variables:
-                raise self.error(f"undeclared variable {name!r}", tok)
-            self.expect_punct("=")
-            expr, _ = self.expr(0)
-            self.expect_punct(";")
-            out.append(Assign(name, expr))
-            return
-        raise self.error(f"expected statement, found {self._describe(tok)}")
+        name = self.variable()
+        if name is None:
+            raise self.error(f"expected statement, found {self._describe(tok)}")
+        self.expect_punct("=")
+        expr, _ = self.expr(0)
+        self.expect_punct(";")
+        out.append(Assign(name, expr))
 
     def block_into(self, out: list[Statement], depth: int = 0) -> None:
         self.expect_punct("{")
@@ -388,25 +366,27 @@ class _Parser:
                 )
         self.expect_punct("}")
 
+    def variable(self) -> str | None:  # a declared name; None, reading nothing, at a non-name
+        tok = self.cur
+        if tok.kind != "ident" or tok.value in _KEYWORDS:
+            return None
+        name = str(self.advance().value)
+        if name not in self.variables:
+            raise self.error(f"undeclared variable {name!r}", tok)
+        return name
+
     # --- expressions ---
     # Each method takes the number of enclosing parentheses and returns the
     # expression with the height of its operator tree.
 
-    def expr(self, parens: int) -> tuple[Expr, int]:
-        left, height = self.term(parens)
-        while self.cur.kind == "punct" and self.cur.value in ("+", "-"):
-            tok = self.advance()
-            right, right_height = self.term(parens)
-            left = BinOp(str(tok.value), left, right)
-            height = self.nested(max(height, right_height) + 1, tok)
-        return left, height
-
-    def term(self, parens: int) -> tuple[Expr, int]:
+    def expr(self, parens: int, precedence: int = 1) -> tuple[Expr, int]:
+        # operators binding at least as tight as precedence; each right operand
+        # binds tighter than its operator, so equal operators associate left
         left, height = self.factor(parens)
-        while self.cur.kind == "punct" and self.cur.value == "*":
+        while self.cur.kind == "punct" and _PRECEDENCE.get(self.cur.value, 0) >= precedence:
             tok = self.advance()
-            right, right_height = self.factor(parens)
-            left = BinOp("*", left, right)
+            right, right_height = self.expr(parens, _PRECEDENCE[tok.value] + 1)
+            left = BinOp(str(tok.value), left, right)
             height = self.nested(max(height, right_height) + 1, tok)
         return left, height
 
@@ -415,18 +395,15 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             return IntLit(int(tok.value)), 0
-        if tok.kind == "ident" and tok.value not in _KEYWORDS:
-            self.advance()
-            name = str(tok.value)
-            if name not in self.variables:
-                raise self.error(f"undeclared variable {name!r}", tok)
-            return Var(name), 0
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
             inner = self.expr(self.nested(parens + 1, tok))
             self.expect_punct(")")
             return inner
-        raise self.error(f"expected expression, found {self._describe(tok)}")
+        name = self.variable()
+        if name is None:
+            raise self.error(f"expected expression, found {self._describe(tok)}")
+        return Var(name), 0
 
 
 def parse(source: str, *, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> ProgramPair:

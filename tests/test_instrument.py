@@ -208,6 +208,17 @@ class TestHookToken:
         with pytest.raises(ValueError):
             InstrumentOptions(hook_token=token)
 
+    def test_options_are_frozen(self):
+        # a token set after construction would skip the check above
+        opts = InstrumentOptions(hook_token="H();", skip_redundant=True)
+        for field, value in (("hook_token", "{x"), ("skip_redundant", False), ("other", 1)):
+            with pytest.raises(AttributeError, match=f"frozen: cannot set or delete '{field}'"):
+                setattr(opts, field, value)
+            with pytest.raises(AttributeError):
+                delattr(opts, field)
+        assert (opts.hook_token, opts.skip_redundant) == ("H();", True)
+        assert not hasattr(opts, "__dict__")
+
     @pytest.mark.parametrize("token", ["hook();", "sched_point();", "_h();"])
     def test_round_trip(self, token):
         src = "void f() { if(c) { a(); } else { b(); } x = 1; }\n"
