@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from .state import (
     _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Record, Snapshot, StateTable,
-    canonical_encoder, wrap64,
+    _tuple_new, canonical_encoder, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -145,8 +145,6 @@ class ExplorationReport(NamedTuple):
 # A compiled statement: from an interleaving whose thread stands before the
 # statement to its successor.
 Transition = Callable[[PartialInterleaving], PartialInterleaving]
-
-_tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class CompiledProgram(NamedTuple):

@@ -295,6 +295,7 @@ class Race(NamedTuple):
 
 _FIRST_VISIT = FirstVisit()
 _PRUNED_EQUAL = PrunedEqual()
+_tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class StateTable:
@@ -337,7 +338,7 @@ class StateTable:
             stored, stored_trace = entry
             if stored == snapshot:
                 return _PRUNED_EQUAL
-            return Race(counter, stored_trace, stored, None, trace, snapshot)
+            return _tuple_new(Race, (counter, stored_trace, stored, None, trace, snapshot))
         tag = hash(snapshot) & 0xFF
         if entry is None:
             self._entries[counter] = (digest(snapshot, self.encode), trace, tag)
@@ -345,4 +346,4 @@ class StateTable:
         stored, stored_trace, stored_tag = entry
         if stored_tag == tag and stored == digest(snapshot, self.encode):
             return _PRUNED_EQUAL
-        return Race(counter, stored_trace, None, stored, trace, snapshot)
+        return _tuple_new(Race, (counter, stored_trace, None, stored, trace, snapshot))

@@ -11,10 +11,10 @@ import paircheck
 from conftest import PROGRAMS_DIR, REPO_ROOT
 
 
-def loaded_modules(tmp_path, code: str) -> tuple[int, set[str]]:
-    """Exit code of ``python -c CODE`` and the names in ``sys.modules`` as it exits."""
-    listing = tmp_path / "modules.txt"
-    dump = f"open({str(listing)!r}, 'w').write(' '.join(sys.modules))"
+def value_at_exit(tmp_path, code: str, expression: str) -> tuple[int, str]:
+    """Exit code of ``python -c CODE`` and ``str(EXPRESSION)`` as it exits (``sys`` is imported)."""
+    record = tmp_path / "at_exit.txt"
+    dump = f"open({str(record)!r}, 'w').write(str({expression}))"
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", f"import atexit, sys; atexit.register(lambda: {dump})\n{code}"],
@@ -23,16 +23,26 @@ def loaded_modules(tmp_path, code: str) -> tuple[int, set[str]]:
         stderr=subprocess.DEVNULL,
         timeout=60,
     )
-    return proc.returncode, set(listing.read_text().split())
+    return proc.returncode, record.read_text()
+
+
+def command_code(*argv: str) -> str:
+    """Code that runs ``python -m paircheck ARGV`` inside ``python -c``."""
+    return (
+        f"sys.argv[1:] = {list(argv)!r}\nimport runpy\n"
+        "runpy.run_module('paircheck', run_name='__main__', alter_sys=True)"
+    )
+
+
+def loaded_modules(tmp_path, code: str) -> tuple[int, set[str]]:
+    """Exit code of ``python -c CODE`` and the names in ``sys.modules`` as it exits."""
+    returncode, names = value_at_exit(tmp_path, code, "' '.join(sys.modules)")
+    return returncode, set(names.split())
 
 
 def command_modules(tmp_path, *argv: str) -> tuple[int, set[str]]:
     """As :func:`loaded_modules`, for ``python -m paircheck ARGV``."""
-    return loaded_modules(
-        tmp_path,
-        f"sys.argv[1:] = {list(argv)!r}\nimport runpy\n"
-        "runpy.run_module('paircheck', run_name='__main__', alter_sys=True)",
-    )
+    return loaded_modules(tmp_path, command_code(*argv))
 
 
 @pytest.fixture
