@@ -45,9 +45,9 @@ with ``tuple.__new__`` in one place per thread, with the thread's next
 status and trace symbol fixed at compile time; :func:`step` checks the
 thread and its status and calls it.  A table per thread gives
 the semaphore each statement waits on (an ``up``) or -1, which is how
-the search tells which threads would block.  The program's canonical
-encoder gives digest mode the bytes of ``Snapshot.canonical`` without
-formatting each snapshot from scratch.
+the search tells which threads would block.  The program's snapshot
+formatter (``state.snapshot_formatter``), built once from its variable
+names, gives digest mode the bytes of ``Snapshot.canonical``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from .state import (
     _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Record, Snapshot, StateTable,
-    _tuple_new, canonical_encoder, wrap64,
+    _tuple_new, snapshot_formatter, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -192,7 +192,7 @@ def compile_program(pair: ProgramPair) -> CompiledProgram:
         tuple(stmt.index if isinstance(stmt, SemUp) else -1 for stmt in statements) + (-1,)
         for statements in threads
     )
-    return CompiledProgram(transitions, blocks, canonical_encoder(names, *map(len, threads)))
+    return CompiledProgram(transitions, blocks, snapshot_formatter(names))
 
 
 def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:

@@ -5,26 +5,37 @@ so no report is ever held whole.  The JSON writer spells out the
 ``json.dumps(..., indent=2)`` layout of the fixed schema and escapes every
 string with the C escaper ``json.dumps`` uses under its default
 ``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
-Each outcome and race record is one ``%``-format over a template built from
-its variable names, once per report and again when a record's names differ.
+Each outcome and race record is one ``%``-format over a fixed template,
+whose snapshot members come from ``state.snapshot_formatter``; the text
+report's snapshot lines do too.  A formatter is built once per report for
+each program whose snapshots the report holds.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
-try:  # the C escaper of json.dumps, without loading the json package
-    from _json import encode_basestring_ascii as _esc
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _esc
-
-from .state import _UD, DIGEST_ALGORITHM, PartialInterleaving, Race
+from .state import DIGEST_ALGORITHM, PartialInterleaving, Race, Snapshot, _esc, snapshot_formatter
 
 if TYPE_CHECKING:  # the engine is loaded by whoever built the report
     from .engine import ExplorationReport
 
 __all__ = ["iter_report", "render_report"]
+
+
+def _formatter(pad: str | None = None) -> Callable[[Snapshot], str]:
+    """Format each snapshot with its names' ``snapshot_formatter``, built on first use."""
+    built: dict[tuple[str, ...], Callable[[Snapshot], str]] = {}
+
+    def format(snapshot: Snapshot) -> str:
+        names = snapshot.names
+        formatter = built.get(names)
+        if formatter is None:  # a hand-built report may mix programs
+            formatter = built[names] = snapshot_formatter(names, pad)
+        return formatter(snapshot)
+
+    return format
 
 
 def _json_object(pad: str, members: list[str]) -> str:
@@ -40,62 +51,43 @@ def _json_counter(pad: str, counter: tuple[int, int]) -> str:
     return f"[\n{inner}{counter[0]},\n{inner}{counter[1]}\n{pad}]"
 
 
-def _json_snapshot_members(pad: str, names: tuple[str, ...]) -> list[str]:
-    """Snapshot members at ``pad``: ``%s`` per value, the escaped output and U/D bank."""
-    variables = [_esc(name).replace("%", "%%") + ": %s" for name in names]
-    return [f'"variables": {_json_object(pad, variables)}', '"output": %s', '"semaphores": "%s"']
-
-
 # Records are items of a top-level array: braces at indent 4, members at 6.
+# An outcome's snapshot members sit at indent 6, a race's at 10.
 
 
-def _json_templates(stored: tuple[str, ...], names: tuple[str, ...]) -> tuple[str, ...]:
-    """Outcome and race templates over ``names``, and ``stored`` for a full race's stored side."""
-    trace, counter = '"trace": %s', f'"counter": {_json_counter(" " * 6, ("%s", "%s"))}'
-    stored_snapshot, current_snapshot = (
-        _json_object(" " * 8, _json_snapshot_members(" " * 10, n)) for n in (stored, names)
-    )
-    current = '"current": ' + _json_object(" " * 6, [trace, f'"snapshot": {current_snapshot}'])
-    records = [[trace, *_json_snapshot_members(" " * 6, names)]]
-    for stored_member in ('"digest": "%s"', f'"snapshot": {stored_snapshot}'):
-        stored_side = '"stored": ' + _json_object(" " * 6, [trace, stored_member])
-        records.append([counter, stored_side, current])
-    return tuple("    " + _json_object("    ", members) for members in records)
+def _json_record(*members: str) -> str:
+    return "    " + _json_object("    ", list(members))
+
+
+_OUTCOME = _json_record('"trace": %s', "%s")
+_COUNTER = f'"counter": {_json_counter(" " * 6, ("%s", "%s"))}'
+_SNAPSHOT = '"snapshot": ' + _json_object(" " * 8, ["%s"])
+_CURRENT = '"current": ' + _json_object(" " * 6, ['"trace": %s', _SNAPSHOT])
+_DIGEST_RACE, _FULL_RACE = (
+    _json_record(_COUNTER, '"stored": ' + _json_object(" " * 6, ['"trace": %s', stored]), _CURRENT)
+    for stored in ('"digest": "%s"', _SNAPSHOT)
+)
 
 
 def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
-    names = None
+    members = _formatter(" " * 6)
     for snapshot, trace, _ in outcomes:
-        if snapshot.names != names:
-            names = snapshot.names
-            template = _json_templates(names, names)[0]
-        bank = bytes(snapshot.semaphores).translate(_UD).decode()
-        yield template % (_esc(trace), *snapshot.values, _esc(snapshot.output), bank)
+        yield _OUTCOME % (_esc(trace), members(snapshot))
 
 
 def _json_races(races: Iterable[Race]) -> Iterator[str]:
-    stored_names = names = None
+    members = _formatter(" " * 10)
     for counter, stored_trace, stored, digest, trace, current in races:
-        # a digest-mode race has no stored snapshot: its template uses the current names
-        if current.names != names or (stored or current).names != stored_names:
-            names, stored_names = current.names, (stored or current).names
-            _, digest_race, full_race = _json_templates(stored_names, names)
-        bank = bytes(current.semaphores).translate(_UD).decode()
-        current_side = (_esc(trace), *current.values, _esc(current.output), bank)
+        current_side = (_esc(trace), members(current))
         if stored is None:  # digest mode: the stored side is a trace and a digest
-            yield digest_race % (*counter, _esc(stored_trace), digest.hex(), *current_side)
+            yield _DIGEST_RACE % (*counter, _esc(stored_trace), digest.hex(), *current_side)
         else:
-            bank = bytes(stored.semaphores).translate(_UD).decode()
-            stored_side = (_esc(stored_trace), *stored.values, _esc(stored.output), bank)
-            yield full_race % (*counter, *stored_side, *current_side)
+            yield _FULL_RACE % (*counter, _esc(stored_trace), members(stored), *current_side)
 
 
 def _json_finding(finding: PartialInterleaving) -> str:
-    members = [
-        f'"counter": {_json_counter("      ", finding.counter)}',
-        f'"trace": {_esc(finding.trace)}',
-    ]
-    return "    " + _json_object("    ", members)
+    counter = f'"counter": {_json_counter(" " * 6, finding.counter)}'
+    return _json_record(counter, f'"trace": {_esc(finding.trace)}')
 
 
 def _json_array(key: str, records: Iterable[str]) -> Iterator[str]:
@@ -130,10 +122,11 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
     if not report.complete:
         head += "WARNING: step budget exhausted; report is incomplete\n"
     yield head + f"outcomes: {len(report.outcomes)}\n"
+    canonical = _formatter()
     for k, outcome in enumerate(report.outcomes, 1):
         yield (
             f"  [{k}] trace={outcome.trace or '(empty)'}\n"
-            f"      {outcome.snapshot.canonical()}\n"
+            f"      {canonical(outcome.snapshot)}\n"
         )
 
     yield f"races: {len(report.races)}\n"
@@ -141,7 +134,7 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
         if race.stored_snapshot is not None:
             stored = (
                 f"      stored : trace={race.stored_trace or '(empty)'}\n"
-                f"               {race.stored_snapshot.canonical()}\n"
+                f"               {canonical(race.stored_snapshot)}\n"
             )
         else:
             assert race.stored_digest is not None
@@ -153,7 +146,7 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
             f"  [{k}] at counter {race.counter}\n"
             + stored
             + f"      current: trace={race.current_trace or '(empty)'}\n"
-            f"               {race.current_snapshot.canonical()}\n"
+            f"               {canonical(race.current_snapshot)}\n"
         )
     if report.races:
         yield (

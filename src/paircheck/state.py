@@ -23,9 +23,11 @@ arrival, and equal tags fall through to the digest comparison.
 The module also defines :class:`Record`, the slotted base of the
 package's other records (the AST, programs and the exploration config),
 which gives them field-wise ``==``, hash and repr without the
-``dataclasses`` module; the output escaping of the canonical bytes (which
-``analysis.render`` shares); and :func:`wrap64`, the 64-bit wrap of every
-value.  It imports nothing from the rest of the package.
+``dataclasses`` module; :func:`snapshot_formatter`, the one writer of
+snapshots (their canonical bytes and their JSON members); the output
+escaping of the canonical bytes (which ``analysis.render`` shares); and
+:func:`wrap64`, the 64-bit wrap of every value.  It imports nothing from
+the rest of the package.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import attrgetter
 from typing import NamedTuple
+
+try:  # the C escaper of json.dumps, without loading the json package
+    from _json import encode_basestring_ascii as _esc
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _esc
 
 __all__ = [
     "DIGEST_ALGORITHM",
@@ -79,10 +86,6 @@ def _thread_index(tid: object) -> int:
     if tid == 0 or tid == 1:
         return int(tid)
     raise ValueError(f"no thread {tid!r}")
-
-
-def _status_key(status: int) -> str:
-    return "done" if status == DONE else f"run@{status}"
 
 
 # ---------------------------------------------------------------------------
@@ -190,46 +193,46 @@ class Snapshot(NamedTuple):
         the output string with ``\\``, ``"``, newline, tab and carriage
         return backslash-escaped (``\\\\``, ``\\"``, ``\\n``, ``\\t``,
         ``\\r``); other characters, control characters included, are
-        written as they are.
+        written as they are.  :func:`snapshot_formatter` writes it.
         """
-        vars_part = ",".join(map("{}={}".format, self.names, self.values))
-        sems_part = "".join("U" if up else "D" for up in self.semaphores)
-        return (
-            f"vars{{{vars_part}}};"
-            f'out="{_escape(self.output)}";'
-            f"sems={sems_part};"
-            f"st0={_status_key(self.status0)};"
-            f"st1={_status_key(self.status1)}"
-        )
+        return snapshot_formatter(self.names)(self)
 
 
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a semaphore bank's bytes to its U/D key
 
 
-def canonical_encoder(names: tuple[str, ...], len0: int, len1: int) -> Callable[[Snapshot], str]:
-    """:meth:`Snapshot.canonical` compiled for the snapshots of one program.
+def snapshot_formatter(names: tuple[str, ...], pad: str | None = None) -> Callable[[Snapshot], str]:
+    """The one formatter of the snapshots whose variables are ``names``, sorted.
 
-    ``names`` are the program's sorted variable names and ``len0`` and
-    ``len1`` its thread lengths, so each status is below its thread's
-    length or ``DONE``.  The variables are one ``%``-format; the
-    semaphore bank and the statuses are table lookups.
+    With no ``pad`` it writes :meth:`Snapshot.canonical`; a program binds
+    it as its ``compiled.encode``.  With ``pad`` it writes the members of
+    the snapshot's JSON object (variables, output and semaphores, no
+    statuses) in the ``json.dumps(..., indent=2)`` layout, the second and
+    third at indent ``pad``, ASCII-escaped as ``json.dumps`` does.  The
+    variables are one ``%``-format built here, once per program.
     """
-    # DONE (-1) picks the last key of each status-key tuple, "done"
-    head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + '};out="'
-    keys0 = tuple(f";st0=run@{k}" for k in range(len0)) + (";st0=done",)
-    keys1 = tuple(f";st1=run@{k}" for k in range(len1)) + (";st1=done",)
+    if pad is None:
+        escape = _escape
+        head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
+        tail = 'out="%s";sems=%s;st0=%s;st1=%s'
+    else:
+        escape = _esc
+        inner = pad + "  "
+        variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
+        head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
+        # each %.0s takes a status and writes nothing: the JSON schema has no statuses
+        tail = f'\n{pad}"output": %s,\n{pad}"semaphores": "%s"%.0s%.0s'
 
-    def encode(snapshot: Snapshot) -> str:
-        return (
-            head % snapshot.values
-            + _escape(snapshot.output)
-            + '";sems='
-            + bytes(snapshot.semaphores).translate(_UD).decode()
-            + keys0[snapshot.status0]
-            + keys1[snapshot.status1]
+    def format(snapshot: Snapshot) -> str:
+        _, values, output, semaphores, status0, status1 = snapshot
+        return head % values + tail % (
+            escape(output),
+            bytes(semaphores).translate(_UD).decode(),
+            "done" if status0 == DONE else f"run@{status0}",
+            "done" if status1 == DONE else f"run@{status1}",
         )
 
-    return encode
+    return format
 
 
 _blake2b = None  # the blake2b constructor, loaded by the first digest
@@ -250,8 +253,8 @@ def digest(snapshot: Snapshot, encode: Callable[[Snapshot], str] = Snapshot.cano
 
     Deterministic across runs and platforms.  A lone surrogate in the
     output is hashed as its ``surrogatepass`` bytes.  ``encode`` gives
-    the serialization; a program's :func:`canonical_encoder` gives the
-    same string as :meth:`Snapshot.canonical`, faster.
+    the serialization; a program's ``compiled.encode`` gives the same
+    string as :meth:`Snapshot.canonical` without building its format.
     """
     data = encode(snapshot).encode("utf-8", "surrogatepass")
     return (_blake2b or _load_blake2b())(data, digest_size=16).digest()

@@ -6,6 +6,11 @@ a list of lines joined at the end.  It builds the whole report in memory
 more than once, which is what the streaming writer replaced; the
 differential tests in ``test_analysis.py`` require the writer to give the
 same bytes as this module on every report.
+
+:func:`canonical` is the reference for the canonical snapshot layout,
+written from README's description and using none of paircheck's
+formatting code, so that ``Snapshot.canonical`` is never checked against
+itself.
 """
 
 from __future__ import annotations
@@ -13,7 +18,22 @@ from __future__ import annotations
 import json
 
 from paircheck.engine import ExplorationReport
-from paircheck.state import DIGEST_ALGORITHM, Race, Snapshot
+from paircheck.state import DIGEST_ALGORITHM, DONE, Race, Snapshot
+
+# README: backslash, double quote, newline, tab and carriage return are backslash-escaped
+_CANONICAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+
+
+def canonical(snapshot: Snapshot) -> str:
+    """``vars{name=value,...};out="...";sems=UD...;st0=...;st1=...``, as README lays it out."""
+    variables = ",".join(f"{name}={value}" for name, value in zip(snapshot.names, snapshot.values))
+    output = "".join(_CANONICAL_ESCAPES.get(char, char) for char in snapshot.output)
+    semaphores = "".join("U" if up else "D" for up in snapshot.semaphores)
+    status0, status1 = (
+        "done" if status == DONE else f"run@{status}"
+        for status in (snapshot.status0, snapshot.status1)
+    )
+    return f'vars{{{variables}}};out="{output}";sems={semaphores};st0={status0};st1={status1}'
 
 
 def _snapshot_dict(snapshot: Snapshot) -> dict:
@@ -83,14 +103,14 @@ def render_report(report: ExplorationReport, format: str = "text") -> str:
     lines.append(f"outcomes: {len(report.outcomes)}")
     for k, outcome in enumerate(report.outcomes, 1):
         lines.append(f"  [{k}] trace={outcome.trace or '(empty)'}")
-        lines.append(f"      {outcome.snapshot.canonical()}")
+        lines.append(f"      {canonical(outcome.snapshot)}")
 
     lines.append(f"races: {len(report.races)}")
     for k, race in enumerate(report.races, 1):
         lines.append(f"  [{k}] at counter {tuple(race.counter)}")
         if race.stored_snapshot is not None:
             lines.append(f"      stored : trace={race.stored_trace or '(empty)'}")
-            lines.append(f"               {race.stored_snapshot.canonical()}")
+            lines.append(f"               {canonical(race.stored_snapshot)}")
         else:
             assert race.stored_digest is not None
             lines.append(
@@ -98,7 +118,7 @@ def render_report(report: ExplorationReport, format: str = "text") -> str:
                 f"digest={race.stored_digest.hex()} (digest only)"
             )
         lines.append(f"      current: trace={race.current_trace or '(empty)'}")
-        lines.append(f"               {race.current_snapshot.canonical()}")
+        lines.append(f"               {canonical(race.current_snapshot)}")
     if report.races:
         lines.append(
             "  note: schedules beyond a recorded race are not explored; "

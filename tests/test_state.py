@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
+import report_oracle
 from conftest import REPO_ROOT
 from corpus import fixed_corpus
 from paircheck import engine, state
@@ -333,11 +334,13 @@ class TestDigest:
 
 # variable names that are format directives, which the encoder must not expand
 _FORMAT_NAMES = ProgramPair(ThreadProgram(()), ThreadProgram(()), 0, (("%s", 0), ("{}", 0)))
+# a hand-built status below DONE: its text is run@-2, never a run@ index of the thread
+_STATUS_BELOW_DONE = parse("var x; thread0 { x = 1; x = 2; } thread1 { x = 3; }")
 
 
 @st.composite
 def _program_snapshots(draw):
-    """A hand-built program and one snapshot of it, for the compiled encoder."""
+    """A hand-built program and one snapshot of it, its statuses in range or not."""
     names = draw(st.lists(st.text("xy%{}=,", min_size=1, max_size=3), unique=True, max_size=4))
     lengths = [draw(st.sampled_from([0, 1, 3, 1024])) for _ in range(2)]
     semaphores = tuple(draw(st.lists(st.booleans(), max_size=8)))
@@ -350,7 +353,10 @@ def _program_snapshots(draw):
     values = [draw(extreme | st.integers(-(2**63), 2**63 - 1)) for _ in names]
     special = st.sampled_from(['\\', '"', "\n", "\t", "\r", "%", "{", "a", "\ud800", "\x00", "é"])
     statuses = [
-        draw(st.sampled_from([DONE, *range(length)[:2], *range(length)[-1:]])) for length in lengths
+        draw(st.sampled_from([
+            DONE, *range(length)[:2], *range(length)[-1:], -2, length, length + 3,
+        ]))
+        for length in lengths
     ]
     snapshot = Snapshot(
         names=pair.names,
@@ -363,8 +369,14 @@ def _program_snapshots(draw):
     return pair, snapshot
 
 
+def _assert_one_layout(encode, snapshot):
+    """The compiled encoder, ``canonical()`` and the reference agree, and so do their digests."""
+    assert encode(snapshot) == snapshot.canonical() == report_oracle.canonical(snapshot)
+    assert digest(snapshot, encode) == digest(snapshot) == digest(snapshot, report_oracle.canonical)
+
+
 class TestCompiledEncoder:
-    """A program's compiled encoder gives exactly the bytes of ``Snapshot.canonical``."""
+    """A program's compiled encoder and ``Snapshot.canonical`` write the reference layout."""
 
     def test_every_state_an_exhaustive_search_reaches(self, monkeypatch):
         reached = []
@@ -378,32 +390,37 @@ class TestCompiledEncoder:
         for pair in fixed_corpus(200):
             reached[:] = [initial_interleaving(pair).snapshot]
             explore(pair, ExplorationConfig(pruning=False, race_detection=False))
-            encode = pair.compiled.encode
             for snap in reached:
-                assert encode(snap) == snap.canonical()
-                assert digest(snap, encode) == digest(snap)
+                _assert_one_layout(pair.compiled.encode, snap)
 
     @given(_program_snapshots())
     @example((_FORMAT_NAMES, initial_interleaving(_FORMAT_NAMES).snapshot))
+    @example((
+        _STATUS_BELOW_DONE,
+        initial_interleaving(_STATUS_BELOW_DONE).snapshot._replace(status0=-2),
+    ))
     def test_hand_built_programs(self, case):
         pair, snapshot = case
-        encode = pair.compiled.encode
-        assert encode(snapshot) == snapshot.canonical()
-        assert digest(snapshot, encode) == digest(snapshot)
+        _assert_one_layout(pair.compiled.encode, snapshot)
 
 
 class TestCanonicalSerialization:
+    """``Snapshot.canonical`` and the reference both give README's layout."""
+
     def test_exact_layout(self):
         snap = make_snapshot()
-        assert snap.canonical() == 'vars{x=1,y=2};out="ab";sems=UD;st0=run@1;st1=done'
+        expected = 'vars{x=1,y=2};out="ab";sems=UD;st0=run@1;st1=done'
+        assert snap.canonical() == report_oracle.canonical(snap) == expected
 
     def test_variables_sorted_by_name(self):
         pair = parse("var b = 2; var a = 1; thread0 { } thread1 { }")
         snap = initial_interleaving(pair).snapshot
+        assert snap.canonical() == report_oracle.canonical(snap)
         assert snap.canonical().startswith("vars{a=1,b=2};")
 
     def test_output_escaping(self):
         snap = make_snapshot(output='a"b\\c\nd')
+        assert snap.canonical() == report_oracle.canonical(snap)
         assert 'out="a\\"b\\\\c\\nd"' in snap.canonical()
 
 
