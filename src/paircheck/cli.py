@@ -13,10 +13,9 @@ Exit codes:
 When several findings apply, the lowest nonzero code wins.
 
 Every command writes stdout through one writer, as UTF-8 whatever the
-locale's encoding; ``check`` streams its report one record at a time and
-``bench`` its text table one row at a time.  A closed stdout or a closed or
-unwritable stderr keeps the exit code, and errors never go to stdout; a
-closed stdin read as ``-`` is an input error.
+locale's encoding, in blocks of whole chunks of at least 64 KiB.  A closed
+stdout or a closed or unwritable stderr keeps the exit code, and errors
+never go to stdout; a closed stdin read as ``-`` is an input error.
 
 Each ``_cmd_*`` imports the modules it runs.  No command loads
 ``dataclasses``: the records are NamedTuples or plain slotted classes.
@@ -28,8 +27,8 @@ on a parse error, no ``hashlib`` or ``json``, and ``_blake2`` only with
 
 The console script and ``python -m paircheck`` run through :func:`entry`,
 which turns the cyclic garbage collector off for the whole process, since
-nothing the checker allocates can form a reference cycle.  :func:`main`
-leaves the collector as its caller set it.
+nothing the checker allocates can form a reference cycle, and freezes what
+is live at exit.  :func:`main` leaves the collector as its caller set it.
 """
 
 from __future__ import annotations
@@ -39,10 +38,12 @@ import gc
 import io
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from enum import IntEnum
 
 __all__ = ["ExitStatus", "main", "entry"]
+
+_BLOCK = 1 << 16  # characters: every block of stdout but the last is at least 64 KiB of UTF-8
 
 
 class ExitStatus(IntEnum):
@@ -135,12 +136,25 @@ def _to_devnull(stream) -> None:
     os.close(devnull)
 
 
+def _blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """Whole chunks joined into blocks of at least ``_BLOCK`` characters; the last may be less."""
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        if (size := size + len(chunk)) >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    yield "".join(block)
+
+
 def _write_stdout(chunks: Iterable[str]) -> None:
-    """Write text chunks to stdout as UTF-8 bytes, one chunk at a time.
+    """Write text chunks to stdout as UTF-8 bytes, each of :func:`_blocks` encoded once.
 
     A stdout with no byte layer under it (an ``io.StringIO`` put in place by
     ``contextlib.redirect_stdout``) takes the text as it is.  If the reader
-    closes the pipe, the rest is dropped; the caller's exit code stands.
+    closes the pipe, the rest is dropped; the caller's exit code stands.  Any
+    other error, a full non-blocking pipe too, is raised with stdout on the
+    null device, so that the interpreter's flush at exit cannot fail again.
     """
     stdout = sys.stdout
     if stdout is None:  # fd 1 was closed at start-up (``>&-``)
@@ -150,12 +164,18 @@ def _write_stdout(chunks: Iterable[str]) -> None:
         stdout.flush()  # text written earlier through sys.stdout goes first
         if buffer is None:
             stdout.writelines(chunks)
-        else:
-            for chunk in chunks:
-                buffer.write(chunk.encode("utf-8"))
-            buffer.flush()
-    except BrokenPipeError:
+            return
+        for block in _blocks(chunks):
+            data = memoryview(block.encode("utf-8"))
+            while data:  # an unbuffered stdout may write less than it is given
+                if (written := buffer.write(data)) is None:  # a non-blocking one took nothing
+                    raise BlockingIOError("stdout would block")
+                data = data[written:]
+        buffer.flush()
+    except OSError as exc:
         _to_devnull(stdout)
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _write_stderr(message: str) -> None:
@@ -276,7 +296,10 @@ def entry() -> None:
     Nothing paircheck allocates refers back to itself, so the cyclic
     collector would free nothing here: it would only scan the tuples that
     every step allocates.  Peak memory stays the same.  The process ends
-    with the command, so the setting is not restored.
+    with the command, so the setting is not restored, and ``gc.freeze()``
+    then leaves the interpreter's last collection at exit nothing to scan.
     """
     gc.disable()
-    raise SystemExit(main())
+    status = main()
+    gc.freeze()
+    raise SystemExit(status)

@@ -1,13 +1,13 @@
 """Report writer: an :class:`~paircheck.engine.ExplorationReport` as text or JSON.
 
-Both formats are written one record (outcome, race or finding) per chunk,
-so no report is ever held whole.  The JSON writer spells out the
-``json.dumps(..., indent=2)`` layout of the fixed schema and escapes every
-string with the C escaper ``json.dumps`` uses under its default
-``ensure_ascii=True``, so it writes the same bytes, all of them ASCII.
-Each outcome and race record is one ``%``-format over a fixed template,
-whose snapshot members come from ``state.snapshot_formatter``; the text
-report's snapshot lines do too.  A formatter is built once per report for
+Both formats are made one record (outcome, race or finding) per chunk;
+``check`` writes whole chunks in 64 KiB blocks, never the whole report.  The
+JSON writer spells out the ``json.dumps(..., indent=2)`` layout of the fixed
+schema and escapes every string with the C escaper ``json.dumps`` uses under
+its default ``ensure_ascii=True``, so it writes the same bytes, all of them
+ASCII.  Each outcome and race record is one ``%``-format over a fixed
+template, whose snapshot members come from ``state.snapshot_formatter``; the
+text report's snapshot lines do too.  A formatter is built once per report for
 each program whose snapshots the report holds.
 """
 

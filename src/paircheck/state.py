@@ -206,33 +206,35 @@ def snapshot_formatter(names: tuple[str, ...], pad: str | None = None) -> Callab
 
     With no ``pad`` it writes :meth:`Snapshot.canonical`; a program binds
     it as its ``compiled.encode``.  With ``pad`` it writes the members of
-    the snapshot's JSON object (variables, output and semaphores, no
-    statuses) in the ``json.dumps(..., indent=2)`` layout, the second and
-    third at indent ``pad``, ASCII-escaped as ``json.dumps`` does.  The
+    the snapshot's JSON object (variables, output and semaphores; no status
+    is formatted) in the ``json.dumps(..., indent=2)`` layout, the second
+    and third at indent ``pad``, ASCII-escaped as ``json.dumps`` does.  The
     variables are one ``%``-format built here, once per program.
     """
-    if pad is None:
-        escape = _escape
-        head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
-        tail = 'out="%s";sems=%s;st0=%s;st1=%s'
-    else:
-        escape = _esc
+    if pad is not None:
         inner = pad + "  "
         variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
         head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
-        # each %.0s takes a status and writes nothing: the JSON schema has no statuses
-        tail = f'\n{pad}"output": %s,\n{pad}"semaphores": "%s"%.0s%.0s'
+        tail = f'\n{pad}"output": %s,\n{pad}"semaphores": "%s"'
 
-    def format(snapshot: Snapshot) -> str:
+        def members(snapshot: Snapshot) -> str:
+            _, values, output, semaphores, _, _ = snapshot
+            return head % values + tail % (_esc(output), bytes(semaphores).translate(_UD).decode())
+
+        return members
+    head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
+    tail = 'out="%s";sems=%s;st0=%s;st1=%s'
+
+    def canonical(snapshot: Snapshot) -> str:
         _, values, output, semaphores, status0, status1 = snapshot
         return head % values + tail % (
-            escape(output),
+            _escape(output),
             bytes(semaphores).translate(_UD).decode(),
             "done" if status0 == DONE else f"run@{status0}",
             "done" if status1 == DONE else f"run@{status1}",
         )
 
-    return format
+    return canonical
 
 
 _blake2b = None  # the blake2b constructor, loaded by the first digest

@@ -1,6 +1,8 @@
 import contextlib
+import fcntl
 import functools
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ import sys
 import pytest
 
 from conftest import PROGRAMS_DIR, REPO_ROOT, program_paths
-from paircheck.cli import ExitStatus, main
+from paircheck import ExplorationConfig, explore, iter_report, parse, render_report
+from paircheck.cli import _BLOCK, ExitStatus, _blocks, main
 from paircheck.toylang import MAX_NESTING
+from test_analysis import RACY_24
 
 
 def run(capsys, *argv):
@@ -368,13 +372,19 @@ class TestInstrumentCommand:
         assert out == "void f() { hook(); é(); }\n"
 
 
-def paircheck_process(argv, encoding="utf-8", **popen):
+def paircheck_process(argv, encoding="utf-8", unbuffered=None, **popen):
     """Start ``python -m paircheck`` with stdout in the given encoding.
 
-    Stdout and stderr are pipes unless ``popen`` names other targets.
+    Stdout and stderr are pipes unless ``popen`` names other targets.  With
+    ``unbuffered`` true or false, ``PYTHONUNBUFFERED`` is set or removed;
+    with ``None`` the child inherits it.
     """
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    elif unbuffered is not None:
+        env.pop("PYTHONUNBUFFERED", None)
     popen = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **popen}
     return subprocess.Popen([sys.executable, "-m", "paircheck", *argv], env=env, **popen)
 
@@ -501,6 +511,142 @@ class TestStdoutBytes:
             proc = paircheck_process(argv, **popen)
             out, _ = proc.communicate(timeout=60)
         assert (proc.returncode, out) == (ExitStatus.INPUT_ERROR, b"")
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+
+
+class ShortWriter(io.RawIOBase):
+    """A raw stdout that takes at most ``limit`` bytes a call, and none once it holds ``full``.
+
+    Taking none, it returns ``None``, as a non-blocking raw stream does.
+    """
+
+    def __init__(self, limit: int, full: int | None = None, fd: int | None = None):
+        super().__init__()
+        self.limit, self.full, self.fd = limit, full, fd
+        self.data = bytearray()
+        self.calls = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def fileno(self) -> int:
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+    def write(self, data) -> int | None:
+        self.calls += 1
+        if self.full is not None and len(self.data) >= self.full:
+            return None
+        taken = bytes(data[: self.limit])
+        self.data += taken
+        return len(taken)
+
+
+class TestBlockWriter:
+    """Stdout is written in blocks of whole chunks, all of each block however short the writes."""
+
+    @staticmethod
+    def expected(source: str, fmt: str, digest: bool = False) -> bytes:
+        report = explore(parse(source), ExplorationConfig(digest_mode=digest))
+        return render_report(report, fmt).encode()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_blocks_are_whole_chunks_of_at_least_64_kib(self, fmt):
+        chunks = list(iter_report(explore(parse(RACY_24)), fmt))
+        blocks = list(_blocks(chunks))
+        assert "".join(blocks) == "".join(chunks)
+        assert len(blocks) > 2
+        assert all(len(block) >= _BLOCK for block in blocks[:-1])
+        chunk_ends = set(itertools.accumulate(map(len, chunks)))
+        assert set(itertools.accumulate(map(len, blocks))) <= chunk_ends
+
+    def test_one_block_for_a_short_report(self):
+        chunks = list(iter_report(explore(parse(RACY_24)), "json"))[:3]
+        assert list(_blocks(chunks)) == ["".join(chunks)]
+        assert list(_blocks([])) == [""]
+
+    @pytest.mark.parametrize("limit", [1_000, 1 << 20], ids=["short-writes", "whole-writes"])
+    def test_raw_stdout_gets_the_whole_report(self, monkeypatch, capsys, tmp_path, limit):
+        source = tmp_path / "racy24.toy"
+        source.write_text(RACY_24, encoding="utf-8")
+        raw = ShortWriter(limit)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+        assert main(["check", "--format", "json", str(source)]) == ExitStatus.RACE
+        assert bytes(raw.data) == self.expected(RACY_24, "json")
+        # each block is written once, a short write followed by a write of the rest
+        blocks = [len(block) for block in _blocks(iter_report(explore(parse(RACY_24)), "json"))]
+        assert raw.calls == sum(-(-size // limit) for size in blocks)
+        assert capsys.readouterr().err == ""
+
+    def test_raw_stdout_that_would_block_is_an_internal_error(self, monkeypatch, capsys, tmp_path):
+        # the writer raises once stdout points at the null device, here a pipe of the test's own
+        source = tmp_path / "racy24.toy"
+        source.write_text(RACY_24, encoding="utf-8")
+        read, write = os.pipe()
+        try:
+            raw = ShortWriter(1_000, full=3_000, fd=write)
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8"))
+            assert main(["check", "--format", "json", str(source)]) == ExitStatus.INTERNAL_ERROR
+            assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+        finally:
+            os.close(read)
+            os.close(write)
+        assert bytes(raw.data) == self.expected(RACY_24, "json")[:3_000]
+        assert capsys.readouterr().err.startswith("internal error: BlockingIOError: ")
+
+    @pytest.mark.parametrize("digest", [False, True], ids=["full", "digest"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["racy24", "ab12"])
+    def test_console_output_does_not_depend_on_buffering(self, tmp_path, name, fmt, digest):
+        # racy24's report is several blocks, ab12's one
+        source = RACY_24 if name == "racy24" else (PROGRAMS_DIR / "ab12.toy").read_text()
+        path = tmp_path / f"{name}.toy"
+        path.write_text(source, encoding="utf-8")
+        argv = ["check", "--format", fmt, *(["--digest"] if digest else []), str(path)]
+        want = (ExitStatus.RACE, self.expected(source, fmt, digest), b"")
+        for unbuffered in (True, False):
+            proc = paircheck_process(argv, unbuffered=unbuffered)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == want, unbuffered
+
+    @BUFFERING
+    def test_reader_that_stops_after_100_bytes(self, tmp_path, unbuffered):
+        path = tmp_path / "racy24.toy"
+        path.write_text(RACY_24, encoding="utf-8")
+        proc = paircheck_process(["check", "--format", "json", str(path)], unbuffered=unbuffered)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (ExitStatus.RACE, b"")
+
+    @BUFFERING
+    def test_full_non_blocking_pipe_is_an_internal_error(self, tmp_path, unbuffered):
+        # a pipe read only once the child has exited fills after its first
+        # 64 KiB; the report must not be cut short silently, nor the exit
+        # code changed by the interpreter's flush at exit
+        path = tmp_path / "racy24.toy"
+        path.write_text(RACY_24, encoding="utf-8")
+        read, write = os.pipe()
+        fcntl.fcntl(write, fcntl.F_SETFL, fcntl.fcntl(write, fcntl.F_GETFL) | os.O_NONBLOCK)
+        try:
+            proc = paircheck_process(
+                ["check", "--format", "json", str(path)], unbuffered=unbuffered, stdout=write
+            )
+            os.close(write)
+            _, err = proc.communicate(timeout=60)
+            with os.fdopen(read, "rb") as pipe:
+                out = pipe.read()
+        except BaseException:
+            os.close(read)
+            raise
+        want = self.expected(RACY_24, "json")
+        assert proc.returncode == ExitStatus.INTERNAL_ERROR
+        assert err.startswith(b"internal error: BlockingIOError: ")
+        assert len(out) < len(want) and want.startswith(out)
 
 
 class TestUsage:

@@ -4,6 +4,8 @@ The console script runs with the cyclic garbage collector off (``cli.entry``),
 which is sound only while the checker's states, reports and errors are plain
 acyclic data: the collector would never have freed any of them.  These tests
 run the library with the collector off and then ask it what is left to free.
+Once the command is done, ``cli.entry`` also freezes what is live, so the
+interpreter's last collection at exit has nothing to scan.
 """
 
 import contextlib
@@ -120,3 +122,28 @@ def test_main_leaves_the_collector_as_it_found_it(collector_setting, enabled):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", str(PROGRAMS_DIR / "ab12.toy")]) == 1
     assert gc.isenabled() is enabled
+
+
+def test_console_entry_freezes_what_is_live_at_exit(tmp_path):
+    command = command_code("check", str(PROGRAMS_DIR / "ab12.toy"))
+    expression = "__import__('gc').get_freeze_count() > 0"
+    assert value_at_exit(tmp_path, command, expression) == (1, "True")
+
+
+@pytest.mark.parametrize("command", ["check", "bench", "instrument"])
+def test_main_leaves_the_collector_and_the_frozen_objects_as_it_found_them(
+    collector_setting, tmp_path, command
+):
+    source = tmp_path / "count.c"
+    source.write_text(C_SOURCE, encoding="utf-8")
+    argv = {
+        "check": ["check", str(PROGRAMS_DIR / "ab12.toy")],
+        "bench": ["bench", "--max", "3"],
+        "instrument": ["instrument", str(source)],
+    }[command]
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        frozen = gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -402,6 +403,28 @@ class TestCompiledEncoder:
     def test_hand_built_programs(self, case):
         pair, snapshot = case
         _assert_one_layout(pair.compiled.encode, snapshot)
+
+
+class TestJsonMembers:
+    """A program's JSON snapshot members are ``json.dumps``'s, whatever the statuses."""
+
+    @given(_program_snapshots(), st.sampled_from(["  ", " " * 6, " " * 10]))
+    @example((_FORMAT_NAMES, initial_interleaving(_FORMAT_NAMES).snapshot), "  ")
+    @example(
+        (
+            _STATUS_BELOW_DONE,
+            initial_interleaving(_STATUS_BELOW_DONE).snapshot._replace(
+                status0=-2, status1=len(_STATUS_BELOW_DONE.thread1.statements) + 3
+            ),
+        ),
+        " " * 10,
+    )
+    def test_hand_built_programs(self, case, pad):
+        pair, snapshot = case
+        members = state.snapshot_formatter(pair.names, pad)(snapshot)
+        outer = pad[2:]  # the snapshot object's braces sit one level out
+        expected = json.dumps(report_oracle._snapshot_dict(snapshot), indent=2)
+        assert "{\n" + pad + members + "\n" + outer + "}" == expected.replace("\n", "\n" + outer)
 
 
 class TestCanonicalSerialization:
