@@ -85,14 +85,18 @@ class InstrumentError(Exception):
 class InstrumentOptions:
     """The hook token to insert, and whether to skip already-hooked statements.
 
-    A plain slotted class whose ``__init__`` validates the token, and frozen
-    as ``state.Record`` is, which this module does not load: setting or
-    deleting a field raises ``AttributeError``.
+    A plain slotted class whose ``__init__`` validates both fields, and
+    frozen as ``state.Record`` is, which this module does not load: setting
+    or deleting a field raises ``AttributeError``.
     """
 
     __slots__ = ("hook_token", "skip_redundant")
 
     def __init__(self, hook_token: str = "hook();", skip_redundant: bool = False):
+        if type(hook_token) is not str:
+            raise TypeError(f"hook_token is not a str: {hook_token!r}")
+        if type(skip_redundant) is not bool:
+            raise TypeError(f"skip_redundant is not a bool: {skip_redundant!r}")
         # a token that opens a brace, literal or comment, or spans lines,
         # would change the code it is inserted into and not strip back
         if not (hook_token[:1].isalpha() or hook_token[:1] == "_") or any(

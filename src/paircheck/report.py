@@ -39,9 +39,7 @@ def _formatter(pad: str | None = None) -> Callable[[Snapshot], str]:
 
 
 def _json_object(pad: str, members: list[str]) -> str:
-    """An object whose closing brace sits at indent ``pad``; ``{}`` if empty."""
-    if not members:
-        return "{}"
+    """A non-empty object whose closing brace sits at indent ``pad``."""
     inner = pad + "  "
     return "{\n" + inner + f",\n{inner}".join(members) + f"\n{pad}}}"
 
@@ -67,6 +65,7 @@ _DIGEST_RACE, _FULL_RACE = (
     _json_record(_COUNTER, '"stored": ' + _json_object(" " * 6, ['"trace": %s', stored]), _CURRENT)
     for stored in ('"digest": "%s"', _SNAPSHOT)
 )
+_FINDING = _json_record(_COUNTER, '"trace": %s')
 
 
 def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
@@ -85,9 +84,9 @@ def _json_races(races: Iterable[Race]) -> Iterator[str]:
             yield _FULL_RACE % (*counter, _esc(stored_trace), members(stored), *current_side)
 
 
-def _json_finding(finding: PartialInterleaving) -> str:
-    counter = f'"counter": {_json_counter(" " * 6, finding.counter)}'
-    return _json_record(counter, f'"trace": {_esc(finding.trace)}')
+def _json_findings(findings: Iterable[PartialInterleaving]) -> Iterator[str]:
+    for _, trace, counter in findings:
+        yield _FINDING % (*counter, _esc(trace))
 
 
 def _json_array(key: str, records: Iterable[str]) -> Iterator[str]:
@@ -109,8 +108,8 @@ def _json_chunks(report: ExplorationReport) -> Iterator[str]:
     )
     yield from _json_array("outcomes", _json_outcomes(report.outcomes))
     yield from _json_array("races", _json_races(report.races))
-    yield from _json_array("deadlocks", map(_json_finding, report.deadlocks))
-    yield from _json_array("block_forever", map(_json_finding, report.block_forever))
+    yield from _json_array("deadlocks", _json_findings(report.deadlocks))
+    yield from _json_array("block_forever", _json_findings(report.block_forever))
     stats = [f'"{name}": {value}' for name, value in zip(report.stats._fields, report.stats)]
     yield f'  "stats": {_json_object("  ", stats)}\n}}\n'
 

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,12 @@ PROGRAMS_DIR = REPO_ROOT / "programs"
 # default profile's 100 examples; the properties in test_pipeline.py that
 # set their own count scale it by the same factor.
 settings.register_profile("long", max_examples=1000)
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """This environment plus ``variables``, with ``src`` first on a child's ``PYTHONPATH``."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
 
 
 def program_paths() -> list[Path]:

@@ -263,6 +263,14 @@ class TestWriterAgainstOracle:
             for fmt in ("json", "text"):
                 assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("digest", [False, True], ids=["full", "digest"])
+    def test_racy_24(self, digest, fmt):
+        # the console tests' program: each race template, hundreds of times
+        report = explore(parse(RACY_24), ExplorationConfig(digest_mode=digest))
+        assert len(report.races) == 686
+        assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
+
     @given(
         st.lists(_EMIT_TEXT, min_size=1, max_size=3),
         st.lists(_EMIT_TEXT, min_size=1, max_size=3),

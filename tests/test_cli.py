@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from conftest import PROGRAMS_DIR, REPO_ROOT, program_paths
+from conftest import PROGRAMS_DIR, child_env, program_paths
 from paircheck import ExplorationConfig, explore, iter_report, parse, render_report
 from paircheck.cli import _BLOCK, ExitStatus, _blocks, main
 from paircheck.toylang import MAX_NESTING
@@ -275,6 +275,11 @@ class TestBench:
         assert code == ExitStatus.BUDGET_EXHAUSTED
         assert "error" in err
 
+    def test_over_budget_n_stops_before_it_builds_the_program(self, capsys):
+        code, out, err = run(capsys, "bench", "--min", "1000000000", "--max", "1000000000")
+        assert (code, out) == (ExitStatus.BUDGET_EXHAUSTED, "")
+        assert err == "error: exhaustive run for n=1000000000 exceeded the step budget\n"
+
 
 class TestInstrumentCommand:
     def test_instrument_to_stdout(self, tmp_path, capsys):
@@ -379,8 +384,7 @@ def paircheck_process(argv, encoding="utf-8", unbuffered=None, **popen):
     ``unbuffered`` true or false, ``PYTHONUNBUFFERED`` is set or removed;
     with ``None`` the child inherits it.
     """
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONIOENCODING=encoding)
+    env = child_env(PYTHONIOENCODING=encoding)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     elif unbuffered is not None:

@@ -1,12 +1,11 @@
 """Each demo script runs to exit 0 against the checkout's sources."""
 
-import os
 import subprocess
 import sys
 
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, child_env
 
 DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
 
@@ -17,11 +16,10 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=REPO_ROOT,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

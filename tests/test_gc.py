@@ -11,10 +11,12 @@ interpreter's last collection at exit has nothing to scan.
 import contextlib
 import gc
 import io
+import subprocess
+import sys
 
 import pytest
 
-from conftest import PROGRAMS_DIR, program_paths
+from conftest import PROGRAMS_DIR, child_env, program_paths
 from corpus import fixed_corpus
 from paircheck import (
     ExplorationConfig,
@@ -30,6 +32,7 @@ from paircheck import (
 )
 from paircheck.cli import main
 from paircheck.instrument import InstrumentOptions, instrument, strip
+from test_analysis import RACY_24
 from test_package import command_code, value_at_exit
 from test_report_pins import MODES
 
@@ -114,6 +117,33 @@ def test_command_garbage_does_not_grow_with_the_search(collector_off, tmp_path):
 def test_console_entry_runs_with_the_collector_off(tmp_path):
     command = command_code("check", str(PROGRAMS_DIR / "ab12.toy"))
     assert value_at_exit(tmp_path, command, "__import__('gc').isenabled()") == (1, "False")
+
+
+# main() with the collector on, collecting at almost every allocation
+COLLECTING = (
+    "import gc, sys; gc.enable(); gc.set_threshold(1)\n"
+    "from paircheck.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "name, flags, want",
+    [("racy24", [], 1), ("racy24", ["--digest"], 1), ("disjoint12", [], 0)],
+    ids=["racy24", "racy24-digest", "disjoint12"],
+)
+def test_report_does_not_depend_on_the_collector(tmp_path, name, flags, want, fmt):
+    source = RACY_24 if name == "racy24" else render(disjoint_pair(12))
+    path = tmp_path / f"{name}.toy"
+    path.write_text(source, encoding="utf-8")
+    argv = ["check", "--format", fmt, *flags, str(path)]
+    # ``python -m paircheck`` runs ``cli.entry``, which turns the collector off
+    off, on = (
+        subprocess.run([sys.executable, *run, *argv], env=child_env(), capture_output=True, timeout=60)
+        for run in (["-m", "paircheck"], ["-c", COLLECTING])
+    )
+    assert (off.returncode, off.stderr) == (on.returncode, on.stderr) == (want, b"")
+    assert off.stdout == on.stdout
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])

@@ -208,6 +208,22 @@ class TestHookToken:
         with pytest.raises(ValueError):
             InstrumentOptions(hook_token=token)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"skip_redundant": "false"}, "skip_redundant is not a bool: 'false'"),
+            ({"skip_redundant": None}, "skip_redundant is not a bool: None"),
+            ({"skip_redundant": 1}, "skip_redundant is not a bool: 1"),
+            ({"hook_token": None}, "hook_token is not a str: None"),
+            ({"hook_token": ["h"]}, r"hook_token is not a str: \['h'\]"),
+            ({"hook_token": b"h();"}, "hook_token is not a str: b'h\\(\\);'"),
+        ],
+        ids=["str-flag", "none-flag", "int-flag", "none-token", "list-token", "bytes-token"],
+    )
+    def test_wrong_type_names_the_field(self, options, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            InstrumentOptions(**options)
+
     def test_options_are_frozen(self):
         # a token set after construction would skip the check above
         opts = InstrumentOptions(hook_token="H();", skip_redundant=True)
@@ -263,6 +279,9 @@ def test_skip_redundant_idempotence_property(src):
     opts = InstrumentOptions(skip_redundant=True)
     once = instrument(src, opts)
     assert instrument(once, opts) == once
+    # every statement of the default output is covered, so skipping adds nothing
+    hooked = instrument(src)
+    assert instrument(hooked, opts) == hooked
 
 
 # ---------------------------------------------------------------------------

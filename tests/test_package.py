@@ -1,24 +1,22 @@
 """The package's lazy exports, and the modules each command loads."""
 
 import importlib
-import os
 import subprocess
 import sys
 
 import pytest
 
 import paircheck
-from conftest import PROGRAMS_DIR, REPO_ROOT
+from conftest import PROGRAMS_DIR, child_env
 
 
 def value_at_exit(tmp_path, code: str, expression: str) -> tuple[int, str]:
     """Exit code of ``python -c CODE`` and ``str(EXPRESSION)`` as it exits (``sys`` is imported)."""
     record = tmp_path / "at_exit.txt"
     dump = f"open({str(record)!r}, 'w').write(str({expression}))"
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", f"import atexit, sys; atexit.register(lambda: {dump})\n{code}"],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
         timeout=60,

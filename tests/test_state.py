@@ -1,5 +1,4 @@
 import json
-import os
 import random
 import subprocess
 import sys
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import report_oracle
-from conftest import REPO_ROOT
+from conftest import child_env
 from corpus import fixed_corpus
 from paircheck import engine, state
 from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay, step
@@ -23,6 +22,7 @@ from paircheck.state import (
     digest,
 )
 from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
+from test_analysis import RACY_24
 
 AB12 = parse('thread0 { emit "a"; emit "b"; } thread1 { emit "1"; emit "2"; }')
 COMMUTING = parse("var x; var y; thread0 { x = x + 1; } thread1 { y = y + 1; }")
@@ -247,38 +247,16 @@ class TestDigestTag:
         assert digest_calls == []
 
 
-# benchmarks/gen.py racy --seed 1 --length 24: races, equal revisits and every statement kind
-RACY_24 = """
-var v0 = -5; var v1 = 9; var v2 = -7; var v3 = -1;
-semaphores 2;
-thread0 {
-  down(0); v0 = v0 * v3 + 55; v0 = v1 - v3 + 45; v1 = v1 - v3 + 54; emit "a"; down(0);
-  emit "b"; emit "a"; emit "b"; v3 = v1 - v2 - 65; v3 = v0 + v3 - 54; v1 = v2 + v2 - 85;
-  v0 = v1 - v3 - 94; v0 = v3 - v0 - 83; up(0); down(0); v1 = v1 + v0 + 52;
-  v2 = v2 - v3 + 50; emit "a"; v1 = v3 - v0 - 73; v1 = v3 - v3 - 45; v0 = v2 * v3 + 30;
-  v1 = v1 * v0 - 5; emit "a";
-}
-thread1 {
-  v3 = v2 - v3 + 4; v2 = v3 - v2 + 34; v0 = v2 * v1 - 3; emit "x"; v0 = v3 + v1 + 58;
-  v3 = v1 + v3 + 51; emit "y"; v3 = v0 + v2 + 7; v2 = v0 - v0 - 96; v1 = v3 + v2 + 72;
-  emit "x"; down(0); emit "y"; v1 = v0 + v3 - 13; v1 = v3 - v1 + 86; v3 = v2 + v3 - 79;
-  v3 = v2 + v0 + 42; emit "x"; emit "y"; v3 = v1 * v2 + 49; up(1); down(1); down(1);
-  v1 = v0 + v0 + 22;
-}
-"""
-
-
 def test_digest_report_does_not_depend_on_the_hash_seed(tmp_path):
     # the hash seed picks which snapshots the tag tells apart, never the report
     source = tmp_path / "racy.toy"
     source.write_text(RACY_24, encoding="utf-8")
-    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     outputs = set()
     argv = ["check", "--digest", "--format", "json", str(source)]
     for seed in ("0", "1", "4242"):
         proc = subprocess.run(
             [sys.executable, "-m", "paircheck", *argv],
-            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            env=child_env(PYTHONHASHSEED=seed),
             capture_output=True,
             timeout=60,
         )
