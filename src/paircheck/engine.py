@@ -1,11 +1,12 @@
 """Depth-first exploration of all interleavings of a two-thread program.
 
-The search is one loop over an explicit stack of pending steps, each a
-``(state, thread, kind)`` triple; a thread is stepped only when its
-entry is popped.  Where both threads could execute a statement the step
-is a *branch* and thread 0's step is searched first; where the other
-thread would block it is *forced*; once one thread has finished, the
-other runs to completion one *completion* step at a time.  The kind
+The search is one loop that steps from each expanded state straight to
+its first successor.  Where both threads could execute a statement the
+step is a *branch*: thread 0 is stepped first, and the state goes on an
+explicit stack until thread 0's whole subtree is searched and thread 1's
+step is due.  Where the other thread would block the step is *forced*;
+once one thread has finished, the other runs to completion one
+*completion* step at a time.  The kind
 decides which statistic counts the step (``branch_statements``, none, or
 ``completion_statements``).  When more statements have run than the
 budget ``max_total_steps`` allows, the loop stops and the report is
@@ -57,8 +58,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .state import (
-    _I64_MIN, _U64, DONE, PartialInterleaving, PrunedEqual, Race, Record, Snapshot, StateTable,
-    _tuple_new, snapshot_formatter, wrap64,
+    _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Record, Snapshot,
+    StateTable, _tuple_new, snapshot_formatter, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -341,8 +342,8 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
 # Exploration
 # ---------------------------------------------------------------------------
 
-# How a pending step was scheduled: both threads could move, the other
-# thread would block, or the other thread is done.
+# How a step was scheduled: both threads could move, the other thread
+# would block, or the other thread is done.
 _BRANCH, _FORCED, _COMPLETION = range(3)
 
 
@@ -362,43 +363,45 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     cfg = cfg or ExplorationConfig()
     _, (blocks0, blocks1), encode = pair.compiled
     table = StateTable(cfg.digest_mode, encode) if cfg.race_detection else None
-    max_total_steps = cfg.max_total_steps
+    pruning, max_total_steps = cfg.pruning, cfg.max_total_steps
     outcomes: dict[Snapshot, PartialInterleaving] = {}
     races: list[Race] = []
     deadlocks: list[PartialInterleaving] = []
     block_forever: list[PartialInterleaving] = []
-    pending: list[tuple[PartialInterleaving, int, int]] = []
+    deferred: list[PartialInterleaving] = []  # branch states whose thread 1 step is still due
     executed = branch_statements = completion_statements = interleavings = pruned = 0
     complete = True
     i, kind = initial_interleaving(pair), _BRANCH  # the root is checked like a branch state
     while True:
         expand = True
         if table is not None:
-            match table.visit(i):
-                case PrunedEqual() if cfg.pruning:
-                    # the stored visit already explored this subtree
+            seen = table.visit(i)  # one of two singletons, else a Race
+            if seen is _PRUNED_EQUAL:
+                # the stored visit already explored this subtree
+                if pruning:
                     pruned += 1
                     expand = False
-                case Race() as race:
-                    races.append(race)
-                    # The stored visit already explored every schedule below
-                    # this counter, so the subtree is cut (states reachable
-                    # only from the divergent side go unexplored, inherent to
-                    # table-based detection).  A completion step has no
-                    # subtree to cut: its run goes on to the final outcome.
-                    expand = kind == _COMPLETION
+            elif seen is not _FIRST_VISIT:
+                races.append(seen)
+                # The stored visit already explored every schedule below
+                # this counter, so the subtree is cut (states reachable
+                # only from the divergent side go unexplored, inherent to
+                # table-based detection).  A completion step has no
+                # subtree to cut: its run goes on to the final outcome.
+                expand = kind == _COMPLETION
         if expand:
-            # Record the finding that ends at i, or push the steps leaving
-            # it; thread 1's step goes below thread 0's, so thread 0's
-            # whole subtree is searched first.
-            snap = i.snapshot
-            status0, status1 = snap.status0, snap.status1
+            # Record the finding that ends at i, or pick the step leaving
+            # it; a branch defers thread 1's step, so thread 0's whole
+            # subtree is searched first.
+            snap = i[0]
+            _, _, _, bank, status0, status1 = snap
             # each thread's next statement waits on semaphore k if k >= 0 and
             # it is raised; a finished thread (DONE) waits on none
             k0, k1 = blocks0[status0], blocks1[status1]
-            wb0 = k0 >= 0 and snap.semaphores[k0]
-            wb1 = k1 >= 0 and snap.semaphores[k1]
+            wb0 = k0 >= 0 and bank[k0]
+            wb1 = k1 >= 0 and bank[k1]
             done0, done1 = status0 == DONE, status1 == DONE
+            expand = False  # until a step leaving i is picked
             if done0 and done1:
                 interleavings += 1
                 outcomes.setdefault(snap, i)
@@ -406,17 +409,18 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
                 if wb0 or wb1:
                     block_forever.append(i)
                 else:
-                    pending.append((i, 1 if done0 else 0, _COMPLETION))
+                    tid, kind, expand = 1 if done0 else 0, _COMPLETION, True
             elif wb0 and wb1:
                 deadlocks.append(i)
             elif wb0 or wb1:
-                pending.append((i, 1 if wb0 else 0, _FORCED))
+                tid, kind, expand = 1 if wb0 else 0, _FORCED, True
             else:
-                pending.append((i, 1, _BRANCH))
-                pending.append((i, 0, _BRANCH))
-        if not pending:
-            break
-        i, tid, kind = pending.pop()
+                deferred.append(i)
+                tid, kind, expand = 0, _BRANCH, True
+        if not expand:
+            if not deferred:
+                break
+            i, tid, kind = deferred.pop(), 1, _BRANCH
         i = step(pair, i, tid)
         if kind == _BRANCH:
             branch_statements += 1

@@ -5,10 +5,11 @@ Both formats are made one record (outcome, race or finding) per chunk;
 JSON writer spells out the ``json.dumps(..., indent=2)`` layout of the fixed
 schema and escapes every string with the C escaper ``json.dumps`` uses under
 its default ``ensure_ascii=True``, so it writes the same bytes, all of them
-ASCII.  Each outcome and race record is one ``%``-format over a fixed
-template, whose snapshot members come from ``state.snapshot_formatter``; the
-text report's snapshot lines do too.  A formatter is built once per report for
-each program whose snapshots the report holds.
+ASCII.  Each outcome, race and finding record is one f-string with the
+layout spelled out in its literal, whose snapshot members come from
+``state.snapshot_formatter``; the text report's snapshot lines do too.  A
+formatter is built once per report for each program whose snapshots the
+report holds.
 """
 
 from __future__ import annotations
@@ -44,49 +45,38 @@ def _json_object(pad: str, members: list[str]) -> str:
     return "{\n" + inner + f",\n{inner}".join(members) + f"\n{pad}}}"
 
 
-def _json_counter(pad: str, counter: tuple[int, int]) -> str:
-    inner = pad + "  "
-    return f"[\n{inner}{counter[0]},\n{inner}{counter[1]}\n{pad}]"
-
-
 # Records are items of a top-level array: braces at indent 4, members at 6.
 # An outcome's snapshot members sit at indent 6, a race's at 10.
-
-
-def _json_record(*members: str) -> str:
-    return "    " + _json_object("    ", list(members))
-
-
-_OUTCOME = _json_record('"trace": %s', "%s")
-_COUNTER = f'"counter": {_json_counter(" " * 6, ("%s", "%s"))}'
-_SNAPSHOT = '"snapshot": ' + _json_object(" " * 8, ["%s"])
-_CURRENT = '"current": ' + _json_object(" " * 6, ['"trace": %s', _SNAPSHOT])
-_DIGEST_RACE, _FULL_RACE = (
-    _json_record(_COUNTER, '"stored": ' + _json_object(" " * 6, ['"trace": %s', stored]), _CURRENT)
-    for stored in ('"digest": "%s"', _SNAPSHOT)
-)
-_FINDING = _json_record(_COUNTER, '"trace": %s')
 
 
 def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
     members = _formatter(" " * 6)
     for snapshot, trace, _ in outcomes:
-        yield _OUTCOME % (_esc(trace), members(snapshot))
+        yield f'    {{\n      "trace": {_esc(trace)},\n      {members(snapshot)}\n    }}'
 
 
 def _json_races(races: Iterable[Race]) -> Iterator[str]:
     members = _formatter(" " * 10)
-    for counter, stored_trace, stored, digest, trace, current in races:
-        current_side = (_esc(trace), members(current))
+    for (s0, s1), stored_trace, stored, digest, trace, current in races:
         if stored is None:  # digest mode: the stored side is a trace and a digest
-            yield _DIGEST_RACE % (*counter, _esc(stored_trace), digest.hex(), *current_side)
+            stored_side = f'"digest": "{digest.hex()}"'
         else:
-            yield _FULL_RACE % (*counter, _esc(stored_trace), members(stored), *current_side)
+            stored_side = f'"snapshot": {{\n          {members(stored)}\n        }}'
+        yield (
+            f'    {{\n      "counter": [\n        {s0},\n        {s1}\n      ],\n'
+            f'      "stored": {{\n        "trace": {_esc(stored_trace)},\n'
+            f'        {stored_side}\n      }},\n'
+            f'      "current": {{\n        "trace": {_esc(trace)},\n'
+            f'        "snapshot": {{\n          {members(current)}\n        }}\n      }}\n    }}'
+        )
 
 
 def _json_findings(findings: Iterable[PartialInterleaving]) -> Iterator[str]:
-    for _, trace, counter in findings:
-        yield _FINDING % (*counter, _esc(trace))
+    for _, trace, (s0, s1) in findings:
+        yield (
+            f'    {{\n      "counter": [\n        {s0},\n        {s1}\n      ],\n'
+            f'      "trace": {_esc(trace)}\n    }}'
+        )
 
 
 def _json_array(key: str, records: Iterable[str]) -> Iterator[str]:

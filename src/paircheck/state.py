@@ -199,6 +199,13 @@ class Snapshot(NamedTuple):
 
 
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a semaphore bank's bytes to its U/D key
+_MEMO_SIZE = 1024  # texts a formatter keeps per memo; a miss past this is made, not kept
+
+
+def _remember(memo: dict, key: object, text: str) -> str:
+    if len(memo) < _MEMO_SIZE:
+        memo[key] = text
+    return text
 
 
 def snapshot_formatter(names: tuple[str, ...], pad: str | None = None) -> Callable[[Snapshot], str]:
@@ -209,30 +216,46 @@ def snapshot_formatter(names: tuple[str, ...], pad: str | None = None) -> Callab
     the snapshot's JSON object (variables, output and semaphores; no status
     is formatted) in the ``json.dumps(..., indent=2)`` layout, the second
     and third at indent ``pad``, ASCII-escaped as ``json.dumps`` does.  The
-    variables are one ``%``-format built here, once per program.
+    variables are one ``%``-format built here, once per program.  Each
+    formatter makes the U/D text of a bank, and the text of an int status,
+    once per distinct value, in memos of at most ``_MEMO_SIZE`` entries.
     """
+    banks: dict[tuple[bool, ...], str] = {}
     if pad is not None:
         inner = pad + "  "
         variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
         head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
-        tail = f'\n{pad}"output": %s,\n{pad}"semaphores": "%s"'
 
         def members(snapshot: Snapshot) -> str:
-            _, values, output, semaphores, _, _ = snapshot
-            return head % values + tail % (_esc(output), bytes(semaphores).translate(_UD).decode())
+            _, values, output, bank, _, _ = snapshot
+            try:
+                sems = banks[bank]
+            except KeyError:
+                sems = _remember(banks, bank, bytes(bank).translate(_UD).decode())
+            return head % values + f'\n{pad}"output": {_esc(output)},\n{pad}"semaphores": "{sems}"'
 
         return members
     head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
-    tail = 'out="%s";sems=%s;st0=%s;st1=%s'
+    statuses = {DONE: "done"}
 
     def canonical(snapshot: Snapshot) -> str:
-        _, values, output, semaphores, status0, status1 = snapshot
-        return head % values + tail % (
-            _escape(output),
-            bytes(semaphores).translate(_UD).decode(),
-            "done" if status0 == DONE else f"run@{status0}",
-            "done" if status1 == DONE else f"run@{status1}",
-        )
+        _, values, output, bank, status0, status1 = snapshot
+        # most outputs hold none of the five characters _escape replaces
+        if "\\" in output or '"' in output or "\n" in output or "\t" in output or "\r" in output:
+            output = _escape(output)
+        try:
+            sems = banks[bank]
+        except KeyError:
+            sems = _remember(banks, bank, bytes(bank).translate(_UD).decode())
+        try:
+            st0 = statuses[status0]
+        except KeyError:
+            st0 = _remember(statuses, status0, f"run@{status0}")
+        try:
+            st1 = statuses[status1]
+        except KeyError:
+            st1 = _remember(statuses, status1, f"run@{status1}")
+        return head % values + f'out="{output}";sems={sems};st0={st0};st1={st1}'
 
     return canonical
 
@@ -329,9 +352,10 @@ class StateTable:
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
 
-        Returns ``FirstVisit`` (entry stored), ``PrunedEqual`` (stored
-        state equal; table unchanged), or a ``Race`` record of both visits
-        (states differ; table unchanged).  In digest mode a revisit is
+        Returns the one ``FirstVisit`` (entry stored), the one
+        ``PrunedEqual`` (stored state equal; table unchanged), or a ``Race``
+        record of both visits (states differ; table unchanged), so a caller
+        may tell them apart by identity.  In digest mode a revisit is
         digested only when its tag matches: equal snapshots share a tag.
         """
         snapshot, trace, counter = interleaving

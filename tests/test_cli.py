@@ -567,6 +567,10 @@ class TestBlockWriter:
         chunk_ends = set(itertools.accumulate(map(len, chunks)))
         assert set(itertools.accumulate(map(len, blocks))) <= chunk_ends
 
+    def test_blocks_of_one_character_chunks_are_exactly_64_kib(self):
+        blocks = [len(block) for block in _blocks(["x"] * (3 * _BLOCK + 5))]
+        assert blocks == [_BLOCK, _BLOCK, _BLOCK, 5]
+
     def test_one_block_for_a_short_report(self):
         chunks = list(iter_report(explore(parse(RACY_24)), "json"))[:3]
         assert list(_blocks(chunks)) == ["".join(chunks)]

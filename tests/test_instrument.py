@@ -1,9 +1,11 @@
+import importlib.util
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import instrument_oracle as oracle
+from conftest import REPO_ROOT
 from paircheck.instrument import InstrumentError, InstrumentOptions, instrument, strip
 
 
@@ -166,6 +168,10 @@ class TestInstrument:
             instrument("void f() {\r\n\ta();\r\n}\r\n\t}")
         assert str(exc.value) == "4:2: unbalanced '}'"
         assert (exc.value.line, exc.value.col) == (4, 2)
+        # a brace right after the first newline: line 2, column 1
+        with pytest.raises(InstrumentError) as exc:
+            instrument("\n}")
+        assert str(exc.value) == "2:1: unbalanced '}'"
 
     def test_brace_in_string_not_counted(self):
         instrument('void f() { s = "}"; }')  # must not raise
@@ -424,3 +430,20 @@ def test_long_runs_finish_in_time(fn, source):
     start = time.perf_counter()
     _outcome(fn, source, InstrumentOptions())
     assert time.perf_counter() - start < 5.0
+
+
+def _benchmark_generator():
+    """``benchmarks/gen.py``, loaded from its file under a name of its own."""
+    spec = importlib.util.spec_from_file_location("benchmark_gen", REPO_ROOT / "benchmarks" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_benchmark_generator_placement(seed):
+    # the generator writes each hook where the documented rules place one,
+    # independently of the instrumenter and of instrument_oracle
+    source, expected = _benchmark_generator().c_source(seed, 32)
+    assert instrument(source) == expected
+    assert strip(expected) == source

@@ -10,7 +10,11 @@ import report_oracle
 from conftest import child_env
 from corpus import fixed_corpus
 from paircheck import engine, state
-from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay, step
+from paircheck.engine import (
+    ExplorationConfig, ExplorationReport, ExplorationStats, explore, initial_interleaving, replay,
+    step,
+)
+from paircheck.report import render_report
 from paircheck.state import (
     DONE,
     FirstVisit,
@@ -403,6 +407,68 @@ class TestJsonMembers:
         outer = pad[2:]  # the snapshot object's braces sit one level out
         expected = json.dumps(report_oracle._snapshot_dict(snapshot), indent=2)
         assert "{\n" + pad + members + "\n" + outer + "}" == expected.replace("\n", "\n" + outer)
+
+
+@st.composite
+def _snapshot_runs(draw):
+    """One program and a run of its snapshots that repeats, so each memo is missed and hit."""
+    sems = draw(st.sampled_from([0, 1, 9]))
+    lengths = [draw(st.sampled_from([0, 1, 3])) for _ in range(2)]
+    pair = ProgramPair(
+        *(ThreadProgram((Emit("a"),) * length) for length in lengths),
+        num_semaphores=sems,
+        variables=(("x", 0),),
+    )
+    mixed = st.text(st.sampled_from(["\\", '"', "\n", "\t", "\r", "a", "%", "\ud800"]))
+    snapshot = st.builds(
+        Snapshot,
+        names=st.just(pair.names),
+        values=st.tuples(st.integers(-3, 3)),
+        output=mixed | st.text(),
+        semaphores=st.tuples(*[st.booleans()] * sems),
+        **{
+            f"status{tid}": st.sampled_from([DONE, -2, 0, length, length + 3])
+            for tid, length in enumerate(lengths)
+        },
+    )
+    run = draw(st.lists(snapshot, min_size=1, max_size=12))
+    return pair, run + run[::-1] + run
+
+
+class TestFormatterMemos:
+    """One formatter over many snapshots writes what a fresh one would, memo hit or miss."""
+
+    @given(_snapshot_runs())
+    @example((_STATUS_BELOW_DONE, [initial_interleaving(_STATUS_BELOW_DONE).snapshot] * 2))
+    def test_one_formatter_many_snapshots(self, case):
+        pair, run = case
+        encode = pair.compiled.encode
+        for snapshot in run:
+            assert encode(snapshot) == report_oracle.canonical(snapshot)
+            assert digest(snapshot, encode) == digest(snapshot, report_oracle.canonical)
+        # each report formats every snapshot of the run with one formatter per format
+        outcomes = tuple(PartialInterleaving(snapshot, "01", (2, 2)) for snapshot in run)
+        full = tuple(
+            Race((2, 2), "01", stored, None, "10", current) for stored, current in zip(run, run[1:])
+        )
+        hashed = tuple(
+            Race((2, 2), "01", None, digest(stored), "10", current)
+            for stored, current in zip(run, run[1:])
+        )
+        for races, digest_mode in ((full, False), (hashed, True)):
+            report = ExplorationReport(
+                outcomes, races, (), (), ExplorationStats(), True, digest_mode
+            )
+            for fmt in ("json", "text"):
+                assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
+
+    def test_statuses_past_the_memo_bound(self):
+        # more distinct statuses than a memo keeps: the misses past it are made each time
+        encode = _STATUS_BELOW_DONE.compiled.encode
+        base = initial_interleaving(_STATUS_BELOW_DONE).snapshot
+        for status in [*range(3000), *range(3000)]:
+            snapshot = base._replace(status0=status, status1=-status - 2)
+            assert encode(snapshot) == report_oracle.canonical(snapshot)
 
 
 class TestCanonicalSerialization:
