@@ -434,7 +434,8 @@ def test_long_runs_finish_in_time(fn, source):
 
 def _benchmark_generator():
     """``benchmarks/gen.py``, loaded from its file under a name of its own."""
-    spec = importlib.util.spec_from_file_location("benchmark_gen", REPO_ROOT / "benchmarks" / "gen.py")
+    path = REPO_ROOT / "benchmarks" / "gen.py"
+    spec = importlib.util.spec_from_file_location("benchmark_gen", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -456,9 +456,8 @@ class TestFormatterMemos:
             for stored, current in zip(run, run[1:])
         )
         for races, digest_mode in ((full, False), (hashed, True)):
-            report = ExplorationReport(
-                outcomes, races, (), (), ExplorationStats(), True, digest_mode
-            )
+            stats = ExplorationStats()
+            report = ExplorationReport(outcomes, races, (), (), stats, True, digest_mode)
             for fmt in ("json", "text"):
                 assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
 
