@@ -24,7 +24,7 @@ from typing import NamedTuple
 from .engine import ExplorationConfig, explore
 from .state import _escape
 from .toylang import (
-    Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var, parse,
+    Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, ThreadProgram, Var,
 )
 
 __all__ = [
@@ -51,16 +51,11 @@ class BenchRow(NamedTuple):
     pruned_count: int
 
 
-def disjoint_pair(n: int):
+def disjoint_pair(n: int) -> ProgramPair:
     """The canonical benchmark program: n disjoint assignments per thread."""
-    decls = []
-    bodies = ["", ""]
-    for tid in (0, 1):
-        for k in range(n):
-            decls.append(f"var a{tid}_{k};")
-            bodies[tid] += f" a{tid}_{k} = {k};"
-    source = "\n".join(decls) + f"\nthread0 {{{bodies[0]} }}\nthread1 {{{bodies[1]} }}\n"
-    return parse(source, unroll_limit=max(n, 1))
+    threads = [tuple(Assign(f"a{tid}_{k}", IntLit(k)) for k in range(n)) for tid in (0, 1)]
+    variables = tuple((stmt.target, 0) for stmt in threads[0] + threads[1])
+    return ProgramPair(ThreadProgram(threads[0]), ThreadProgram(threads[1]), 0, variables)
 
 
 def bench_table(

@@ -9,6 +9,7 @@ Exit codes:
 * 4 — input, usage, or parse error
 * 5 — step budget exhausted
 * 6 — internal error: an unexpected exception inside paircheck
+* 130 — interrupted (SIGINT): one ``interrupted`` line on stderr, no traceback
 
 When several findings apply, the lowest nonzero code wins.
 
@@ -28,7 +29,8 @@ on a parse error, no ``hashlib`` or ``json``, and ``_blake2`` only with
 The console script and ``python -m paircheck`` run through :func:`entry`,
 which turns the cyclic garbage collector off for the whole process, since
 nothing the checker allocates can form a reference cycle, and freezes what
-is live at exit.  :func:`main` leaves the collector as its caller set it.
+is live at exit, and which alone catches Ctrl-C.  :func:`main` leaves the
+collector as its caller set it, and raises ``KeyboardInterrupt``.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class ExitStatus(IntEnum):
     INPUT_ERROR = 4
     BUDGET_EXHAUSTED = 5
     INTERNAL_ERROR = 6
+    INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process the signal ended
 
 
 class _InputError(Exception):
@@ -291,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """Run :func:`main` on ``sys.argv`` with the collector off, and exit with its code.
+    """Run :func:`main` on ``sys.argv``, collector off; exit with its code, or 130 on Ctrl-C.
 
     Nothing paircheck allocates refers back to itself, so the cyclic
     collector would free nothing here: it would only scan the tuples that
@@ -300,6 +303,10 @@ def entry() -> None:
     then leaves the interpreter's last collection at exit nothing to scan.
     """
     gc.disable()
-    status = main()
+    try:
+        status = main()
+    except KeyboardInterrupt:
+        _write_stderr("interrupted")
+        status = ExitStatus.INTERRUPTED
     gc.freeze()
     raise SystemExit(status)

@@ -46,9 +46,9 @@ with ``tuple.__new__`` in one place per thread, with the thread's next
 status and trace symbol fixed at compile time; :func:`step` checks the
 thread and its status and calls it.  A table per thread gives
 the semaphore each statement waits on (an ``up``) or -1, which is how
-the search tells which threads would block.  The program's snapshot
-formatter (``state.snapshot_formatter``), built once from its variable
-names, gives digest mode the bytes of ``Snapshot.canonical``.
+the search tells which threads would block.  The compiled program only
+steps: ``explore`` builds a digest-mode state table's encoder, the
+program's ``state.snapshot_formatter``, once per search.
 """
 
 from __future__ import annotations
@@ -111,12 +111,12 @@ class ExplorationConfig(Record):
 
 
 class ExplorationStats(NamedTuple):
-    branch_statements: int = 0  # executed where both threads were live and unblocked
-    completion_statements: int = 0  # executed while exactly one thread was live
-    complete_interleavings: int = 0
-    pruned_subtrees: int = 0
-    races_found: int = 0
-    table_entries: int = 0
+    branch_statements: int  # executed where both threads were live and unblocked
+    completion_statements: int  # executed while exactly one thread was live
+    complete_interleavings: int
+    pruned_subtrees: int
+    races_found: int
+    table_entries: int
 
 
 class ExplorationReport(NamedTuple):
@@ -155,7 +155,6 @@ class CompiledProgram(NamedTuple):
     # [tid][index]: the semaphore the statement waits on if it is an up,
     # else -1; one more -1 at the end is the entry of DONE (index -1)
     blocks: tuple[tuple[int, ...], tuple[int, ...]]
-    encode: Callable[[Snapshot], str]  # Snapshot.canonical for this program's snapshots
 
 
 def compile_program(pair: ProgramPair) -> CompiledProgram:
@@ -193,7 +192,7 @@ def compile_program(pair: ProgramPair) -> CompiledProgram:
         tuple(stmt.index if isinstance(stmt, SemUp) else -1 for stmt in statements) + (-1,)
         for statements in threads
     )
-    return CompiledProgram(transitions, blocks, snapshot_formatter(names))
+    return CompiledProgram(transitions, blocks)
 
 
 def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:
@@ -361,7 +360,8 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     the report is returned with ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
-    _, (blocks0, blocks1), encode = pair.compiled
+    _, (blocks0, blocks1) = pair.compiled
+    encode = snapshot_formatter(pair.names)  # what a digest-mode table hashes
     table = StateTable(cfg.digest_mode, encode) if cfg.race_detection else None
     pruning, max_total_steps = cfg.pruning, cfg.max_total_steps
     outcomes: dict[Snapshot, PartialInterleaving] = {}

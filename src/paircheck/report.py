@@ -7,9 +7,9 @@ schema and escapes every string with the C escaper ``json.dumps`` uses under
 its default ``ensure_ascii=True``, so it writes the same bytes, all of them
 ASCII.  Each outcome, race and finding record is one f-string with the
 layout spelled out in its literal, whose snapshot members come from
-``state.snapshot_formatter``; the text report's snapshot lines do too.  A
-formatter is built once per report for each program whose snapshots the
-report holds.
+:func:`_json_members`, the one writer of the JSON snapshot layout; the text
+report's snapshot lines come from ``state.snapshot_formatter``.  A formatter
+is built once per report for each program whose snapshots the report holds.
 """
 
 from __future__ import annotations
@@ -17,32 +17,54 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from .state import DIGEST_ALGORITHM, PartialInterleaving, Race, Snapshot, _esc, snapshot_formatter
+from .state import _UD, DIGEST_ALGORITHM, _remember, snapshot_formatter
+
+try:  # the C escaper of json.dumps, without loading the json package
+    from _json import encode_basestring_ascii as _esc
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _esc
 
 if TYPE_CHECKING:  # the engine is loaded by whoever built the report
     from .engine import ExplorationReport
+    from .state import PartialInterleaving, Race, Snapshot
 
 __all__ = ["iter_report", "render_report"]
 
 
-def _formatter(pad: str | None = None) -> Callable[[Snapshot], str]:
-    """Format each snapshot with its names' ``snapshot_formatter``, built on first use."""
+def _json_members(names: tuple[str, ...], pad: str) -> Callable[[Snapshot], str]:
+    """The JSON members (variables, output, semaphores; no status) of snapshots of ``names``.
+
+    The layout is ``json.dumps(..., indent=2)``'s with the last two at indent
+    ``pad``, made as ``state.snapshot_formatter`` makes the canonical bytes.
+    """
+    inner = pad + "  "
+    variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
+    head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
+    banks: dict[tuple[bool, ...], str] = {}
+
+    def members(snapshot: Snapshot) -> str:
+        _, values, output, bank, _, _ = snapshot
+        try:
+            sems = banks[bank]
+        except KeyError:
+            sems = _remember(banks, bank, bytes(bank).translate(_UD).decode())
+        return head % values + f'\n{pad}"output": {_esc(output)},\n{pad}"semaphores": "{sems}"'
+
+    return members
+
+
+def _formatter(make: Callable[[tuple[str, ...]], Callable]) -> Callable[[Snapshot], str]:
+    """Format each snapshot with ``make(snapshot.names)``, built on first use."""
     built: dict[tuple[str, ...], Callable[[Snapshot], str]] = {}
 
     def format(snapshot: Snapshot) -> str:
         names = snapshot.names
         formatter = built.get(names)
         if formatter is None:  # a hand-built report may mix programs
-            formatter = built[names] = snapshot_formatter(names, pad)
+            formatter = built[names] = make(names)
         return formatter(snapshot)
 
     return format
-
-
-def _json_object(pad: str, members: list[str]) -> str:
-    """A non-empty object whose closing brace sits at indent ``pad``."""
-    inner = pad + "  "
-    return "{\n" + inner + f",\n{inner}".join(members) + f"\n{pad}}}"
 
 
 # Records are items of a top-level array: braces at indent 4, members at 6.
@@ -50,13 +72,13 @@ def _json_object(pad: str, members: list[str]) -> str:
 
 
 def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
-    members = _formatter(" " * 6)
+    members = _formatter(lambda names: _json_members(names, " " * 6))
     for snapshot, trace, _ in outcomes:
         yield f'    {{\n      "trace": {_esc(trace)},\n      {members(snapshot)}\n    }}'
 
 
 def _json_races(races: Iterable[Race]) -> Iterator[str]:
-    members = _formatter(" " * 10)
+    members = _formatter(lambda names: _json_members(names, " " * 10))
     for (s0, s1), stored_trace, stored, digest, trace, current in races:
         if stored is None:  # digest mode: the stored side is a trace and a digest
             stored_side = f'"digest": "{digest.hex()}"'
@@ -100,8 +122,8 @@ def _json_chunks(report: ExplorationReport) -> Iterator[str]:
     yield from _json_array("races", _json_races(report.races))
     yield from _json_array("deadlocks", _json_findings(report.deadlocks))
     yield from _json_array("block_forever", _json_findings(report.block_forever))
-    stats = [f'"{name}": {value}' for name, value in zip(report.stats._fields, report.stats)]
-    yield f'  "stats": {_json_object("  ", stats)}\n}}\n'
+    stats = ",\n    ".join(map('"{}": {}'.format, report.stats._fields, report.stats))
+    yield f'  "stats": {{\n    {stats}\n  }}\n}}\n'
 
 
 def _text_chunks(report: ExplorationReport) -> Iterator[str]:
@@ -111,7 +133,7 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
     if not report.complete:
         head += "WARNING: step budget exhausted; report is incomplete\n"
     yield head + f"outcomes: {len(report.outcomes)}\n"
-    canonical = _formatter()
+    canonical = _formatter(snapshot_formatter)
     for k, outcome in enumerate(report.outcomes, 1):
         yield (
             f"  [{k}] trace={outcome.trace or '(empty)'}\n"
@@ -126,7 +148,6 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
                 f"               {canonical(race.stored_snapshot)}\n"
             )
         else:
-            assert race.stored_digest is not None
             stored = (
                 f"      stored : trace={race.stored_trace or '(empty)'} "
                 f"digest={race.stored_digest.hex()} (digest only)\n"

@@ -23,11 +23,11 @@ arrival, and equal tags fall through to the digest comparison.
 The module also defines :class:`Record`, the slotted base of the
 package's other records (the AST, programs and the exploration config),
 which gives them field-wise ``==``, hash and repr without the
-``dataclasses`` module; :func:`snapshot_formatter`, the one writer of
-snapshots (their canonical bytes and their JSON members); the output
-escaping of the canonical bytes (which ``analysis.render`` shares); and
-:func:`wrap64`, the 64-bit wrap of every value.  It imports nothing from
-the rest of the package.
+``dataclasses`` module; :func:`snapshot_formatter`, the writer of a
+snapshot's canonical bytes (the report writer owns the JSON layout); the
+output escaping of the canonical bytes (which ``analysis.render``
+shares); and :func:`wrap64`, the 64-bit wrap of every value.  It imports
+nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import attrgetter
 from typing import NamedTuple
-
-try:  # the C escaper of json.dumps, without loading the json package
-    from _json import encode_basestring_ascii as _esc
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _esc
 
 __all__ = [
     "DIGEST_ALGORITHM",
@@ -208,33 +203,14 @@ def _remember(memo: dict, key: object, text: str) -> str:
     return text
 
 
-def snapshot_formatter(names: tuple[str, ...], pad: str | None = None) -> Callable[[Snapshot], str]:
-    """The one formatter of the snapshots whose variables are ``names``, sorted.
+def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
+    """The writer of :meth:`Snapshot.canonical` for snapshots whose variables are ``names``, sorted.
 
-    With no ``pad`` it writes :meth:`Snapshot.canonical`; a program binds
-    it as its ``compiled.encode``.  With ``pad`` it writes the members of
-    the snapshot's JSON object (variables, output and semaphores; no status
-    is formatted) in the ``json.dumps(..., indent=2)`` layout, the second
-    and third at indent ``pad``, ASCII-escaped as ``json.dumps`` does.  The
-    variables are one ``%``-format built here, once per program.  Each
+    The variables are one ``%``-format built here, once per program.  Each
     formatter makes the U/D text of a bank, and the text of an int status,
     once per distinct value, in memos of at most ``_MEMO_SIZE`` entries.
     """
     banks: dict[tuple[bool, ...], str] = {}
-    if pad is not None:
-        inner = pad + "  "
-        variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
-        head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
-
-        def members(snapshot: Snapshot) -> str:
-            _, values, output, bank, _, _ = snapshot
-            try:
-                sems = banks[bank]
-            except KeyError:
-                sems = _remember(banks, bank, bytes(bank).translate(_UD).decode())
-            return head % values + f'\n{pad}"output": {_esc(output)},\n{pad}"semaphores": "{sems}"'
-
-        return members
     head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
     statuses = {DONE: "done"}
 
@@ -278,8 +254,8 @@ def digest(snapshot: Snapshot, encode: Callable[[Snapshot], str] = Snapshot.cano
 
     Deterministic across runs and platforms.  A lone surrogate in the
     output is hashed as its ``surrogatepass`` bytes.  ``encode`` gives
-    the serialization; a program's ``compiled.encode`` gives the same
-    string as :meth:`Snapshot.canonical` without building its format.
+    the serialization; the program's :func:`snapshot_formatter` gives the
+    same string as :meth:`Snapshot.canonical` without building its format.
     """
     data = encode(snapshot).encode("utf-8", "surrogatepass")
     return (_blake2b or _load_blake2b())(data, digest_size=16).digest()
@@ -330,9 +306,9 @@ class StateTable:
     """Map from combined counter to the first visit seen there.
 
     Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
-    trace, tag)``: the digest of ``encode(snapshot)``, which ``explore``
-    makes the program's compiled encoder, and the tag ``hash(snapshot) &
-    0xFF``, a cached small int.  Entries are never evicted or overwritten.
+    trace, tag)``: the digest of ``encode(snapshot)`` (``explore`` passes
+    the program's :func:`snapshot_formatter`) and the tag ``hash(snapshot)
+    & 0xFF``, a cached small int.  Entries are never evicted or overwritten.
     Every interleaving visited should come from the same
     :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
     plain ``==``, so snapshots of two programs with different variable

@@ -50,7 +50,6 @@ __all__ = [
     "ThreadProgram",
     "Var",
     "parse",
-    "wrap64",
 ]
 
 DEFAULT_UNROLL_LIMIT = 1024

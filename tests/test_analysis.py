@@ -8,7 +8,7 @@ import report_oracle
 from conftest import program_paths
 from corpus import fixed_corpus
 from paircheck import analysis
-from paircheck.analysis import BudgetExceeded, bench_table, disjoint_pair
+from paircheck.analysis import BudgetExceeded, bench_table, disjoint_pair, render
 from paircheck.engine import ExplorationConfig, explore
 from paircheck.report import iter_report, render_report
 from paircheck.toylang import Assign, Emit, IntLit, ProgramPair, ThreadProgram, parse
@@ -39,6 +39,17 @@ thread1 {
 
 
 class TestBenchTable:
+    @pytest.mark.parametrize("n", [0, 1, 3, 60])
+    def test_disjoint_pair_is_its_rendered_source(self, n):
+        assert parse(render(disjoint_pair(n))) == disjoint_pair(n)
+
+    def test_disjoint_pair_text(self):
+        assert render(disjoint_pair(2)) == (
+            "var a0_0;\nvar a0_1;\nvar a1_0;\nvar a1_1;\n"
+            "thread0 {\n  a0_0 = 0;\n  a0_1 = 1;\n}\n"
+            "thread1 {\n  a1_0 = 0;\n  a1_1 = 1;\n}\n"
+        )
+
     def test_closed_forms_small(self):
         rows = bench_table(1, 6)
         for row in rows:

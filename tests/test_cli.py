@@ -5,13 +5,17 @@ import io
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from conftest import PROGRAMS_DIR, child_env, program_paths
-from paircheck import ExplorationConfig, explore, iter_report, parse, render_report
+from paircheck import (
+    ExplorationConfig, disjoint_pair, explore, iter_report, parse, render, render_report,
+)
 from paircheck.cli import _BLOCK, ExitStatus, _blocks, main
 from paircheck.toylang import MAX_NESTING
 from test_analysis import RACY_24
@@ -680,3 +684,40 @@ class TestUsage:
             else:
                 expected = ExitStatus.CLEAN
             assert code == expected, name
+
+
+def _cpu_seconds(pid: int) -> float:
+    """User plus system CPU time a running process has used so far (Linux ``/proc``)."""
+    with open(f"/proc/{pid}/stat") as stat:
+        fields = stat.read().rsplit(")", 1)[1].split()  # the fields after the command name
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+class TestInterrupt:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+    def test_ctrl_c_exits_130_without_a_traceback(self, tmp_path):
+        source = tmp_path / "disjoint13.toy"
+        source.write_text(render(disjoint_pair(13)), encoding="utf-8")  # ~40M statements
+        argv = ["check", "--no-race-detect", "--max-steps", "1000000000", str(source)]
+        proc = paircheck_process(argv)
+        try:
+            # start-up takes about a tenth of this: past it, the search is running
+            while proc.poll() is None and _cpu_seconds(proc.pid) < 0.5:
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == ExitStatus.INTERRUPTED == 130
+        assert b"Traceback" not in err
+        assert err.decode().splitlines() == ["interrupted"]
+        assert out == b""
+
+    def test_main_lets_the_interrupt_through(self, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("paircheck.engine.explore", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["check", program("ab12.toy")])

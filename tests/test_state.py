@@ -14,7 +14,7 @@ from paircheck.engine import (
     ExplorationConfig, ExplorationReport, ExplorationStats, explore, initial_interleaving, replay,
     step,
 )
-from paircheck.report import render_report
+from paircheck.report import _json_members, render_report
 from paircheck.state import (
     DONE,
     FirstVisit,
@@ -353,13 +353,13 @@ def _program_snapshots(draw):
 
 
 def _assert_one_layout(encode, snapshot):
-    """The compiled encoder, ``canonical()`` and the reference agree, and so do their digests."""
+    """The program's formatter, ``canonical()`` and the reference agree, and so do their digests."""
     assert encode(snapshot) == snapshot.canonical() == report_oracle.canonical(snapshot)
     assert digest(snapshot, encode) == digest(snapshot) == digest(snapshot, report_oracle.canonical)
 
 
 class TestCompiledEncoder:
-    """A program's compiled encoder and ``Snapshot.canonical`` write the reference layout."""
+    """A program's snapshot formatter and ``Snapshot.canonical`` write the reference layout."""
 
     def test_every_state_an_exhaustive_search_reaches(self, monkeypatch):
         reached = []
@@ -374,7 +374,7 @@ class TestCompiledEncoder:
             reached[:] = [initial_interleaving(pair).snapshot]
             explore(pair, ExplorationConfig(pruning=False, race_detection=False))
             for snap in reached:
-                _assert_one_layout(pair.compiled.encode, snap)
+                _assert_one_layout(state.snapshot_formatter(pair.names), snap)
 
     @given(_program_snapshots())
     @example((_FORMAT_NAMES, initial_interleaving(_FORMAT_NAMES).snapshot))
@@ -384,7 +384,7 @@ class TestCompiledEncoder:
     ))
     def test_hand_built_programs(self, case):
         pair, snapshot = case
-        _assert_one_layout(pair.compiled.encode, snapshot)
+        _assert_one_layout(state.snapshot_formatter(pair.names), snapshot)
 
 
 class TestJsonMembers:
@@ -403,7 +403,7 @@ class TestJsonMembers:
     )
     def test_hand_built_programs(self, case, pad):
         pair, snapshot = case
-        members = state.snapshot_formatter(pair.names, pad)(snapshot)
+        members = _json_members(pair.names, pad)(snapshot)
         outer = pad[2:]  # the snapshot object's braces sit one level out
         expected = json.dumps(report_oracle._snapshot_dict(snapshot), indent=2)
         assert "{\n" + pad + members + "\n" + outer + "}" == expected.replace("\n", "\n" + outer)
@@ -442,7 +442,7 @@ class TestFormatterMemos:
     @example((_STATUS_BELOW_DONE, [initial_interleaving(_STATUS_BELOW_DONE).snapshot] * 2))
     def test_one_formatter_many_snapshots(self, case):
         pair, run = case
-        encode = pair.compiled.encode
+        encode = state.snapshot_formatter(pair.names)
         for snapshot in run:
             assert encode(snapshot) == report_oracle.canonical(snapshot)
             assert digest(snapshot, encode) == digest(snapshot, report_oracle.canonical)
@@ -456,14 +456,14 @@ class TestFormatterMemos:
             for stored, current in zip(run, run[1:])
         )
         for races, digest_mode in ((full, False), (hashed, True)):
-            stats = ExplorationStats()
+            stats = ExplorationStats(0, 0, 0, 0, 0, 0)
             report = ExplorationReport(outcomes, races, (), (), stats, True, digest_mode)
             for fmt in ("json", "text"):
                 assert render_report(report, fmt) == report_oracle.render_report(report, fmt)
 
     def test_statuses_past_the_memo_bound(self):
         # more distinct statuses than a memo keeps: the misses past it are made each time
-        encode = _STATUS_BELOW_DONE.compiled.encode
+        encode = state.snapshot_formatter(_STATUS_BELOW_DONE.names)
         base = initial_interleaving(_STATUS_BELOW_DONE).snapshot
         for status in [*range(3000), *range(3000)]:
             snapshot = base._replace(status0=status, status1=-status - 2)

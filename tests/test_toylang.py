@@ -288,15 +288,31 @@ class TestEval:
             ((), (), 0, (("x", -(2**63) - 1),),
              "initial value of 'x' out of the signed 64-bit range: -9223372036854775809"),
             ((Emit("a"),), (Emit(""),), 0, (), "emit string must have at least one character"),
+            ((Assign("x", BinOp("/", IntLit(1), IntLit(2))),), (), 0, (("x", 0),),
+             "unknown operator '/'"),
         ],
         ids=["up-past-bank", "negative-down", "no-bank", "duplicate-variable", "negative-count",
-             "initial-value-above-range", "initial-value-below-range", "empty-emit"],
+             "initial-value-above-range", "initial-value-below-range", "empty-emit",
+             "unknown-operator"],
     )
     def test_hand_built_pair_is_checked_as_parsed_source_is(
         self, thread0, thread1, num_semaphores, variables, message
     ):
         with pytest.raises(ValueError) as raised:
             ProgramPair(ThreadProgram(thread0), ThreadProgram(thread1), num_semaphores, variables)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            (Assign("x", "1"), "not an expression: '1'"),
+            (IntLit(1), "not a statement: IntLit(value=1)"),
+        ],
+        ids=["expression", "statement"],
+    )
+    def test_hand_built_node_of_the_wrong_kind(self, statement, message):
+        with pytest.raises(TypeError) as raised:
+            ProgramPair(ThreadProgram((statement,)), ThreadProgram(()), 0, (("x", 0),))
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("value", ["a", 5.0, True], ids=["str", "float", "bool"])
