@@ -203,7 +203,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise _InputError(exc) from None
-    source = _read_source(args.file)
+    source = _read_source(args.file).removeprefix("\ufeff")  # a byte-order mark, as Notepad saves
     try:
         pair = parse(source)
     except ParseError as exc:

@@ -47,8 +47,8 @@ status and trace symbol fixed at compile time; :func:`step` checks the
 thread and its status and calls it.  A table per thread gives
 the semaphore each statement waits on (an ``up``) or -1, which is how
 the search tells which threads would block.  The compiled program only
-steps: ``explore`` builds a digest-mode state table's encoder, the
-program's ``state.snapshot_formatter``, once per search.
+steps: a digest-mode state table finds each snapshot's canonical writer
+from the snapshot's own ``names``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 from .state import (
     _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Record, Snapshot,
-    StateTable, _tuple_new, snapshot_formatter, wrap64,
+    StateTable, _tuple_new, wrap64,
 )
 from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
 
@@ -361,8 +361,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     """
     cfg = cfg or ExplorationConfig()
     _, (blocks0, blocks1) = pair.compiled
-    encode = snapshot_formatter(pair.names)  # what a digest-mode table hashes
-    table = StateTable(cfg.digest_mode, encode) if cfg.race_detection else None
+    table = StateTable(cfg.digest_mode) if cfg.race_detection else None
     pruning, max_total_steps = cfg.pruning, cfg.max_total_steps
     outcomes: dict[Snapshot, PartialInterleaving] = {}
     races: list[Race] = []

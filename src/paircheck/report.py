@@ -8,8 +8,8 @@ its default ``ensure_ascii=True``, so it writes the same bytes, all of them
 ASCII.  Each outcome, race and finding record is one f-string with the
 layout spelled out in its literal, whose snapshot members come from
 :func:`_json_members`, the one writer of the JSON snapshot layout; the text
-report's snapshot lines come from ``state.snapshot_formatter``.  A formatter
-is built once per report for each program whose snapshots the report holds.
+report's snapshot lines are ``Snapshot.canonical``.  Each finds its writer
+from the snapshot's own ``names``, keeping the last writer built.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
-from .state import _UD, DIGEST_ALGORITHM, _remember, snapshot_formatter
+from .state import _UD, DIGEST_ALGORITHM, _remember
 
 try:  # the C escaper of json.dumps, without loading the json package
     from _json import encode_basestring_ascii as _esc
@@ -30,13 +30,20 @@ if TYPE_CHECKING:  # the engine is loaded by whoever built the report
 
 __all__ = ["iter_report", "render_report"]
 
+_kept_members: tuple = (object(), None, None)  # (names, pad, writer); not (), which is shared
+
 
 def _json_members(names: tuple[str, ...], pad: str) -> Callable[[Snapshot], str]:
     """The JSON members (variables, output, semaphores; no status) of snapshots of ``names``.
 
     The layout is ``json.dumps(..., indent=2)``'s with the last two at indent
-    ``pad``, made as ``state.snapshot_formatter`` makes the canonical bytes.
+    ``pad``, made and kept as ``state.snapshot_formatter`` makes and keeps the
+    canonical writer: the last one, for its ``names`` object and ``pad``.
     """
+    global _kept_members
+    kept_names, kept_pad, kept = _kept_members
+    if kept_names is names and kept_pad == pad:
+        return kept
     inner = pad + "  "
     variables = f",\n{inner}".join(_esc(name).replace("%", "%%") + ": %s" for name in names)
     head = f'"variables": {{\n{inner}{variables}\n{pad}}},' if names else '"variables": {},'
@@ -50,21 +57,8 @@ def _json_members(names: tuple[str, ...], pad: str) -> Callable[[Snapshot], str]
             sems = _remember(banks, bank, bytes(bank).translate(_UD).decode())
         return head % values + f'\n{pad}"output": {_esc(output)},\n{pad}"semaphores": "{sems}"'
 
+    _kept_members = names, pad, members
     return members
-
-
-def _formatter(make: Callable[[tuple[str, ...]], Callable]) -> Callable[[Snapshot], str]:
-    """Format each snapshot with ``make(snapshot.names)``, built on first use."""
-    built: dict[tuple[str, ...], Callable[[Snapshot], str]] = {}
-
-    def format(snapshot: Snapshot) -> str:
-        names = snapshot.names
-        formatter = built.get(names)
-        if formatter is None:  # a hand-built report may mix programs
-            formatter = built[names] = make(names)
-        return formatter(snapshot)
-
-    return format
 
 
 # Records are items of a top-level array: braces at indent 4, members at 6.
@@ -72,24 +66,25 @@ def _formatter(make: Callable[[tuple[str, ...]], Callable]) -> Callable[[Snapsho
 
 
 def _json_outcomes(outcomes: Iterable[PartialInterleaving]) -> Iterator[str]:
-    members = _formatter(lambda names: _json_members(names, " " * 6))
     for snapshot, trace, _ in outcomes:
-        yield f'    {{\n      "trace": {_esc(trace)},\n      {members(snapshot)}\n    }}'
+        members = _json_members(snapshot[0], " " * 6)(snapshot)
+        yield f'    {{\n      "trace": {_esc(trace)},\n      {members}\n    }}'
 
 
 def _json_races(races: Iterable[Race]) -> Iterator[str]:
-    members = _formatter(lambda names: _json_members(names, " " * 10))
     for (s0, s1), stored_trace, stored, digest, trace, current in races:
         if stored is None:  # digest mode: the stored side is a trace and a digest
             stored_side = f'"digest": "{digest.hex()}"'
         else:
-            stored_side = f'"snapshot": {{\n          {members(stored)}\n        }}'
+            members = _json_members(stored[0], " " * 10)(stored)
+            stored_side = f'"snapshot": {{\n          {members}\n        }}'
+        members = _json_members(current[0], " " * 10)(current)
         yield (
             f'    {{\n      "counter": [\n        {s0},\n        {s1}\n      ],\n'
             f'      "stored": {{\n        "trace": {_esc(stored_trace)},\n'
             f'        {stored_side}\n      }},\n'
             f'      "current": {{\n        "trace": {_esc(trace)},\n'
-            f'        "snapshot": {{\n          {members(current)}\n        }}\n      }}\n    }}'
+            f'        "snapshot": {{\n          {members}\n        }}\n      }}\n    }}'
         )
 
 
@@ -133,30 +128,23 @@ def _text_chunks(report: ExplorationReport) -> Iterator[str]:
     if not report.complete:
         head += "WARNING: step budget exhausted; report is incomplete\n"
     yield head + f"outcomes: {len(report.outcomes)}\n"
-    canonical = _formatter(snapshot_formatter)
     for k, outcome in enumerate(report.outcomes, 1):
         yield (
             f"  [{k}] trace={outcome.trace or '(empty)'}\n"
-            f"      {canonical(outcome.snapshot)}\n"
+            f"      {outcome.snapshot.canonical()}\n"
         )
 
     yield f"races: {len(report.races)}\n"
-    for k, race in enumerate(report.races, 1):
-        if race.stored_snapshot is not None:
-            stored = (
-                f"      stored : trace={race.stored_trace or '(empty)'}\n"
-                f"               {canonical(race.stored_snapshot)}\n"
-            )
+    for k, (counter, stored_trace, stored, digest, trace, current) in enumerate(report.races, 1):
+        if stored is None:  # digest mode: the stored side is a trace and a digest
+            stored_side = f" digest={digest.hex()} (digest only)\n"
         else:
-            stored = (
-                f"      stored : trace={race.stored_trace or '(empty)'} "
-                f"digest={race.stored_digest.hex()} (digest only)\n"
-            )
+            stored_side = f"\n               {stored.canonical()}\n"
         yield (
-            f"  [{k}] at counter {race.counter}\n"
-            + stored
-            + f"      current: trace={race.current_trace or '(empty)'}\n"
-            f"               {canonical(race.current_snapshot)}\n"
+            f"  [{k}] at counter {counter}\n"
+            f"      stored : trace={stored_trace or '(empty)'}{stored_side}"
+            f"      current: trace={trace or '(empty)'}\n"
+            f"               {current.canonical()}\n"
         )
     if report.races:
         yield (

@@ -24,10 +24,10 @@ The module also defines :class:`Record`, the slotted base of the
 package's other records (the AST, programs and the exploration config),
 which gives them field-wise ``==``, hash and repr without the
 ``dataclasses`` module; :func:`snapshot_formatter`, the writer of a
-snapshot's canonical bytes (the report writer owns the JSON layout); the
-output escaping of the canonical bytes (which ``analysis.render``
-shares); and :func:`wrap64`, the 64-bit wrap of every value.  It imports
-nothing from the rest of the package.
+snapshot's canonical bytes, found from its own ``names`` (the report
+writer owns the JSON layout); the output escaping of those bytes (which
+``analysis.render`` shares); and :func:`wrap64`, the 64-bit wrap of
+every value.  It imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
@@ -195,6 +195,7 @@ class Snapshot(NamedTuple):
 
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a semaphore bank's bytes to its U/D key
 _MEMO_SIZE = 1024  # texts a formatter keeps per memo; a miss past this is made, not kept
+_kept_canonical: tuple = (object(), None)  # (names, writer); not (): one empty tuple is shared
 
 
 def _remember(memo: dict, key: object, text: str) -> str:
@@ -206,10 +207,15 @@ def _remember(memo: dict, key: object, text: str) -> str:
 def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
     """The writer of :meth:`Snapshot.canonical` for snapshots whose variables are ``names``, sorted.
 
-    The variables are one ``%``-format built here, once per program.  Each
-    formatter makes the U/D text of a bank, and the text of an int status,
-    once per distinct value, in memos of at most ``_MEMO_SIZE`` entries.
+    The last writer built is kept for its ``names`` tuple object, which all
+    snapshots of one program share.  Its variables are one ``%``-format, and
+    it makes the U/D text of a bank, and the text of an int status, once per
+    distinct value, in memos of at most ``_MEMO_SIZE`` entries.
     """
+    global _kept_canonical
+    kept_names, kept = _kept_canonical
+    if kept_names is names:
+        return kept
     banks: dict[tuple[bool, ...], str] = {}
     head = "vars{" + ",".join(name.replace("%", "%%") + "=%s" for name in names) + "};"
     statuses = {DONE: "done"}
@@ -233,6 +239,7 @@ def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
             st1 = _remember(statuses, status1, f"run@{status1}")
         return head % values + f'out="{output}";sems={sems};st0={st0};st1={st1}'
 
+    _kept_canonical = names, canonical
     return canonical
 
 
@@ -249,14 +256,15 @@ def _load_blake2b():
     return blake2b
 
 
-def digest(snapshot: Snapshot, encode: Callable[[Snapshot], str] = Snapshot.canonical) -> bytes:
+def digest(snapshot: Snapshot) -> bytes:
     """128-bit digest of the canonical serialization (blake2b-128).
 
     Deterministic across runs and platforms.  A lone surrogate in the
-    output is hashed as its ``surrogatepass`` bytes.  ``encode`` gives
-    the serialization; the program's :func:`snapshot_formatter` gives the
-    same string as :meth:`Snapshot.canonical` without building its format.
+    output is hashed as its ``surrogatepass`` bytes.
     """
+    names, encode = _kept_canonical  # snapshot_formatter's own check, one call less a digest
+    if names is not snapshot[0]:
+        encode = snapshot_formatter(snapshot[0])
     data = encode(snapshot).encode("utf-8", "surrogatepass")
     return (_blake2b or _load_blake2b())(data, digest_size=16).digest()
 
@@ -306,20 +314,16 @@ class StateTable:
     """Map from combined counter to the first visit seen there.
 
     Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
-    trace, tag)``: the digest of ``encode(snapshot)`` (``explore`` passes
-    the program's :func:`snapshot_formatter`) and the tag ``hash(snapshot)
+    trace, tag)``: the snapshot's :func:`digest` and the tag ``hash(snapshot)
     & 0xFF``, a cached small int.  Entries are never evicted or overwritten.
     Every interleaving visited should come from the same
     :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
     plain ``==``, so snapshots of two programs with different variable
-    names differ, and ``encode`` formats one program's snapshots.
+    names differ, and a digest-mode table builds a writer at each switch.
     """
 
-    def __init__(
-        self, digest_mode: bool = False, encode: Callable[[Snapshot], str] = Snapshot.canonical
-    ):
+    def __init__(self, digest_mode: bool = False):
         self.digest_mode = digest_mode
-        self.encode = encode
         self._entries: dict[tuple[int, int], tuple[Snapshot, str] | tuple[bytes, str, int]] = {}
 
     def __len__(self) -> int:
@@ -346,9 +350,9 @@ class StateTable:
             return _tuple_new(Race, (counter, stored_trace, stored, None, trace, snapshot))
         tag = hash(snapshot) & 0xFF
         if entry is None:
-            self._entries[counter] = (digest(snapshot, self.encode), trace, tag)
+            self._entries[counter] = (digest(snapshot), trace, tag)
             return _FIRST_VISIT
         stored, stored_trace, stored_tag = entry
-        if stored_tag == tag and stored == digest(snapshot, self.encode):
+        if stored_tag == tag and stored == digest(snapshot):
             return _PRUNED_EQUAL
         return _tuple_new(Race, (counter, stored_trace, None, stored, trace, snapshot))

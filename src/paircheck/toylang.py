@@ -52,7 +52,7 @@ __all__ = [
     "parse",
 ]
 
-DEFAULT_UNROLL_LIMIT = 1024
+UNROLL_LIMIT = 1024  # most statements a thread unrolls to, and most semaphores
 
 # Deepest nesting the parser accepts, separately for ``repeat`` blocks,
 # parentheses, and the operator tree of one expression.  It keeps parsing,
@@ -203,11 +203,10 @@ def _lex(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, source: str, unroll_limit: int):
+    def __init__(self, source: str):
         self.source = source
         self.tokens = _lex(source)
         self.pos = 0
-        self.unroll_limit = unroll_limit
         self.variables: dict[str, int] = {}
         self.num_semaphores = 0
 
@@ -288,10 +287,8 @@ class _Parser:
             count = self.signed_int()
             if count < 0:
                 raise self.error("semaphore count must be non-negative", tok)
-            if count > self.unroll_limit:
-                raise self.error(
-                    f"semaphore count {count} over the limit of {self.unroll_limit}", tok
-                )
+            if count > UNROLL_LIMIT:
+                raise self.error(f"semaphore count {count} over the limit of {UNROLL_LIMIT}", tok)
             self.expect_punct(";")
             self.num_semaphores = count
 
@@ -334,13 +331,13 @@ class _Parser:
             body: list[Statement] = []
             self.block_into(body, self.nested(depth + 1, tok))
             size = count * len(body)
-            if size > self.unroll_limit:
+            if size > UNROLL_LIMIT:
                 try:
                     unrolled = f"{size} statements"
                 except ValueError:  # the product has too many digits to print
                     unrolled = f"{count} x {len(body)} statements"
                 raise self.error(
-                    f"repeat unrolls to {unrolled}, over the limit of {self.unroll_limit}", tok
+                    f"repeat unrolls to {unrolled}, over the limit of {UNROLL_LIMIT}", tok
                 )
             if body:  # an empty body may carry any count
                 out.extend(body * count)
@@ -359,10 +356,8 @@ class _Parser:
             if self.cur.kind == "eof":
                 raise self.error("expected '}'")
             self.statement(out, depth)
-            if len(out) > self.unroll_limit:
-                raise self.error(
-                    f"thread exceeds unroll limit of {self.unroll_limit} statements"
-                )
+            if len(out) > UNROLL_LIMIT:
+                raise self.error(f"thread exceeds unroll limit of {UNROLL_LIMIT} statements")
         self.expect_punct("}")
 
     def variable(self) -> str | None:  # a declared name; None, reading nothing, at a non-name
@@ -405,12 +400,12 @@ class _Parser:
         return Var(name), 0
 
 
-def parse(source: str, *, unroll_limit: int = DEFAULT_UNROLL_LIMIT) -> ProgramPair:
+def parse(source: str) -> ProgramPair:
     """Parse source text into a :class:`ProgramPair` with loops unrolled.
 
     Raises :class:`ParseError` with line/column on syntax errors,
     undeclared variables, out-of-range semaphore indices, negative repeat
     counts, unrolled thread sizes or a semaphore count over
-    ``unroll_limit``, and nesting deeper than :data:`MAX_NESTING`.
+    :data:`UNROLL_LIMIT`, and nesting deeper than :data:`MAX_NESTING`.
     """
-    return _Parser(source, unroll_limit).program()
+    return _Parser(source).program()

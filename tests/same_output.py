@@ -13,6 +13,9 @@ come from the repository this script is in:
 * every ``programs/*.toy`` and ``benchmarks/gen.py racy --seed 1`` at
   ``--length`` 24 and 80, each checked in text and JSON under the default
   flags, ``--digest``, ``--no-prune`` and ``--no-race-detect``;
+* ``gen.py disjoint --n 60``, a wide program of 120 variables, checked in
+  text and JSON under the default flags and ``--digest`` (under
+  ``--no-race-detect`` it would only run into the step budget);
 * ``bench --max 6`` in text and JSON;
 * ``instrument`` of ``gen.py csource --seed 1 --kib 32``, and ``--strip``
   of the hooked source it expects.
@@ -55,6 +58,9 @@ def all_cases(workdir: Path) -> list[list[str]]:
         for flags in CHECK_FLAGS
         for fmt in FORMATS
     ]
+    wide = generate("disjoint60.toy", "disjoint", "--n", "60")
+    for flags in ([], ["--digest"]):
+        cases += [["check", str(wide), *flags, "--format", fmt] for fmt in FORMATS]
     cases += [["bench", "--max", "6", "--format", fmt] for fmt in FORMATS]
     source = generate("csource.c", "csource", "--seed", "1", "--kib", "32")
     cases += [["instrument", str(source)], ["instrument", "--strip", f"{source}.expected"]]

@@ -17,7 +17,7 @@ from paircheck import (
     ExplorationConfig, disjoint_pair, explore, iter_report, parse, render, render_report,
 )
 from paircheck.cli import _BLOCK, ExitStatus, _blocks, main
-from paircheck.toylang import MAX_NESTING
+from paircheck.toylang import MAX_NESTING, ParseError
 from test_analysis import RACY_24
 
 
@@ -144,6 +144,24 @@ class TestCheck:
             crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
             assert b"\r\n" in crlf.read_bytes()
             assert run(capsys, "check", str(crlf)) == run(capsys, "check", str(path))
+
+    def test_byte_order_mark_copy_gives_the_same_report(self, tmp_path, capsys, monkeypatch):
+        # Windows Notepad saves UTF-8 with a byte-order mark, which check skips
+        bom = tmp_path / "ab12.toy"
+        bom.write_bytes(b"\xef\xbb\xbf" + (PROGRAMS_DIR / "ab12.toy").read_bytes())
+        want = run(capsys, "check", program("ab12.toy"))
+        assert want[0] == ExitStatus.RACE
+        assert run(capsys, "check", str(bom)) == want
+        monkeypatch.setattr("sys.stdin", _stdin(bom.read_bytes()))
+        assert run(capsys, "check", "-") == want
+        # one mark only, and parse itself stays strict
+        twice = tmp_path / "twice.toy"
+        twice.write_bytes(b"\xef\xbb\xbf" + bom.read_bytes())
+        code, out, err = run(capsys, "check", str(twice))
+        assert (code, out) == (ExitStatus.INPUT_ERROR, "")
+        assert err == f"error: {twice}:1:1: unexpected character '\\ufeff'\n"
+        with pytest.raises(ParseError, match="^1:1: unexpected character"):
+            parse(bom.read_text(encoding="utf-8"))
 
     def test_stdout_without_a_byte_layer(self, capsys):
         # in-process callers may redirect stdout to a text-only stream
@@ -319,6 +337,15 @@ class TestInstrumentCommand:
         code, out, _ = run(capsys, "instrument", str(path), "--strip")
         assert code == ExitStatus.CLEAN
         assert out == original
+
+    def test_byte_order_mark_round_trips(self, tmp_path, capsys):
+        original = "\ufeffvoid f() { a(); b(); }\n".encode()
+        src, hooked, back = tmp_path / "f.c", tmp_path / "hooked.c", tmp_path / "back.c"
+        src.write_bytes(original)
+        assert run(capsys, "instrument", str(src), "-o", str(hooked)) == (ExitStatus.CLEAN, "", "")
+        assert hooked.read_bytes() == "\ufeffvoid f() { hook(); a(); hook(); b(); }\n".encode()
+        code, _, _ = run(capsys, "instrument", "--strip", str(hooked), "-o", str(back))
+        assert code == ExitStatus.CLEAN and back.read_bytes() == original
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", _stdin(b"void f() { a(); }\n"))

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -206,9 +208,9 @@ class TestDigestTag:
     def digest_calls(self, monkeypatch):
         calls = []
 
-        def counting_digest(snapshot, encode=Snapshot.canonical):
+        def counting_digest(snapshot):
             calls.append(snapshot)
-            return digest(snapshot, encode)
+            return digest(snapshot)
 
         monkeypatch.setattr(state, "digest", counting_digest)
         return calls
@@ -352,10 +354,16 @@ def _program_snapshots(draw):
     return pair, snapshot
 
 
+def _blake2b_128(text):
+    """The digest of a canonical text, hashed here rather than by ``state.digest``."""
+    return hashlib.blake2b(text.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+
+
 def _assert_one_layout(encode, snapshot):
     """The program's formatter, ``canonical()`` and the reference agree, and so do their digests."""
     assert encode(snapshot) == snapshot.canonical() == report_oracle.canonical(snapshot)
-    assert digest(snapshot, encode) == digest(snapshot) == digest(snapshot, report_oracle.canonical)
+    reference = _blake2b_128(report_oracle.canonical(snapshot))
+    assert _blake2b_128(encode(snapshot)) == digest(snapshot) == reference
 
 
 class TestCompiledEncoder:
@@ -445,7 +453,7 @@ class TestFormatterMemos:
         encode = state.snapshot_formatter(pair.names)
         for snapshot in run:
             assert encode(snapshot) == report_oracle.canonical(snapshot)
-            assert digest(snapshot, encode) == digest(snapshot, report_oracle.canonical)
+            assert digest(snapshot) == _blake2b_128(report_oracle.canonical(snapshot))
         # each report formats every snapshot of the run with one formatter per format
         outcomes = tuple(PartialInterleaving(snapshot, "01", (2, 2)) for snapshot in run)
         full = tuple(
@@ -468,6 +476,59 @@ class TestFormatterMemos:
         for status in [*range(3000), *range(3000)]:
             snapshot = base._replace(status0=status, status1=-status - 2)
             assert encode(snapshot) == report_oracle.canonical(snapshot)
+
+
+# A fresh interpreter whose first snapshot formatted, in each layout, has no
+# variables: CPython shares one empty tuple, so a kept-writer slot that starts
+# on () would find no writer for it.
+_NO_VARIABLES_FIRST = """
+import hashlib
+
+import report_oracle
+from paircheck import ExplorationConfig, explore, parse, render_report
+from paircheck.engine import replay
+from paircheck.state import digest
+
+pair = parse('semaphores 1; thread0 { emit "a"; up(0); } thread1 { emit "b"; down(0); }')
+snapshot = replay(pair, "01").snapshot
+assert snapshot.names == ()
+text = report_oracle.canonical(snapshot)
+assert snapshot.canonical() == text
+assert digest(snapshot) == hashlib.blake2b(text.encode(), digest_size=16).digest()
+for config in (ExplorationConfig(), ExplorationConfig(digest_mode=True)):
+    report = explore(pair, config)
+    for fmt in ("json", "text"):
+        assert render_report(report, fmt) == report_oracle.render_report(report, fmt), fmt
+print("agree")
+"""
+
+
+class TestWriterLookup:
+    """A snapshot's writer is found from its own names: the last one built is kept."""
+
+    def test_the_same_names_find_the_same_writer(self):
+        names = _STATUS_BELOW_DONE.names
+        assert state.snapshot_formatter(names) is state.snapshot_formatter(names)
+        for pad in ("  ", " " * 6, " " * 10):
+            assert _json_members(names, pad) is _json_members(names, pad)
+
+    def test_canonical_and_digest_build_no_writer_of_their_own(self):
+        snapshot = initial_interleaving(_STATUS_BELOW_DONE).snapshot
+        writer = state.snapshot_formatter(snapshot.names)
+        assert snapshot.canonical() == writer(snapshot)
+        digest(snapshot)
+        assert state.snapshot_formatter(snapshot.names) is writer
+
+    def test_a_first_snapshot_without_variables(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_VARIABLES_FIRST],
+            cwd=Path(__file__).parent,  # where report_oracle is
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "agree\n", "")
 
 
 class TestCanonicalSerialization:

@@ -6,7 +6,6 @@ from paircheck.analysis import render
 from paircheck.engine import initial_interleaving, replay
 from paircheck.instrument import _position
 from paircheck.toylang import (
-    DEFAULT_UNROLL_LIMIT,
     Assign,
     BinOp,
     Emit,
@@ -17,6 +16,7 @@ from paircheck.toylang import (
     SemUp,
     ThreadProgram,
     MAX_NESTING,
+    UNROLL_LIMIT,
     Var,
     _lex,
     parse,
@@ -172,12 +172,18 @@ class TestParseErrors:
             parse('thread0 { repeat -1 { emit "x"; } } thread1 { }')
 
     def test_unroll_limit(self):
-        with pytest.raises(ParseError, match="limit"):
-            parse('thread0 { repeat 9 { emit "x"; } } thread1 { }', unroll_limit=8)
+        pair = parse('thread0 { repeat 1024 { emit "x"; } } thread1 { }')
+        assert len(pair.thread0.statements) == 1024
+        with pytest.raises(ParseError) as caught:
+            parse('thread0 { repeat 1025 { emit "x"; } } thread1 { }')
+        message = "1:11: repeat unrolls to 1025 statements, over the limit of 1024"
+        assert (str(caught.value), caught.value.line, caught.value.col) == (message, 1, 11)
 
     def test_unroll_limit_with_a_product_too_long_to_print(self):
-        with pytest.raises(ParseError, match="^1:11: repeat unrolls to 18 statements, over the"):
-            parse('thread0 { repeat 9 { emit "a"; emit "b"; } } thread1 { }', unroll_limit=8)
+        with pytest.raises(ParseError) as caught:
+            parse('thread0 { repeat 513 { emit "a"; emit "b"; } } thread1 { }')
+        message = "1:11: repeat unrolls to 1026 statements, over the limit of 1024"
+        assert str(caught.value) == message
         nines = "9" * 4300  # the longest literal int() converts; the product has 4301 digits
         with pytest.raises(ParseError) as caught:
             parse(f'thread0 {{ repeat {nines} {{ emit "a"; emit "b"; }} }} thread1 {{ }}')
@@ -188,17 +194,19 @@ class TestParseErrors:
         pair = parse("thread0 { repeat 99999999999999999999 { } } thread1 { }")
         assert pair.thread0.statements == ()
 
-    @pytest.mark.parametrize("count", [10**20, DEFAULT_UNROLL_LIMIT + 1])
+    @pytest.mark.parametrize("count", [10**20, UNROLL_LIMIT + 1])
     def test_semaphore_count_over_the_limit(self, count):
         with pytest.raises(ParseError) as exc:
             parse(f"var x;\nsemaphores {count}; thread0 {{ }} thread1 {{ }}")
-        message = f"semaphore count {count} over the limit of {DEFAULT_UNROLL_LIMIT}"
+        message = f"semaphore count {count} over the limit of {UNROLL_LIMIT}"
         assert (str(exc.value), exc.value.line, exc.value.col) == (f"2:1: {message}", 2, 1)
 
     def test_semaphore_count_at_a_given_limit(self):
-        assert parse("semaphores 8; thread0 { } thread1 { }", unroll_limit=8).num_semaphores == 8
-        with pytest.raises(ParseError, match="semaphore count 9 over the limit of 8"):
-            parse("semaphores 9; thread0 { } thread1 { }", unroll_limit=8)
+        assert parse("semaphores 1024; thread0 { } thread1 { }").num_semaphores == 1024
+        with pytest.raises(ParseError) as caught:
+            parse("semaphores 1025; thread0 { } thread1 { }")
+        message = "1:1: semaphore count 1025 over the limit of 1024"
+        assert (str(caught.value), caught.value.line, caught.value.col) == (message, 1, 1)
 
     def test_unterminated_string(self):
         with pytest.raises(ParseError, match="unterminated"):
@@ -217,20 +225,19 @@ class TestParseErrors:
             parse("thread0 { } thread1 { } thread0 { }")
 
     @pytest.mark.parametrize(
-        "source, unroll_limit, message",
+        "source, message",
         [
-            ("var x; thread0 { x = 1 } thread1 { }", 8, "1:24: expected ';', found '}'"),
-            ("var x = y; thread0 { } thread1 { }", 8, "1:9: expected integer, found 'y'"),
-            ("var repeat; thread0 { } thread1 { }", 8, "1:5: expected variable name after 'var'"),
-            ("semaphores -1; thread0 { } thread1 { }", 8, "1:1: semaphore count must be non-negative"),
-            ("thread0 { ; } thread1 { }", 8, "1:11: expected statement, found ';'"),
-            ('thread0 {\n  emit "a";\n', 8, "3:1: expected '}'"),
+            ("var x; thread0 { x = 1 } thread1 { }", "1:24: expected ';', found '}'"),
+            ("var x = y; thread0 { } thread1 { }", "1:9: expected integer, found 'y'"),
+            ("var repeat; thread0 { } thread1 { }", "1:5: expected variable name after 'var'"),
+            ("semaphores -1; thread0 { } thread1 { }", "1:1: semaphore count must be non-negative"),
+            ("thread0 { ; } thread1 { }", "1:11: expected statement, found ';'"),
+            ('thread0 {\n  emit "a";\n', "3:1: expected '}'"),
             (
-                'thread0 { emit "a"; emit "b"; emit "c"; } thread1 { }',
-                2,
-                "1:41: thread exceeds unroll limit of 2 statements",
+                "thread0 { " + 'emit "a"; ' * 1025 + "} thread1 { }",  # each statement is 10 columns
+                "1:10261: thread exceeds unroll limit of 1024 statements",
             ),
-            ("var x; thread0 { x = ; } thread1 { }", 8, "1:22: expected expression, found ';'"),
+            ("var x; thread0 { x = ; } thread1 { }", "1:22: expected expression, found ';'"),
         ],
         ids=[
             "expected-punct",
@@ -243,9 +250,9 @@ class TestParseErrors:
             "expected-expression",
         ],
     )
-    def test_message_and_position(self, source, unroll_limit, message):
+    def test_message_and_position(self, source, message):
         with pytest.raises(ParseError) as exc:
-            parse(source, unroll_limit=unroll_limit)
+            parse(source)
         line, col = map(int, message.split(":")[:2])
         assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
 
