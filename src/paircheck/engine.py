@@ -57,11 +57,14 @@ from collections.abc import Callable
 from operator import itemgetter
 from typing import NamedTuple
 
+from . import Record, _require
 from .state import (
-    _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Record, Snapshot,
+    _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
     StateTable, _tuple_new, wrap64,
 )
-from .toylang import Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var
+from .toylang import (
+    UNROLL_LIMIT, Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
+)
 
 __all__ = [
     "EngineError",
@@ -99,12 +102,10 @@ class ExplorationConfig(Record):
     def __init__(self, pruning: bool = True, race_detection: bool = True,
                  digest_mode: bool = False, max_total_steps: int = 1_000_000):
         for name, flag in zip(self.__match_args__, (pruning, race_detection, digest_mode)):
-            if type(flag) is not bool:
-                raise TypeError(f"{name} is not a bool: {flag!r}")
+            _require(name, flag, bool)
         if digest_mode and not race_detection:
             raise ValueError("digest mode needs race detection")
-        if type(max_total_steps) is not int:
-            raise TypeError(f"max_total_steps is not an int: {max_total_steps!r}")
+        _require("max_total_steps", max_total_steps, int)
         if max_total_steps < 0:
             raise ValueError("max_total_steps must be non-negative")
         super().__init__(pruning, race_detection, digest_mode, max_total_steps)
@@ -160,30 +161,33 @@ class CompiledProgram(NamedTuple):
 def compile_program(pair: ProgramPair) -> CompiledProgram:
     """Compile each statement of ``pair`` into its transition.
 
-    Unknown variables raise ``KeyError``; other nodes, a variable name that
-    is not a ``str``, and an initial value or semaphore count that is not an
-    ``int`` (a ``bool`` is not one) raise ``TypeError``.  What else the
-    parser rejects raises ``ValueError``: an unknown operator, a variable
-    declared twice, an initial value outside the signed 64-bit range, an
-    empty emit, or a semaphore count or index out of range.
+    Unknown variables raise ``KeyError``; other nodes, and a leaf not of its
+    exact type, raise ``TypeError``: a variable name or emit text that is not
+    a ``str``, or an initial value, literal, semaphore count or index that is
+    not an ``int`` (a ``bool`` is not one).  What else the parser rejects
+    raises ``ValueError`` in its wording, without a position: an unknown
+    operator, a variable declared twice, an initial value outside the signed
+    64-bit range, an empty emit, a semaphore count or index out of range, or
+    a thread of more than ``UNROLL_LIMIT`` statements.
     """
     names, sems = pair.names, pair.num_semaphores
     twice = [a for a, b in zip(names, names[1:]) if a == b]
     if twice:
         raise ValueError(f"variable {twice[0]!r} declared twice")
     for name, value in pair.variables:
-        if type(name) is not str:
-            raise TypeError(f"variable name is not a str: {name!r}")
-        if type(value) is not int:
-            raise TypeError(f"initial value of {name!r} is not an int: {value!r}")
+        _require("variable name", name, str)
+        _require(f"initial value of {name!r}", value, int)
         if wrap64(value) != value:
             raise ValueError(f"initial value of {name!r} out of the signed 64-bit range: {value}")
-    if type(sems) is not int:
-        raise TypeError(f"semaphore count is not an int: {sems!r}")
+    _require("semaphore count", sems, int)
     if sems < 0:
         raise ValueError("semaphore count must be non-negative")
+    if sems > UNROLL_LIMIT:
+        raise ValueError(f"semaphore count {sems} over the limit of {UNROLL_LIMIT}")
     slots = {name: k for k, name in enumerate(names)}
     threads = (pair.thread0.statements, pair.thread1.statements)
+    if max(map(len, threads)) > UNROLL_LIMIT:
+        raise ValueError(f"thread exceeds unroll limit of {UNROLL_LIMIT} statements")
     transitions = tuple(
         tuple(_transition(statements, k, tid, slots, sems) for k in range(len(statements)))
         for tid, statements in enumerate(threads)
@@ -199,11 +203,13 @@ def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...
     """Compile an expression to a closure over the slot-ordered values.
 
     Every result is wrapped to 64 bits (:func:`~paircheck.state.wrap64`).
-    Unknown variables raise ``KeyError``, unknown operators ``ValueError``
-    and other nodes ``TypeError``, at compile time.
+    Unknown variables raise ``KeyError``, unknown operators ``ValueError``,
+    and other nodes and a literal that is not an ``int`` ``TypeError``, at
+    compile time.
     """
     match expr:
         case IntLit(value):
+            _require("literal", value, int)
             constant = wrap64(value)
             return lambda values: constant
         case Var(name):
@@ -248,10 +254,12 @@ def _transition(
             evaluate = _compile_expr(expr, slots)
             constant = (wrap64(expr.value),) if isinstance(expr, IntLit) else None
         case Emit(text):
+            _require("emit text", text, str)
             if not text:
                 raise ValueError("emit string must have at least one character")
             kind = _EMIT
         case SemDown(k) | SemUp(k):
+            _require("semaphore index", k, int)
             if not 0 <= k < sems:
                 raise ValueError(f"semaphore index {k} out of range (program declares {sems})")
             kind, up = _SEMAPHORE, isinstance(stmt, SemUp)

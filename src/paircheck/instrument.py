@@ -25,12 +25,19 @@ brace, parenthesis or ``;`` outside comments and literals.  ``strip``
 skips in one match to the next hook token outside comments and literals.
 Input bytes are preserved, line endings included, except for the
 inserted tokens and one space after each.  Unbalanced braces abort the
-run: the tool refuses rather than guessing.
+run with an :class:`InstrumentError` at their line and column: the tool
+refuses rather than guessing.
+
+:class:`InstrumentOptions` is a frozen record, and :class:`InstrumentError`
+the located error, both on the package root's bases; the module loads
+nothing else of the package.
 """
 
 from __future__ import annotations
 
 import re
+
+from . import Record, _LocatedError, _position, _require
 
 __all__ = ["InstrumentError", "InstrumentOptions", "instrument", "strip"]
 
@@ -73,30 +80,23 @@ _NEXT = re.compile(
 _TO_PUNCT = re.compile(rf"(?:[^(){{}};\"'/]+|{_INERT}|/)*(?P<other>[(){{}};])?", re.S)
 
 
-class InstrumentError(Exception):
+class InstrumentError(_LocatedError):
     """Input the tool refuses to transform (unbalanced braces)."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
 
-
-class InstrumentOptions:
+class InstrumentOptions(Record):
     """The hook token to insert, and whether to skip already-hooked statements.
 
-    A plain slotted class whose ``__init__`` validates both fields, and
-    frozen as ``state.Record`` is, which this module does not load: setting
-    or deleting a field raises ``AttributeError``.
+    A record whose ``__init__`` gives both fields defaults and validates
+    them; like every record it is frozen and compares, hashes and shows
+    field-wise.
     """
 
-    __slots__ = ("hook_token", "skip_redundant")
+    __slots__ = __match_args__ = ("hook_token", "skip_redundant")
 
     def __init__(self, hook_token: str = "hook();", skip_redundant: bool = False):
-        if type(hook_token) is not str:
-            raise TypeError(f"hook_token is not a str: {hook_token!r}")
-        if type(skip_redundant) is not bool:
-            raise TypeError(f"skip_redundant is not a bool: {skip_redundant!r}")
+        _require("hook_token", hook_token, str)
+        _require("skip_redundant", skip_redundant, bool)
         # a token that opens a brace, literal or comment, or spans lines,
         # would change the code it is inserted into and not strip back
         if not (hook_token[:1].isalpha() or hook_token[:1] == "_") or any(
@@ -106,23 +106,12 @@ class InstrumentOptions:
                 f"hook token {hook_token!r} must start with a letter or '_' and contain"
                 " no braces, quotes, '/' or line breaks"
             )
-        object.__setattr__(self, "hook_token", hook_token)
-        object.__setattr__(self, "skip_redundant", skip_redundant)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"InstrumentOptions is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+        super().__init__(hook_token, skip_redundant)
 
 
 def _hook_name(token: str) -> str:
     """Leading identifier of the hook token (``hook();`` -> ``hook``)."""
     return re.match(r"\w*", token).group()
-
-
-def _position(source: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of ``offset``; a ``\\r`` counts as a column."""
-    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
 def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
@@ -137,9 +126,9 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
     depth = 0  # braces outside parentheses: the bodies hooks go into
     pdepth = 0
     balance = 0  # every brace outside inert text, for the refusal check
-    armed = False  # the next token may start a hookable statement
-    armed_by_close = False
-    armed_after_hook = False
+    # what armed the next token to start a hookable statement: "{", "}",
+    # ";", "hook" (a ";" that ended a hook statement), or None if nothing
+    armed: str | None = None
     stmt_first_word: str | None = None
 
     pos = 0
@@ -147,7 +136,7 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
         if armed or stmt_first_word is None:
             match = _NEXT.match(source, pos)
             if match.start(1) >= 0:
-                armed = False  # a literal is not a hookable statement start
+                armed = None  # a literal is not a hookable statement start
         else:
             match = _TO_PUNCT.match(source, pos)
         kind = match.lastgroup
@@ -157,7 +146,7 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
         text = match.group(kind)
         if kind == "word":
             if text[0].isdigit():  # leading digits are punctuation
-                armed = False
+                armed = None
                 if text.isdigit():
                     continue
                 k = 1
@@ -168,44 +157,35 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
                 stmt_first_word = text
             if not armed:
                 continue
-            armed = False
-            if (
-                (skip_redundant and (armed_after_hook or text == hook_name))
-                or (armed_by_close and text in _CONTINUATIONS)
+            if not (
+                (skip_redundant and (armed == "hook" or text == hook_name))
+                or (armed == "}" and text in _CONTINUATIONS)
                 or text in _DECL_KEYWORDS
                 or text == _RUNTIME_TERMINATOR
             ):
-                continue
-            at = match.end() - len(text)
-            out.append(source[copied:at])
-            out.append(hook)
-            copied = at
+                at = match.end() - len(text)
+                out.append(source[copied:at])
+                out.append(hook)
+                copied = at
+            armed = None
         else:
-            armed = False
+            armed = None
             if text == "(":
                 pdepth += 1
             elif text == ")":
                 if pdepth:
                     pdepth -= 1
-            elif text == "{":
-                balance += 1
-                if not pdepth:
-                    depth += 1
-                    if depth >= 1:
-                        armed, armed_by_close, armed_after_hook = True, False, False
-                        stmt_first_word = None
-            elif text == "}":
-                balance -= 1
+            elif text == "{" or text == "}":
+                change = 1 if text == "{" else -1
+                balance += change
                 if balance < 0:
                     raise InstrumentError("unbalanced '}'", *_position(source, pos - 1))
                 if not pdepth:
-                    depth -= 1
+                    depth += change
                     if depth >= 1:
-                        armed, armed_by_close, armed_after_hook = True, True, False
-                        stmt_first_word = None
+                        armed, stmt_first_word = text, None
             elif text == ";" and not pdepth and depth >= 1:
-                armed, armed_by_close = True, False
-                armed_after_hook = stmt_first_word == hook_name
+                armed = "hook" if stmt_first_word == hook_name else ";"
                 stmt_first_word = None
     if balance:
         raise InstrumentError(f"{balance} unclosed '{{'", *_position(source, len(source)))

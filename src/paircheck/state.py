@@ -20,20 +20,17 @@ is a NamedTuple, so a full-mode entry is compared with the C-level tuple
 inequality: differing tags are a race without a digest of the later
 arrival, and equal tags fall through to the digest comparison.
 
-The module also defines :class:`Record`, the slotted base of the
-package's other records (the AST, programs and the exploration config),
-which gives them field-wise ``==``, hash and repr without the
-``dataclasses`` module; :func:`snapshot_formatter`, the writer of a
+The module also defines :func:`snapshot_formatter`, the writer of a
 snapshot's canonical bytes, found from its own ``names`` (the report
 writer owns the JSON layout); the output escaping of those bytes (which
 ``analysis.render`` shares); and :func:`wrap64`, the 64-bit wrap of
-every value.  It imports nothing from the rest of the package.
+every value.  It imports nothing from the rest of the package; the
+records' base, ``Record``, is in the package root.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import attrgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -81,64 +78,6 @@ def _thread_index(tid: object) -> int:
     if tid == 0 or tid == 1:
         return int(tid)
     raise ValueError(f"no thread {tid!r}")
-
-
-# ---------------------------------------------------------------------------
-# Records
-# ---------------------------------------------------------------------------
-
-
-class Record:
-    """Base of the package's records: ``__init__``, field-wise ``==``, hash and repr; frozen.
-
-    A subclass declares ``__slots__ = __match_args__ = (...)``.  ``__init__``
-    takes each field once, by position or keyword, else ``TypeError``; a record
-    with more slots, defaults or checks sets its fields with ``super().__init__``.
-    ``==``, hash and repr cover ``__match_args__``, and records of two classes
-    are never equal.  Setting or deleting a field raises ``AttributeError``.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        fields = cls.__match_args__
-        get = attrgetter(*fields)  # the fields as a tuple, or one field as itself
-        cls._key = get if len(fields) > 1 else staticmethod(lambda record: (get(record),))
-
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        fields = self.__match_args__
-        if kwargs or len(args) != len(fields):  # the parser gives every field by position
-            rest = fields[len(args):]  # the fields the keywords must give
-            if len(args) > len(fields) or kwargs.keys() != set(rest):
-                raise TypeError(f"{type(self).__name__}() takes each of the fields {fields} once")
-            args += tuple(map(kwargs.get, rest))
-        k = 0  # a counter: cheaper than zip or enumerate, and the parser builds many nodes
-        for name in fields:
-            _set(self, name, args[k])
-            k += 1
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._key(self) == other._key(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._key(self)))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-
-_set = object.__setattr__  # how a record sets its fields past __setattr__
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,12 @@ blocks, parentheses, and the operator tree of one expression may each nest
 at most :data:`MAX_NESTING` levels deep.
 
 This module only describes programs; running them is the engine's job.
-The nodes and programs are frozen slotted records (``state.Record``).
+The nodes and programs are frozen slotted records (the package root's
+``Record``), and :class:`ParseError` is the root's located error.
 Building a :class:`ProgramPair` hands it to ``engine.compile_program``,
-which checks it as the parser does and compiles its expressions and
-statements for stepping.
+which checks it as the parser does, the types of its leaves and its
+size limits included, and compiles its expressions and statements for
+stepping.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .state import Record, _set, _thread_index, wrap64
+from . import Record, _LocatedError, _position, _set
+from .state import _thread_index, wrap64
 
 __all__ = [
     "Assign",
@@ -135,19 +138,8 @@ class ProgramPair(Record):
 # ---------------------------------------------------------------------------
 
 
-class ParseError(Exception):
+class ParseError(_LocatedError):
     """Syntax or semantic error, with 1-based source position."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
-def _error(source: str, message: str, offset: int) -> ParseError:
-    """A :class:`ParseError` at ``offset`` of ``source``; a ``\\r`` counts as a column."""
-    line = source.count("\n", 0, offset) + 1
-    return ParseError(message, line, offset - source.rfind("\n", 0, offset))
 
 
 class _Token(NamedTuple):
@@ -180,19 +172,19 @@ def _lex(source: str) -> list[_Token]:
                 tokens.append(_Token("int", int(digits), start))
             except ValueError:  # more digits than the interpreter converts
                 message = f"integer literal too long ({len(digits)} digits)"
-                raise _error(source, message, start) from None
+                raise ParseError(message, *_position(source, start)) from None
         elif kind == "string":
             if not match[kind]:
                 end = match.end()
                 if source.startswith("\\", end) and end + 1 < len(source):
-                    raise _error(source, f"bad escape \\{source[end + 1]}", end + 1)
-                raise _error(source, "unterminated string literal", start)
+                    raise ParseError(f"bad escape \\{source[end + 1]}", *_position(source, end + 1))
+                raise ParseError("unterminated string literal", *_position(source, start))
             text = _ESCAPE.sub(lambda escape: _ESCAPES[escape[1]], match["text"])
             tokens.append(_Token("string", text, start))
         elif kind == "punct":
             tokens.append(_Token("punct", match[kind], start))
         elif kind is not None:  # any other character, or a word not starting with a letter or _
-            raise _error(source, f"unexpected character {source[start]!r}", start)
+            raise ParseError(f"unexpected character {source[start]!r}", *_position(source, start))
     tokens.append(_Token("eof", "", len(source)))
     return tokens
 
@@ -215,7 +207,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        return _error(self.source, message, (tok or self.cur).offset)
+        return ParseError(message, *_position(self.source, (tok or self.cur).offset))
 
     def advance(self) -> _Token:
         tok = self.cur

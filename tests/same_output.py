@@ -17,8 +17,11 @@ come from the repository this script is in:
   text and JSON under the default flags and ``--digest`` (under
   ``--no-race-detect`` it would only run into the step budget);
 * ``bench --max 6`` in text and JSON;
-* ``instrument`` of ``gen.py csource --seed 1 --kib 32``, and ``--strip``
-  of the hooked source it expects.
+* ``instrument`` of ``gen.py csource --seed 1 --kib 32``, plain, with
+  ``--skip-redundant`` and with ``--hook-token 'trace();'``; ``--strip`` of
+  the hooked source it expects, and ``--strip --hook-token 'trace();'`` of
+  that source with ``trace();`` in place of each ``hook();`` (the generated
+  source holds no other ``hook``).
 
 ``gen.py`` is run, never edited.  Each case that differs is printed, and
 the exit code is 1 if any case differs, else 0.  Standard library only;
@@ -63,7 +66,17 @@ def all_cases(workdir: Path) -> list[list[str]]:
         cases += [["check", str(wide), *flags, "--format", fmt] for fmt in FORMATS]
     cases += [["bench", "--max", "6", "--format", fmt] for fmt in FORMATS]
     source = generate("csource.c", "csource", "--seed", "1", "--kib", "32")
-    cases += [["instrument", str(source)], ["instrument", "--strip", f"{source}.expected"]]
+    expected = Path(f"{source}.expected")
+    traced = workdir / "csource.traced.c"
+    traced.write_bytes(expected.read_bytes().replace(b"hook(); ", b"trace(); "))
+    trace = ["--hook-token", "trace();"]
+    cases += [
+        ["instrument", str(source)],
+        ["instrument", "--skip-redundant", str(source)],
+        ["instrument", *trace, str(source)],
+        ["instrument", "--strip", str(expected)],
+        ["instrument", "--strip", *trace, str(traced)],
+    ]
     return cases
 
 

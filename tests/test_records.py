@@ -1,8 +1,8 @@
 """The package's records: repr, pattern positions, equality, hash and immutability.
 
-The AST nodes, ``ThreadProgram``, ``ProgramPair`` and ``ExplorationConfig``
-are plain slotted classes on one small base, and ``Snapshot`` is a
-NamedTuple.  These tests hold them to their repr, ``__match_args__``,
+The AST nodes, ``ThreadProgram``, ``ProgramPair``, ``ExplorationConfig``
+and ``InstrumentOptions`` are plain slotted classes on one small base, and
+``Snapshot`` is a NamedTuple.  These tests hold them to their repr, ``__match_args__``,
 ``==`` and hash, so the reports, digests and matches built on them do not
 move.
 """
@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from paircheck.engine import ExplorationConfig
+from paircheck.instrument import InstrumentOptions
 from paircheck.state import DONE, FirstVisit, PrunedEqual, Snapshot
 from paircheck.toylang import (
     Assign, BinOp, Emit, IntLit, ProgramPair, SemDown, SemUp, ThreadProgram, Var, parse,
@@ -26,7 +27,7 @@ SNAPSHOT = Snapshot(("x", "y"), (1, -2), "ab\n", (True, False), 1, DONE)
 
 NODES = [IntLit(7), Var("x"), BinOp("*", IntLit(2), Var("y")), ASSIGN, Emit("a"), SemUp(0),
          SemDown(1)]
-FROZEN = [*NODES, THREAD0, PAIR, ExplorationConfig()]
+FROZEN = [*NODES, THREAD0, PAIR, ExplorationConfig(), InstrumentOptions()]
 
 
 class TestRepr:
@@ -121,6 +122,13 @@ class TestEqualityAndHash:
         assert same == PAIR and hash(same) == hash(PAIR)
         assert ProgramPair(THREAD0, THREAD1, 2, PAIR.variables) != PAIR
         assert ProgramPair(THREAD1, THREAD0, 1, PAIR.variables) != PAIR
+
+    def test_equal_instrument_options(self):
+        options = InstrumentOptions("trace();", True)
+        twin = InstrumentOptions(skip_redundant=True, hook_token="trace();")
+        assert options == twin and options is not twin and hash(options) == hash(twin)
+        assert options != InstrumentOptions("trace();") and options != InstrumentOptions()
+        assert repr(options) == "InstrumentOptions(hook_token='trace();', skip_redundant=True)"
 
     def test_records_are_unordered(self):
         with pytest.raises(TypeError):

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lexer_oracle
+from paircheck import _position
 from paircheck.analysis import render
 from paircheck.engine import initial_interleaving, replay
-from paircheck.instrument import _position
 from paircheck.toylang import (
     Assign,
     BinOp,
@@ -297,10 +297,13 @@ class TestEval:
             ((Emit("a"),), (Emit(""),), 0, (), "emit string must have at least one character"),
             ((Assign("x", BinOp("/", IntLit(1), IntLit(2))),), (), 0, (("x", 0),),
              "unknown operator '/'"),
+            ((), (), 1025, (), "semaphore count 1025 over the limit of 1024"),
+            ((Emit("x"),) * 1025, (), 0, (), "thread exceeds unroll limit of 1024 statements"),
+            ((), (Emit("x"),) * 1025, 0, (), "thread exceeds unroll limit of 1024 statements"),
         ],
         ids=["up-past-bank", "negative-down", "no-bank", "duplicate-variable", "negative-count",
              "initial-value-above-range", "initial-value-below-range", "empty-emit",
-             "unknown-operator"],
+             "unknown-operator", "count-over-limit", "thread0-over-limit", "thread1-over-limit"],
     )
     def test_hand_built_pair_is_checked_as_parsed_source_is(
         self, thread0, thread1, num_semaphores, variables, message
@@ -314,13 +317,25 @@ class TestEval:
         [
             (Assign("x", "1"), "not an expression: '1'"),
             (IntLit(1), "not a statement: IntLit(value=1)"),
+            # a float literal would store 0.0 in the state, and a bool run as 1
+            (Assign("x", BinOp("+", Var("x"), IntLit(1.5))), "literal is not an int: 1.5"),
+            (Assign("x", IntLit(True)), "literal is not an int: True"),
+            (Emit(5), "emit text is not a str: 5"),
+            (SemUp("0"), "semaphore index is not an int: '0'"),
+            (SemDown(0.0), "semaphore index is not an int: 0.0"),
         ],
-        ids=["expression", "statement"],
+        ids=["expression", "statement", "float-literal", "bool-literal", "int-emit", "str-up",
+             "float-down"],
     )
     def test_hand_built_node_of_the_wrong_kind(self, statement, message):
         with pytest.raises(TypeError) as raised:
             ProgramPair(ThreadProgram((statement,)), ThreadProgram(()), 0, (("x", 0),))
         assert str(raised.value) == message
+
+    def test_hand_built_pair_at_the_parser_limits(self):
+        pair = ProgramPair(ThreadProgram((Emit("x"),) * UNROLL_LIMIT),
+                           ThreadProgram((Emit("y"),) * UNROLL_LIMIT), UNROLL_LIMIT, ())
+        assert [len(t) for t in pair.compiled.transitions] == [1024, 1024]
 
     @pytest.mark.parametrize("value", ["a", 5.0, True], ids=["str", "float", "bool"])
     def test_hand_built_initial_value_must_be_an_int(self, value):
