@@ -140,6 +140,10 @@ class _LocatedError(Exception):
         self.line = line
         self.col = col
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__, as records do
+        message = self.args[0].partition(": ")[2]  # "line:col: " holds no other ": "
+        return type(self), (message, self.line, self.col)
+
 
 def _position(source: str, offset: int) -> tuple[int, int]:
     """1-based line and column of ``offset`` in ``source``; a ``\\r`` counts as a column."""

@@ -17,6 +17,10 @@ Every command writes stdout through one writer, as UTF-8 whatever the
 locale's encoding, in blocks of whole chunks of at least 64 KiB.  A closed
 stdout or a closed or unwritable stderr keeps the exit code, and errors
 never go to stdout; a closed stdin read as ``-`` is an input error.
+``instrument`` joins the instrumenter's output pieces into those blocks
+and writes them, to stdout or ``-o FILE``, only once the whole input is
+scanned, so a refused input writes nothing and creates no file; the
+whole output is never joined into one string or encoded at once.
 
 Each ``_cmd_*`` imports the modules it runs.  No command loads
 ``dataclasses``: the records are NamedTuples or plain slotted classes.
@@ -253,25 +257,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_instrument(args: argparse.Namespace) -> int:
-    from .instrument import InstrumentError, InstrumentOptions, instrument, strip
+    from .instrument import InstrumentError, InstrumentOptions, _instrument_pieces, _strip_pieces
 
     try:
         opts = InstrumentOptions(hook_token=args.hook_token, skip_redundant=args.skip_redundant)
     except ValueError as exc:
         raise _InputError(exc) from None
     source = _read_source(args.file, newline="")
+    pieces = (_strip_pieces if args.strip else _instrument_pieces)(source, opts)
     try:
-        result = strip(source, opts) if args.strip else instrument(source, opts)
+        blocks = list(_blocks(pieces))  # the whole scan, so a refusal writes nothing
     except InstrumentError as exc:
         raise _InputError(f"{args.file}:{exc}") from None
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.write(result)
+                handle.writelines(blocks)
         except OSError as exc:
             raise _InputError(exc) from None
     else:
-        _write_stdout((result,))
+        _write_stdout(blocks)
     return ExitStatus.CLEAN
 
 

@@ -21,8 +21,14 @@ Python work is spent only where the state can change.  While a statement
 start is armed, or the statement's first word is still unknown, one
 regex match skips whitespace, comments and literals and stops at the
 next word or other character.  Otherwise one match skips to the next
-brace, parenthesis or ``;`` outside comments and literals.  ``strip``
-skips in one match to the next hook token outside comments and literals.
+brace, parenthesis or ``;`` outside comments and literals, passing over
+whole parenthesis groups that hold no brace and nest at most one level
+deep (their ``;`` cannot arm and their depth nets to zero); a ``;``,
+``{`` or ``}`` it stops at also takes the whitespace, comments and word
+after it, if a word follows.  ``strip`` skips in one match to the next
+hook token outside comments and literals.  Each direction yields its
+output as pieces, source slices and hook tokens, which ``instrument``
+and ``strip`` join and the command line writes in blocks.
 Input bytes are preserved, line endings included, except for the
 inserted tokens and one space after each.  Unbalanced braces abort the
 run with an :class:`InstrumentError` at their line and column: the tool
@@ -36,6 +42,7 @@ nothing else of the package.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from . import Record, _LocatedError, _position, _require
 
@@ -68,16 +75,28 @@ _RUNTIME_TERMINATOR = "done"
 # ``_NEXT`` and ``_TO_PUNCT`` each skip, in one match, the tokens that
 # cannot change the state they are used in (see the module docstring),
 # then read the token they stop at into the named group ``word`` or
-# ``other``; neither matches only at the end of input.  A skip has no
-# required suffix, so the regex engine never backtracks into a literal or
-# comment to make a later part match.  In ``_NEXT`` group 1 matches if a
-# skipped inert run opens with a quote: a literal is not a hookable
-# statement start, so it disarms.
+# ``other``; only at the end of input does neither group match.  After a
+# ``;``, ``{`` or ``}``, ``_TO_PUNCT`` also reads the next word into
+# ``word`` if only whitespace and comments come before it: all or
+# nothing, so a literal still reaches ``_NEXT`` and disarms.  A skip has
+# no required suffix, so the regex engine never backtracks into a literal
+# or comment to make a later part match.  The parenthesis group
+# (``_GROUP``) and the word after a ``;`` or brace (``_WORD_AFTER``) do
+# have one, a ``)`` or a word, so each reads its inner tokens once inside
+# a lookahead and matches the capture again, ``(?=(?P<g>...))(?P=g)``:
+# the lookahead is atomic, which Python 3.10's ``re`` has no other way to
+# write.  In ``_NEXT`` group 1 matches if a skipped inert run opens with
+# a quote: a literal is not a hookable statement start, so it disarms.
 _INERT = r"""(?://[^\n]*|/\*(?:.*?\*/|.*)|"(?:[^"\\\n]|\\.?)*"?|'(?:[^'\\\n]|\\.?)*'?)+"""
 _NEXT = re.compile(
     rf"(?:[ \t\r\n]+|(?:(?=[\"'])())?{_INERT})*(?:(?P<word>\w+)|(?P<other>.))?", re.S
 )
-_TO_PUNCT = re.compile(rf"(?:[^(){{}};\"'/]+|{_INERT}|/)*(?P<other>[(){{}};])?", re.S)
+_FLAT = rf"[^(){{}}\"'/]+|{_INERT}|/"  # a token in a parenthesis group: no brace or parenthesis
+_GROUP = rf"\((?=(?P<g>(?:{_FLAT}|\((?=(?P<h>(?:{_FLAT})*))(?P=h)\))*))(?P=g)\)"
+_WORD_AFTER = r"(?<=[;{}])(?=(?P<w>(?:[ \t\r\n]+|//[^\n]*|/\*(?:.*?\*/|.*))*))(?P=w)(?P<word>\w+)"
+_TO_PUNCT = re.compile(
+    rf"(?:[^(){{}};\"'/]+|{_INERT}|/|{_GROUP})*(?:(?P<other>[(){{}};])(?:{_WORD_AFTER})?)?", re.S
+)
 
 
 class InstrumentError(_LocatedError):
@@ -116,13 +135,21 @@ def _hook_name(token: str) -> str:
 
 def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
     """Insert the hook token before statements inside brace bodies."""
-    opts = opts or InstrumentOptions()
+    return "".join(_instrument_pieces(source, opts or InstrumentOptions()))
+
+
+def strip(source: str, opts: InstrumentOptions | None = None) -> str:
+    """Remove standalone hook tokens outside literals and comments."""
+    return "".join(_strip_pieces(source, opts or InstrumentOptions()))
+
+
+def _instrument_pieces(source: str, opts: InstrumentOptions) -> Iterator[str]:
+    """The output of :func:`instrument` as source slices and hook tokens, in order."""
     hook = opts.hook_token + " "
     hook_name = _hook_name(opts.hook_token)
     skip_redundant = opts.skip_redundant
 
-    out: list[str] = []
-    copied = 0  # source[:copied] is already in out
+    copied = 0  # source[:copied] is already yielded
     depth = 0  # braces outside parentheses: the bodies hooks go into
     pdepth = 0
     balance = 0  # every brace outside inert text, for the refusal check
@@ -139,63 +166,62 @@ def instrument(source: str, opts: InstrumentOptions | None = None) -> str:
                 armed = None  # a literal is not a hookable statement start
         else:
             match = _TO_PUNCT.match(source, pos)
-        kind = match.lastgroup
-        if kind is None:
-            break
         pos = match.end()
-        text = match.group(kind)
-        if kind == "word":
-            if text[0].isdigit():  # leading digits are punctuation
-                armed = None
-                if text.isdigit():
-                    continue
-                k = 1
-                while text[k].isdigit():
-                    k += 1
-                text = text[k:]
-            if stmt_first_word is None:
-                stmt_first_word = text
-            if not armed:
-                continue
-            if not (
-                (skip_redundant and (armed == "hook" or text == hook_name))
-                or (armed == "}" and text in _CONTINUATIONS)
-                or text in _DECL_KEYWORDS
-                or text == _RUNTIME_TERMINATOR
-            ):
-                at = match.end() - len(text)
-                out.append(source[copied:at])
-                out.append(hook)
-                copied = at
+        other, text = match.group("other", "word")
+        if other is not None:
             armed = None
-        else:
-            armed = None
-            if text == "(":
+            if other == "(":
                 pdepth += 1
-            elif text == ")":
+            elif other == ")":
                 if pdepth:
                     pdepth -= 1
-            elif text == "{" or text == "}":
-                change = 1 if text == "{" else -1
+            elif other == "{" or other == "}":
+                change = 1 if other == "{" else -1
                 balance += change
                 if balance < 0:
-                    raise InstrumentError("unbalanced '}'", *_position(source, pos - 1))
+                    at = match.start("other")
+                    raise InstrumentError("unbalanced '}'", *_position(source, at))
                 if not pdepth:
                     depth += change
                     if depth >= 1:
-                        armed, stmt_first_word = text, None
-            elif text == ";" and not pdepth and depth >= 1:
+                        armed, stmt_first_word = other, None
+            elif other == ";" and not pdepth and depth >= 1:
                 armed = "hook" if stmt_first_word == hook_name else ";"
                 stmt_first_word = None
+            if text is None:
+                continue
+        elif text is None:
+            break
+        if text[0].isdigit():  # leading digits are punctuation
+            armed = None
+            if text.isdigit():
+                continue
+            k = 1
+            while text[k].isdigit():
+                k += 1
+            text = text[k:]
+        if stmt_first_word is None:
+            stmt_first_word = text
+        if not armed:
+            continue
+        if not (
+            (skip_redundant and (armed == "hook" or text == hook_name))
+            or (armed == "}" and text in _CONTINUATIONS)
+            or text in _DECL_KEYWORDS
+            or text == _RUNTIME_TERMINATOR
+        ):
+            at = pos - len(text)
+            yield source[copied:at]
+            yield hook
+            copied = at
+        armed = None
     if balance:
         raise InstrumentError(f"{balance} unclosed '{{'", *_position(source, len(source)))
-    out.append(source[copied:])
-    return "".join(out)
+    yield source[copied:]
 
 
-def strip(source: str, opts: InstrumentOptions | None = None) -> str:
-    """Remove standalone hook tokens outside literals and comments."""
-    opts = opts or InstrumentOptions()
+def _strip_pieces(source: str, opts: InstrumentOptions) -> Iterator[str]:
+    """The output of :func:`strip` as source slices, in order."""
     token = opts.hook_token
     first = re.escape(token[0])
     # skip to the next hook token outside inert runs: any other text, an
@@ -206,22 +232,22 @@ def strip(source: str, opts: InstrumentOptions | None = None) -> str:
         rf"({re.escape(token)} ?)?",
         re.S,
     )
-    out: list[str] = []
     pos = 0
+    last = ""  # the last character yielded
     while True:
         match = pattern.match(source, pos)
         start = match.start(1)
         if start < 0:
             break
         if start > pos:
-            out.append(source[pos:start])
+            yield source[pos:start]
+            last = source[start - 1]
         # the token starts with an identifier character, so it must not
         # continue the identifier last written (``myhook();``)
-        prev = out[-1][-1] if out else ""
-        if prev.isalnum() or prev == "_":
-            out.append(source[start])
+        if last.isalnum() or last == "_":
+            last = source[start]
+            yield last
             pos = start + 1
         else:
             pos = match.end()
-    out.append(source[pos:])
-    return "".join(out)
+    yield source[pos:]

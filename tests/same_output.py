@@ -17,11 +17,16 @@ come from the repository this script is in:
   text and JSON under the default flags and ``--digest`` (under
   ``--no-race-detect`` it would only run into the step budget);
 * ``bench --max 6`` in text and JSON;
-* ``instrument`` of ``gen.py csource --seed 1 --kib 32``, plain, with
-  ``--skip-redundant`` and with ``--hook-token 'trace();'``; ``--strip`` of
-  the hooked source it expects, and ``--strip --hook-token 'trace();'`` of
-  that source with ``trace();`` in place of each ``hook();`` (the generated
-  source holds no other ``hook``).
+* ``instrument`` of ``gen.py csource --seed 1 --kib 32``, plain and with
+  ``--hook-token 'trace();'``; ``instrument --skip-redundant`` and
+  ``--strip`` of the hooked source it expects (the generated source holds
+  no ``hook``, so only the hooked one has statements to skip), and
+  ``--strip --hook-token 'trace();'`` of that source with ``trace();`` in
+  place of each ``hook();``;
+* ``instrument`` of ``gen.py csource --seed 1 --kib 256``, whose output
+  spans several 64 KiB blocks, ``--strip`` of the hooked source it
+  expects, and ``instrument`` of that source with a ``{`` appended, which
+  is refused with exit code 4 after several blocks.
 
 ``gen.py`` is run, never edited.  Each case that differs is printed, and
 the exit code is 1 if any case differs, else 0.  Standard library only;
@@ -72,10 +77,18 @@ def all_cases(workdir: Path) -> list[list[str]]:
     trace = ["--hook-token", "trace();"]
     cases += [
         ["instrument", str(source)],
-        ["instrument", "--skip-redundant", str(source)],
+        ["instrument", "--skip-redundant", str(expected)],
         ["instrument", *trace, str(source)],
         ["instrument", "--strip", str(expected)],
         ["instrument", "--strip", *trace, str(traced)],
+    ]
+    large = generate("csource256.c", "csource", "--seed", "1", "--kib", "256")
+    unclosed = workdir / "csource256.unclosed.c"
+    unclosed.write_bytes(large.read_bytes() + b"{")
+    cases += [
+        ["instrument", str(large)],
+        ["instrument", "--strip", f"{large}.expected"],
+        ["instrument", str(unclosed)],
     ]
     return cases
 

@@ -9,6 +9,8 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,7 @@ from paircheck import (
 from paircheck.cli import _BLOCK, ExitStatus, _blocks, main
 from paircheck.toylang import MAX_NESTING, ParseError
 from test_analysis import RACY_24
+from test_instrument import _benchmark_generator
 
 
 def run(capsys, *argv):
@@ -375,9 +378,41 @@ class TestInstrumentCommand:
     def test_unbalanced_braces_exit_code(self, tmp_path, capsys):
         path = tmp_path / "f.c"
         path.write_text("void f() {")
-        code, _, err = run(capsys, "instrument", str(path))
+        code, out, err = run(capsys, "instrument", str(path))
         assert code == ExitStatus.INPUT_ERROR
+        assert out == ""
         assert "error" in err
+
+    def test_error_found_after_several_blocks_writes_nothing(self, tmp_path, capsys):
+        # about 211 KiB of input, whose hooked output fills several 64 KiB
+        # blocks before the scan reaches the unclosed brace at the end
+        path, dst = tmp_path / "f.c", tmp_path / "out.c"
+        path.write_text("void f() { a(); }\n" * 12_000 + "{")
+        assert path.stat().st_size > 192 * 1024
+        expected = (ExitStatus.INPUT_ERROR, "", f"error: {path}:12001:2: 1 unclosed '{{'\n")
+        assert run(capsys, "instrument", str(path)) == expected
+        assert run(capsys, "instrument", str(path), "-o", str(dst)) == expected
+        assert not dst.exists()
+
+    def test_memory_is_bounded_by_the_input(self, tmp_path):
+        # the input, one copy of the output in blocks, and one block's pieces:
+        # no list of every slice, joined output or whole-output encoding
+        source, expected = _benchmark_generator().c_source(1, 512)
+        src, hooked, out = tmp_path / "src.c", tmp_path / "hooked.c", tmp_path / "out.c"
+        src.write_bytes(source.encode())
+        hooked.write_bytes(expected.encode())
+        main(["instrument", str(src), "-o", str(out)])  # warm-up: imports and patterns
+        for argv, want in (
+            (["instrument", str(src)], expected), (["instrument", "--strip", str(hooked)], source)
+        ):
+            tracemalloc.start()
+            try:
+                code = main([*argv, "-o", str(out)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == ExitStatus.CLEAN and out.read_bytes() == want.encode()
+            assert peak <= 3.0 * Path(argv[-1]).stat().st_size
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "instrument", "missing.c")

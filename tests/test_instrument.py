@@ -1,4 +1,5 @@
 import importlib.util
+import pickle
 import time
 
 import pytest
@@ -172,6 +173,13 @@ class TestInstrument:
         with pytest.raises(InstrumentError) as exc:
             instrument("\n}")
         assert str(exc.value) == "2:1: unbalanced '}'"
+
+    def test_error_survives_pickling(self):
+        with pytest.raises(InstrumentError) as exc:
+            instrument("void f() {")
+        copied = pickle.loads(pickle.dumps(exc.value))
+        assert type(copied) is InstrumentError
+        assert (str(copied), copied.line, copied.col) == ("1:11: 1 unclosed '{'", 1, 11)
 
     def test_brace_in_string_not_counted(self):
         instrument('void f() { s = "}"; }')  # must not raise

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -154,6 +156,13 @@ class TestParseErrors:
     def test_undeclared_variable_assign(self):
         with pytest.raises(ParseError, match="undeclared"):
             parse("thread0 { x = 1; } thread1 { }")
+
+    def test_error_survives_pickling(self):
+        with pytest.raises(ParseError) as exc:
+            parse("thread0 { x = 1; } thread1 { }")
+        copied = pickle.loads(pickle.dumps(exc.value))
+        assert type(copied) is ParseError
+        assert (str(copied), copied.line, copied.col) == ("1:11: undeclared variable 'x'", 1, 11)
 
     def test_undeclared_variable_in_expr(self):
         with pytest.raises(ParseError, match="undeclared"):
