@@ -19,11 +19,11 @@ differing one is reported as a race and ends the search below that
 state, except after a completion step: a race found there does not end
 the run, which goes on to record its final outcome.
 
-The report holds the search's own records.  Each outcome, deadlock and
-block-forever entry is the :class:`PartialInterleaving` at which the
-search found it, so it unpacks as ``(snapshot, trace, counter)`` and
-equals ``replay(pair, entry.trace)``.  Each race is the
-:class:`~paircheck.state.Race` the state table returned.
+Inside the search a snapshot is the plain tuple of a :class:`Snapshot`'s
+fields; a ``Snapshot`` is built only where a state leaves the search.
+Each outcome, deadlock and block-forever entry is the state where the
+search found it, equal to ``replay(pair, entry.trace)``, and each race
+is the :class:`~paircheck.state.Race` the state table returned.
 
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
@@ -39,16 +39,16 @@ program is compiled once, when its ``ProgramPair`` is built, into a
 :class:`CompiledProgram` (``pair.compiled``), so stepping interprets
 nothing.  Every expression becomes a closure over the slot-ordered
 variable values, and every ``(thread, statement index)`` one transition
-closure.  A transition unpacks the old snapshot, a plain NamedTuple, once,
-computes the one field its statement changes (the values, the output or
-the semaphore bank), and builds the successor snapshot and interleaving
-with ``tuple.__new__`` in one place per thread, with the thread's next
-status and trace symbol fixed at compile time; :func:`step` checks the
-thread and its status and calls it.  A table per thread gives
-the semaphore each statement waits on (an ``up``) or -1, which is how
-the search tells which threads would block.  The compiled program only
-steps: a digest-mode state table finds each snapshot's canonical writer
-from the snapshot's own ``names``.
+closure.  A transition unpacks the old snapshot once, computes the one
+field its statement changes (the values, the output or the semaphore
+bank), and builds the successor snapshot as a plain tuple, a ``Snapshot``
+only when it was given one, with the thread's next status and trace
+symbol fixed at compile time; :func:`step` checks the thread and its
+status and calls it.  A table per thread gives the semaphore each
+statement waits on (an ``up``) or -1, which is how the search tells
+which threads would block.  The compiled program only steps: a
+digest-mode state table finds each snapshot's canonical writer from the
+snapshot's own ``names``.
 """
 
 from __future__ import annotations
@@ -240,10 +240,10 @@ def _transition(
     The thread's next status (``index + 1``, or ``DONE`` after its last
     statement) and its trace symbol are fixed here.  The transition
     unpacks the old snapshot once, computes the one field its statement
-    changes, and builds the successor with ``tuple.__new__``: a helper
-    would cost a call on every step.  An assignment copies the slot tuple
-    with its one new value; a literal's value is a one-tuple made here,
-    so it costs no call.
+    changes, and builds the successor inline: a helper would cost a call
+    on every step.  An assignment or a semaphore change sets its one slot
+    in a list copy; a literal's value is made here, so it costs no call.
+    A plain snapshot steps to a plain tuple, a ``Snapshot`` to a ``Snapshot``.
     """
     stmt = statements[index]
     status = DONE if index == len(statements) - 1 else index + 1
@@ -252,7 +252,7 @@ def _transition(
         case Assign(target, expr):
             kind, k = _ASSIGN, slots[target]
             evaluate = _compile_expr(expr, slots)
-            constant = (wrap64(expr.value),) if isinstance(expr, IntLit) else None
+            constant = wrap64(expr.value) if isinstance(expr, IntLit) else None
         case Emit(text):
             _require("emit text", text, str)
             if not text:
@@ -267,19 +267,28 @@ def _transition(
             raise TypeError(f"not a statement: {stmt!r}")
 
     def transition(i):
-        (names, values, output, bank, status0, status1), trace, (s0, s1) = i
+        snapshot, trace, (s0, s1) = i
+        names, values, output, bank, status0, status1 = snapshot
         if kind == _ASSIGN:
-            values = values[:k] + (constant or (evaluate(values),)) + values[k + 1 :]
+            slots = list(values)
+            slots[k] = evaluate(values) if constant is None else constant
+            values = tuple(slots)
         elif kind == _EMIT:
             output += text
         elif bank[k] != up:  # a down lowers a raised semaphore, an up raises a lowered one
-            bank = bank[:k] + (up,) + bank[k + 1 :]
+            slots = list(bank)
+            slots[k] = up
+            bank = tuple(slots)
         elif up:
             raise EngineError(f"thread {tid} would block on up({k})")
         if tid:
-            new = _tuple_new(Snapshot, (names, values, output, bank, status0, status))
+            new = names, values, output, bank, status0, status
+            if type(snapshot) is not tuple:
+                new = _tuple_new(Snapshot, new)
             return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
-        new = _tuple_new(Snapshot, (names, values, output, bank, status, status1))
+        new = names, values, output, bank, status, status1
+        if type(snapshot) is not tuple:
+            new = _tuple_new(Snapshot, new)
         return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
 
     return transition
@@ -318,9 +327,9 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     """
     # index with the literal: a tid such as 1.0 equals 1 but cannot index a tuple
     if tid == 0:
-        index, transitions = i.snapshot.status0, pair.compiled.transitions[0]
+        index, transitions = i[0][4], pair.compiled.transitions[0]  # status0
     elif tid == 1:
-        index, transitions = i.snapshot.status1, pair.compiled.transitions[1]
+        index, transitions = i[0][5], pair.compiled.transitions[1]  # status1
     else:
         raise EngineError(f"no thread {tid!r}")
     if index == DONE:
@@ -354,6 +363,11 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
 _BRANCH, _FORCED, _COMPLETION = range(3)
 
 
+def _reported(i: PartialInterleaving) -> PartialInterleaving:
+    """``i`` with its plain search snapshot made a :class:`Snapshot`, as a report holds it."""
+    return i._replace(snapshot=Snapshot._make(i.snapshot))
+
+
 def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> ExplorationReport:
     """Enumerate interleavings depth-first and build a report.
 
@@ -364,21 +378,23 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     rooted at snapshot-identical states.  Without ``race_detection``
     there is no table and the search is exhaustive.
 
-    If the total statement budget runs out the search stops there and
-    the report is returned with ``complete=False``.
+    The search steps plain snapshot tuples, and its report holds
+    ``Snapshot`` records.  If the statement budget runs out the search
+    stops there and the report has ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
     _, (blocks0, blocks1) = pair.compiled
     table = StateTable(cfg.digest_mode) if cfg.race_detection else None
     pruning, max_total_steps = cfg.pruning, cfg.max_total_steps
-    outcomes: dict[Snapshot, PartialInterleaving] = {}
+    outcomes: dict[tuple, PartialInterleaving] = {}  # keyed on the plain final snapshot
     races: list[Race] = []
     deadlocks: list[PartialInterleaving] = []
     block_forever: list[PartialInterleaving] = []
     deferred: list[PartialInterleaving] = []  # branch states whose thread 1 step is still due
     executed = branch_statements = completion_statements = interleavings = pruned = 0
     complete = True
-    i, kind = initial_interleaving(pair), _BRANCH  # the root is checked like a branch state
+    i = initial_interleaving(pair)  # the root, checked like a branch state
+    i, kind = i._replace(snapshot=tuple(i.snapshot)), _BRANCH  # the search steps plain snapshots
     while True:
         expand = True
         if table is not None:
@@ -414,11 +430,11 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
                 outcomes.setdefault(snap, i)
             elif done0 or done1:
                 if wb0 or wb1:
-                    block_forever.append(i)
+                    block_forever.append(_reported(i))
                 else:
                     tid, kind, expand = 1 if done0 else 0, _COMPLETION, True
             elif wb0 and wb1:
-                deadlocks.append(i)
+                deadlocks.append(_reported(i))
             elif wb0 or wb1:
                 tid, kind, expand = 1 if wb0 else 0, _FORCED, True
             else:
@@ -447,7 +463,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
         table_entries=0 if table is None else len(table),
     )
     return ExplorationReport(
-        outcomes=tuple(outcomes.values()),
+        outcomes=tuple(map(_reported, outcomes.values())),
         races=tuple(races),
         deadlocks=tuple(deadlocks),
         block_forever=tuple(block_forever),

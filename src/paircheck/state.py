@@ -15,10 +15,10 @@ its ``hash``.  Later arrivals are compared against it.  An equal state
 means the subtree below was already explored from an identical state
 (prunable); a differing one is a :class:`Race`: two schedules reached
 the same program point with different observable behavior.  A snapshot
-is a NamedTuple, so a full-mode entry is compared with the C-level tuple
-``==``, over the same six fields the digest covers.  The tag only proves
-inequality: differing tags are a race without a digest of the later
-arrival, and equal tags fall through to the digest comparison.
+is a NamedTuple or, inside the search, the plain tuple of its six
+fields; either is compared with the C-level tuple ``==``.  The tag only
+proves inequality: differing tags are a race without a digest of the
+later arrival, and equal tags fall through to the digest comparison.
 
 The module also defines :func:`snapshot_formatter`, the writer of a
 snapshot's canonical bytes, found from its own ``names`` (the report
@@ -254,7 +254,8 @@ class StateTable:
 
     Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
     trace, tag)``: the snapshot's :func:`digest` and the tag ``hash(snapshot)
-    & 0xFF``, a cached small int.  Entries are never evicted or overwritten.
+    & 0xFF``, a cached small int.  Entries are never evicted; a plain
+    snapshot is replaced by the equal ``Snapshot`` its first race reports.
     Every interleaving visited should come from the same
     :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
     plain ``==``, so snapshots of two programs with different variable
@@ -286,12 +287,19 @@ class StateTable:
             stored, stored_trace = entry
             if stored == snapshot:
                 return _PRUNED_EQUAL
-            return _tuple_new(Race, (counter, stored_trace, stored, None, trace, snapshot))
-        tag = hash(snapshot) & 0xFF
-        if entry is None:
-            self._entries[counter] = (digest(snapshot), trace, tag)
-            return _FIRST_VISIT
-        stored, stored_trace, stored_tag = entry
-        if stored_tag == tag and stored == digest(snapshot):
-            return _PRUNED_EQUAL
-        return _tuple_new(Race, (counter, stored_trace, None, stored, trace, snapshot))
+            if type(stored) is tuple:  # a search's plain snapshot, at its first race
+                stored = _tuple_new(Snapshot, stored)
+                self._entries[counter] = stored, stored_trace  # the later races share it
+            stored_digest = None
+        else:
+            tag = hash(snapshot) & 0xFF
+            if entry is None:
+                self._entries[counter] = (digest(snapshot), trace, tag)
+                return _FIRST_VISIT
+            stored_digest, stored_trace, stored_tag = entry
+            if stored_tag == tag and stored_digest == digest(snapshot):
+                return _PRUNED_EQUAL
+            stored = None
+        if type(snapshot) is tuple:  # a race reports a Snapshot; a caller's keeps its identity
+            snapshot = _tuple_new(Snapshot, snapshot)
+        return _tuple_new(Race, (counter, stored_trace, stored, stored_digest, trace, snapshot))

@@ -6,6 +6,7 @@ import pytest
 
 from corpus import fixed_corpus, random_pair
 from oracle import enumerate_schedules
+from paircheck import engine
 from paircheck.engine import (
     EngineError,
     ExplorationConfig,
@@ -15,7 +16,7 @@ from paircheck.engine import (
     replay,
     step,
 )
-from paircheck.state import DONE, digest
+from paircheck.state import DONE, PartialInterleaving, Snapshot, digest
 from paircheck.toylang import parse
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
@@ -443,3 +444,81 @@ class TestReportRecords:
                 entries += 1
                 assert entry == replay(pair, entry.trace), index
         assert entries
+
+
+# The five ways to search: with no table, and with a pruned or unpruned
+# table in full or digest mode.
+SEARCH_MODES = {
+    "exhaustive": EXHAUSTIVE,
+    "pruned-full": ExplorationConfig(),
+    "unpruned-full": ExplorationConfig(pruning=False),
+    "pruned-digest": ExplorationConfig(digest_mode=True),
+    "unpruned-digest": ExplorationConfig(pruning=False, digest_mode=True),
+}
+
+
+class TestSnapshotsAtTheEdge:
+    """The search steps plain tuples; every snapshot that leaves it is a ``Snapshot``."""
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_every_reported_snapshot_is_a_snapshot(self, mode):
+        cfg = SEARCH_MODES[mode]
+        entries = races = shared = 0
+        for index, pair in enumerate(fixed_corpus(200)):
+            report = explore(pair, cfg)
+            for entry in report.outcomes + report.deadlocks + report.block_forever:
+                entries += 1
+                assert type(entry) is PartialInterleaving, index
+                assert type(entry.snapshot) is Snapshot, index
+            stored_at = {}
+            for race in report.races:
+                races += 1
+                assert type(race.current_snapshot) is Snapshot, index
+                if cfg.digest_mode:
+                    assert race.stored_snapshot is None, index
+                    continue
+                assert type(race.stored_snapshot) is Snapshot, index
+                if race.counter in stored_at:
+                    # races at one counter share the stored side's one object
+                    assert race.stored_snapshot is stored_at[race.counter], index
+                    shared += 1
+                stored_at[race.counter] = race.stored_snapshot
+        assert entries
+        assert bool(races) == cfg.race_detection
+        if cfg.race_detection and not cfg.digest_mode:
+            assert shared
+
+    def test_public_stepping_returns_snapshots(self):
+        for index, pair in enumerate(fixed_corpus(200)):
+            i = initial_interleaving(pair)
+            assert type(i.snapshot) is Snapshot, index
+            for outcome in explore(pair, EXHAUSTIVE).outcomes:
+                i = initial_interleaving(pair)
+                for symbol in outcome.trace:
+                    i = step(pair, i, int(symbol))
+                    assert type(i) is PartialInterleaving, index
+                    assert type(i.snapshot) is Snapshot, index
+                replayed = replay(pair, outcome.trace)
+                assert type(replayed.snapshot) is Snapshot, index
+                assert replayed == i == outcome, index
+
+
+class TestSearchHotPath:
+    """What the search hands to ``engine.step``, where a tracer wraps it."""
+
+    @pytest.mark.parametrize("mode", SEARCH_MODES)
+    def test_the_search_steps_plain_snapshots(self, monkeypatch, mode):
+        calls = []
+
+        def recording_step(pair, i, tid):
+            calls.append(i)
+            assert type(i) is PartialInterleaving
+            assert type(i.snapshot) is tuple
+            # a tracer finds the statement about to run from the counter
+            assert 1 <= i.counter[tid] <= len(pair.thread(tid).statements)
+            return step(pair, i, tid)
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        for pair in fixed_corpus(50):
+            explore(pair, SEARCH_MODES[mode])
+        assert calls

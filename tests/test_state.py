@@ -374,7 +374,8 @@ class TestCompiledEncoder:
 
         def recording_step(pair, i, tid):
             successor = step(pair, i, tid)
-            reached.append(successor.snapshot)
+            # the search steps plain tuples; the same state as a Snapshot
+            reached.append(Snapshot._make(successor.snapshot))
             return successor
 
         monkeypatch.setattr(engine, "step", recording_step)
