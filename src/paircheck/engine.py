@@ -20,10 +20,12 @@ state, except after a completion step: a race found there does not end
 the run, which goes on to record its final outcome.
 
 Inside the search a snapshot is the plain tuple of a :class:`Snapshot`'s
-fields; a ``Snapshot`` is built only where a state leaves the search.
-Each outcome, deadlock and block-forever entry is the state where the
-search found it, equal to ``replay(pair, entry.trace)``, and each race
-is the :class:`~paircheck.state.Race` the state table returned.
+fields, a program of over ``state._CHUNK`` variables holding its values
+as a tuple of chunks (a step copies one, table entries share the rest); a
+flat ``Snapshot`` is built only where a state leaves the search.  Each
+outcome, deadlock and block-forever entry is the state where the search
+found it, equal to ``replay(pair, entry.trace)``, and each race is the
+:class:`~paircheck.state.Race` the state table returned.
 
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
@@ -38,16 +40,16 @@ remaining live thread does, it would block forever.
 program is compiled once, when its ``ProgramPair`` is built, into a
 :class:`CompiledProgram` (``pair.compiled``), so stepping interprets
 nothing.  Every expression becomes a closure over the slot-ordered
-variable values, and every ``(thread, statement index)`` one transition
-closure.  A transition unpacks the old snapshot once, computes the one
-field its statement changes (the values, the output or the semaphore
-bank), and builds the successor snapshot as a plain tuple, a ``Snapshot``
-only when it was given one, with the thread's next status and trace
-symbol fixed at compile time; :func:`step` checks the thread and its
-status and calls it.  A table per thread gives the semaphore each
-statement waits on (an ``up``) or -1, which is how the search tells
-which threads would block.  The compiled program only steps: a
-digest-mode state table finds each snapshot's canonical writer from the
+variable values, or their chunks, and every ``(thread, statement index)``
+one transition closure.  A transition unpacks the old snapshot once,
+computes the one field its statement changes (the values, the output or
+the semaphore bank), and builds the successor snapshot as a plain tuple, a
+flat ``Snapshot`` only when it was given one, with the thread's next
+status and trace symbol fixed at compile time; :func:`step` checks the
+thread and its status and calls it.  A table per thread gives the
+semaphore each statement waits on (an ``up``) or -1, which is how the
+search tells which threads would block.  The compiled program only steps:
+a digest-mode state table finds each snapshot's canonical writer from the
 snapshot's own ``names``.
 """
 
@@ -59,8 +61,8 @@ from typing import NamedTuple
 
 from . import Record, _require
 from .state import (
-    _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
-    StateTable, _tuple_new, wrap64,
+    _CHUNK, _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
+    StateTable, _chunked, _flat, _tuple_new, wrap64,
 )
 from .toylang import (
     UNROLL_LIMIT, Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
@@ -213,7 +215,8 @@ def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...
             constant = wrap64(value)
             return lambda values: constant
         case Var(name):
-            return itemgetter(slots[name])
+            q, r = divmod(slots[name], _CHUNK)
+            return itemgetter(slots[name]) if len(slots) <= _CHUNK else lambda values: values[q][r]
         case BinOp(op, left, right):
             a = _compile_expr(left, slots)
             b = _compile_expr(right, slots)
@@ -242,8 +245,9 @@ def _transition(
     unpacks the old snapshot once, computes the one field its statement
     changes, and builds the successor inline: a helper would cost a call
     on every step.  An assignment or a semaphore change sets its one slot
-    in a list copy; a literal's value is made here, so it costs no call.
-    A plain snapshot steps to a plain tuple, a ``Snapshot`` to a ``Snapshot``.
+    in a list copy, a wide program's assignment in a copy of its chunk; a
+    literal's value is made here, so it costs no call.  A plain snapshot
+    steps to a plain tuple, a ``Snapshot`` to a ``Snapshot`` with flat values.
     """
     stmt = statements[index]
     status = DONE if index == len(statements) - 1 else index + 1
@@ -253,6 +257,13 @@ def _transition(
             kind, k = _ASSIGN, slots[target]
             evaluate = _compile_expr(expr, slots)
             constant = wrap64(expr.value) if isinstance(expr, IntLit) else None
+            if len(slots) > _CHUNK:  # values in chunks: the transition sets chunk k
+                (k, r), value, fixed, constant = divmod(k, _CHUNK), evaluate, constant, None
+
+                def evaluate(values):  # chunk k with slot r set
+                    chunk = list(values[k])
+                    chunk[r] = value(values) if fixed is None else fixed
+                    return tuple(chunk)
         case Emit(text):
             _require("emit text", text, str)
             if not text:
@@ -291,6 +302,9 @@ def _transition(
             new = _tuple_new(Snapshot, new)
         return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
 
+    if kind == _ASSIGN and len(slots) > _CHUNK:  # a caller's Snapshot steps as the search's chunks
+        return lambda i: transition(i) if type(i[0]) is tuple else _reported(transition(
+            (_chunked(i[0]), *i[1:])))
     return transition
 
 
@@ -364,8 +378,8 @@ _BRANCH, _FORCED, _COMPLETION = range(3)
 
 
 def _reported(i: PartialInterleaving) -> PartialInterleaving:
-    """``i`` with its plain search snapshot made a :class:`Snapshot`, as a report holds it."""
-    return i._replace(snapshot=Snapshot._make(i.snapshot))
+    """``i`` with its plain search snapshot made the flat :class:`Snapshot` a report holds."""
+    return i._replace(snapshot=_flat(i.snapshot))
 
 
 def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> ExplorationReport:
@@ -378,9 +392,10 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     rooted at snapshot-identical states.  Without ``race_detection``
     there is no table and the search is exhaustive.
 
-    The search steps plain snapshot tuples, and its report holds
-    ``Snapshot`` records.  If the statement budget runs out the search
-    stops there and the report has ``complete=False``.
+    The search steps plain snapshot tuples, a wide program's values in
+    chunks, and its report holds flat ``Snapshot`` records.  If the
+    statement budget runs out the search stops there and the report has
+    ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
     _, (blocks0, blocks1) = pair.compiled
@@ -394,7 +409,7 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     executed = branch_statements = completion_statements = interleavings = pruned = 0
     complete = True
     i = initial_interleaving(pair)  # the root, checked like a branch state
-    i, kind = i._replace(snapshot=tuple(i.snapshot)), _BRANCH  # the search steps plain snapshots
+    i, kind = i._replace(snapshot=_chunked(i.snapshot)), _BRANCH  # the search steps plain tuples
     while True:
         expand = True
         if table is not None:

@@ -10,9 +10,11 @@ with each tree's ``src`` first on ``PYTHONPATH`` (and no bytecode written
 into the tree) and compares stdout, stderr and the exit code.  The inputs
 come from the repository this script is in:
 
-* every ``programs/*.toy`` and ``benchmarks/gen.py racy --seed 1`` at
-  ``--length`` 24 and 80, each checked in text and JSON under the default
-  flags, ``--digest``, ``--no-prune`` and ``--no-race-detect``;
+* every ``programs/*.toy``, ``benchmarks/gen.py racy --seed 1`` at
+  ``--length`` 24 and 80, and the length-24 program with 30 padding ``var``
+  lines prepended (34 variables, which the search holds in chunks of 16),
+  each checked in text and JSON under the default flags, ``--digest``,
+  ``--no-prune`` and ``--no-race-detect``;
 * ``gen.py disjoint --n 60``, a wide program of 120 variables, checked in
   text and JSON under the default flags and ``--digest`` (under
   ``--no-race-detect`` it would only run into the step budget);
@@ -60,6 +62,10 @@ def all_cases(workdir: Path) -> list[list[str]]:
     programs = sorted((REPO_ROOT / "programs").glob("*.toy"))
     for n in (24, 80):
         programs.append(generate(f"racy{n}.toy", "racy", "--seed", "1", "--length", str(n)))
+    padded = workdir / "racy24-padded.toy"
+    padding = "".join(f"var p{k:02d};\n" for k in range(30))
+    padded.write_text(padding + programs[-2].read_text(encoding="utf-8"), encoding="utf-8")
+    programs.append(padded)
     cases = [
         ["check", str(path), *flags, "--format", fmt]
         for path in programs

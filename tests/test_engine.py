@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from corpus import fixed_corpus, random_pair
+from corpus import fixed_corpus, random_pair, wide_corpus
 from oracle import enumerate_schedules
 from paircheck import engine
 from paircheck.engine import (
@@ -16,7 +16,9 @@ from paircheck.engine import (
     replay,
     step,
 )
-from paircheck.state import DONE, PartialInterleaving, Snapshot, digest
+from paircheck.state import (
+    DONE, PartialInterleaving, Snapshot, StateTable, digest, snapshot_formatter,
+)
 from paircheck.toylang import parse
 
 EXHAUSTIVE = ExplorationConfig(pruning=False, race_detection=False)
@@ -457,27 +459,48 @@ SEARCH_MODES = {
 }
 
 
+def is_flat(snapshot, pair):
+    """Whether ``snapshot`` is exactly a ``Snapshot`` of ``pair`` whose values are flat."""
+    values = snapshot.values
+    return (type(snapshot) is Snapshot and type(values) is tuple
+            and len(values) == len(pair.names) and all(type(v) is int for v in values))
+
+
+def canonical_text(snapshot):
+    """``snapshot.canonical()`` as its docstring lays it out, for outputs that need no escape."""
+    statuses = ("done" if s == DONE else f"run@{s}" for s in (snapshot.status0, snapshot.status1))
+    return ("vars{" + ",".join(f"{n}={v}" for n, v in snapshot.variables) + "};"
+            + f'out="{snapshot.output}";'
+            + "sems=" + "".join("U" if up else "D" for up in snapshot.semaphores)
+            + ";st0={};st1={}".format(*statuses))
+
+
+# every program of the fixed corpus, then the first 60 of them widened to 17,
+# 18 and 33 variables, which the search holds in chunks
+EDGE_CORPUS = fixed_corpus(200) + [wide for _, wide in wide_corpus(60)]
+
+
 class TestSnapshotsAtTheEdge:
-    """The search steps plain tuples; every snapshot that leaves it is a ``Snapshot``."""
+    """The search steps plain tuples; every snapshot that leaves it is a flat ``Snapshot``."""
 
     @pytest.mark.parametrize("mode", SEARCH_MODES)
     def test_every_reported_snapshot_is_a_snapshot(self, mode):
         cfg = SEARCH_MODES[mode]
         entries = races = shared = 0
-        for index, pair in enumerate(fixed_corpus(200)):
+        for index, pair in enumerate(EDGE_CORPUS):
             report = explore(pair, cfg)
             for entry in report.outcomes + report.deadlocks + report.block_forever:
                 entries += 1
                 assert type(entry) is PartialInterleaving, index
-                assert type(entry.snapshot) is Snapshot, index
+                assert is_flat(entry.snapshot, pair), index
             stored_at = {}
             for race in report.races:
                 races += 1
-                assert type(race.current_snapshot) is Snapshot, index
+                assert is_flat(race.current_snapshot, pair), index
                 if cfg.digest_mode:
                     assert race.stored_snapshot is None, index
                     continue
-                assert type(race.stored_snapshot) is Snapshot, index
+                assert is_flat(race.stored_snapshot, pair), index
                 if race.counter in stored_at:
                     # races at one counter share the stored side's one object
                     assert race.stored_snapshot is stored_at[race.counter], index
@@ -489,18 +512,48 @@ class TestSnapshotsAtTheEdge:
             assert shared
 
     def test_public_stepping_returns_snapshots(self):
-        for index, pair in enumerate(fixed_corpus(200)):
+        for index, pair in enumerate(EDGE_CORPUS):
             i = initial_interleaving(pair)
-            assert type(i.snapshot) is Snapshot, index
+            assert is_flat(i.snapshot, pair), index
             for outcome in explore(pair, EXHAUSTIVE).outcomes:
                 i = initial_interleaving(pair)
                 for symbol in outcome.trace:
-                    i = step(pair, i, int(symbol))
-                    assert type(i) is PartialInterleaving, index
-                    assert type(i.snapshot) is Snapshot, index
+                    tid = int(symbol)
+                    transition = pair.compiled.transitions[tid][i.snapshot.status(tid)]
+                    compiled = transition(i)
+                    i = step(pair, i, tid)
+                    assert type(i) is type(compiled) is PartialInterleaving, index
+                    assert is_flat(i.snapshot, pair), index
+                    assert is_flat(compiled.snapshot, pair), index
+                    assert compiled == i, index
                 replayed = replay(pair, outcome.trace)
-                assert type(replayed.snapshot) is Snapshot, index
+                assert is_flat(replayed.snapshot, pair), index
                 assert replayed == i == outcome, index
+
+    def test_a_wide_programs_flat_plain_tuple_is_digested_and_visited(self):
+        for index, (_, pair) in enumerate(wide_corpus(60)):
+            report = explore(pair, EXHAUSTIVE)
+            outcome = (report.outcomes + report.deadlocks + report.block_forever)[-1]
+            snapshot = outcome.snapshot
+            plain = tuple(snapshot)
+            text = canonical_text(snapshot)
+            assert snapshot.canonical() == text, index
+            assert snapshot_formatter(pair.names)(plain) == text, index
+            assert digest(plain) == digest(snapshot), index
+            table = StateTable(digest_mode=False)
+            i = PartialInterleaving(plain, outcome.trace, outcome.counter)
+            table.visit(i)
+            assert table.visit(i._replace(snapshot=snapshot)) is table.visit(i), index
+            other = plain[:1] + (plain[1][:-1] + (plain[1][-1] + 1,),) + plain[2:]
+            race = table.visit(i._replace(snapshot=other, trace="x"))
+            assert race.stored_snapshot == snapshot and is_flat(race.stored_snapshot, pair), index
+            assert race.current_snapshot == other and is_flat(race.current_snapshot, pair), index
+            hashed = StateTable(digest_mode=True)
+            hashed.visit(i)
+            assert hashed.visit(i._replace(snapshot=snapshot)) is hashed.visit(i), index
+            race = hashed.visit(i._replace(snapshot=other))
+            assert race.stored_digest == digest(snapshot), index
+            assert is_flat(race.current_snapshot, pair), index
 
 
 class TestSearchHotPath:
