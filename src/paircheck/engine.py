@@ -20,11 +20,10 @@ state, except after a completion step: a race found there does not end
 the run, which goes on to record its final outcome.
 
 Inside the search a snapshot is the plain tuple of a :class:`Snapshot`'s
-fields, a program of over ``state._CHUNK`` variables holding its values
-as a tuple of chunks (a step copies one, table entries share the rest); a
-flat ``Snapshot`` is built only where a state leaves the search.  Each
-outcome, deadlock and block-forever entry is the state where the search
-found it, equal to ``replay(pair, entry.trace)``, and each race is the
+fields, a wide program's values in chunks (a step copies one); a flat
+``Snapshot`` is built only where a state leaves the search.  Each outcome,
+deadlock and block-forever entry is the state where the search found it,
+equal to ``replay(pair, entry.trace)``, and each race is the
 :class:`~paircheck.state.Race` the state table returned.
 
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
@@ -62,7 +61,7 @@ from typing import NamedTuple
 from . import Record, _require
 from .state import (
     _CHUNK, _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
-    StateTable, _chunked, _flat, _tuple_new, wrap64,
+    StateTable, _chunked, _flat, _in_chunks, _tuple_new, _wide, wrap64,
 )
 from .toylang import (
     UNROLL_LIMIT, Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
@@ -216,7 +215,7 @@ def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...
             return lambda values: constant
         case Var(name):
             q, r = divmod(slots[name], _CHUNK)
-            return itemgetter(slots[name]) if len(slots) <= _CHUNK else lambda values: values[q][r]
+            return itemgetter(slots[name]) if not _wide(slots) else lambda values: values[q][r]
         case BinOp(op, left, right):
             a = _compile_expr(left, slots)
             b = _compile_expr(right, slots)
@@ -247,7 +246,8 @@ def _transition(
     on every step.  An assignment or a semaphore change sets its one slot
     in a list copy, a wide program's assignment in a copy of its chunk; a
     literal's value is made here, so it costs no call.  A plain snapshot
-    steps to a plain tuple, a ``Snapshot`` to a ``Snapshot`` with flat values.
+    steps to a plain tuple and a ``Snapshot`` to a ``Snapshot``, but a wide
+    program's assignment takes a caller's flat values to a flat ``Snapshot``.
     """
     stmt = statements[index]
     status = DONE if index == len(statements) - 1 else index + 1
@@ -257,7 +257,7 @@ def _transition(
             kind, k = _ASSIGN, slots[target]
             evaluate = _compile_expr(expr, slots)
             constant = wrap64(expr.value) if isinstance(expr, IntLit) else None
-            if len(slots) > _CHUNK:  # values in chunks: the transition sets chunk k
+            if _wide(slots):  # values in chunks: the transition sets chunk k
                 (k, r), value, fixed, constant = divmod(k, _CHUNK), evaluate, constant, None
 
                 def evaluate(values):  # chunk k with slot r set
@@ -302,8 +302,8 @@ def _transition(
             new = _tuple_new(Snapshot, new)
         return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
 
-    if kind == _ASSIGN and len(slots) > _CHUNK:  # a caller's Snapshot steps as the search's chunks
-        return lambda i: transition(i) if type(i[0]) is tuple else _reported(transition(
+    if kind == _ASSIGN and _wide(slots):  # a caller's flat values step as the search's chunks
+        return lambda i: transition(i) if _in_chunks(i[0][1]) else _reported(transition(
             (_chunked(i[0]), *i[1:])))
     return transition
 

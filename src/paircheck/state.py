@@ -15,11 +15,10 @@ its ``hash``.  Later arrivals are compared against it.  An equal state
 means the subtree below was already explored from an identical state
 (prunable); a differing one is a :class:`Race`: two schedules reached
 the same program point with different observable behavior.  A snapshot
-is a NamedTuple or, inside the search, the plain tuple of its six fields,
-with values over ``_CHUNK`` in chunks; either is compared with the C-level
-tuple ``==``, which passes shared chunks by identity.  The tag only proves
-inequality: differing tags are a race without a digest of the later
-arrival, and equal tags fall through to the digest comparison.
+is a NamedTuple or, inside the search, the plain tuple of its six
+fields, a wide program's values in chunks; either is compared with the
+C-level tuple ``==``.  The tag only proves inequality: differing tags
+are a race without digesting the later arrival; equal tags are digested.
 
 The module also defines :func:`snapshot_formatter`, the writer of a
 snapshot's canonical bytes, found from its own ``names`` (the report
@@ -137,18 +136,28 @@ class Snapshot(NamedTuple):
 _CHUNK = 16  # a search holds more values than this in chunks of this many, the last maybe fewer
 
 
+def _wide(names: tuple[str, ...] | dict[str, int]) -> bool:
+    """Whether a search holds the values of a program with these variables in chunks."""
+    return len(names) > _CHUNK
+
+
+def _in_chunks(values: tuple) -> bool:
+    """Whether a wide program's ``values`` are in chunks, as a search holds them, not flat."""
+    return type(values[0]) is tuple
+
+
 def _chunked(snapshot: Snapshot | tuple) -> tuple:
     """The search's plain tuple of a snapshot with flat values; chunks are tuples."""
     names, values, *rest = snapshot
-    if len(values) > _CHUNK:
+    if _wide(values):
         values = tuple(values[k:k + _CHUNK] for k in range(0, len(values), _CHUNK))
     return (names, values, *rest)
 
 
 def _flat(snapshot: tuple) -> Snapshot:
-    """The ``Snapshot`` of a plain snapshot tuple, its values flat."""
+    """The ``Snapshot`` of a snapshot with flat or chunked values (a chunk is a tuple), flat."""
     values = snapshot[1]
-    if values and type(values[0]) is tuple:
+    if values and type(values[0]) is tuple:  # _in_chunks, inline: every race side comes here
         snapshot = (snapshot[0], tuple(chain.from_iterable(values)), *snapshot[2:])
     return _tuple_new(Snapshot, snapshot)
 
@@ -180,7 +189,7 @@ def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
     banks: dict[tuple[bool, ...], str] = {}
     templates = [",".join(name.replace("%", "%%") + "=%s" for name in names[k:k + _CHUNK])
                  for k in range(0, len(names), _CHUNK)]
-    head = "vars{%s};" if len(templates) > 1 else "vars{" + "".join(templates) + "};"
+    head = "vars{%s};" if _wide(names) else "vars{" + "".join(templates) + "};"
     statuses = {DONE: "done"}
 
     def canonical(snapshot: Snapshot) -> str:
@@ -202,18 +211,16 @@ def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
             st1 = _remember(statuses, status1, f"run@{status1}")
         return head % values + f'out="{output}";sems={sems};st0={st0};st1={st1}'
 
-    if len(templates) > 1:
+    if _wide(names):
         memos: list[dict[tuple[int, ...], str]] = [{} for _ in templates]
 
         def by_chunk(snapshot: Snapshot | tuple) -> str:
-            _, values, *rest = snapshot
-            if type(values[0]) is not tuple:  # flat values
-                values = _chunked(snapshot)[1]
+            _, values, *rest = snapshot if _in_chunks(snapshot[1]) else _chunked(snapshot)
             text = ",".join([memo.get(chunk) or _remember(memo, chunk, template % chunk)
                              for memo, template, chunk in zip(memos, templates, values)])
             return canonical((None, (text,), *rest))
 
-    _kept_canonical = names, by_chunk if len(templates) > 1 else canonical
+    _kept_canonical = names, by_chunk if _wide(names) else canonical
     return _kept_canonical[1]
 
 
@@ -289,19 +296,18 @@ class StateTable:
 
     Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
     trace, tag)``: the snapshot's :func:`digest` and the tag ``hash(snapshot)
-    & 0xFF``, a cached small int.  Entries are never evicted; the first race
-    at a plain snapshot makes the flat ``Snapshot`` it reports, which replaces
-    flat values and is kept apart from chunked ones.  Every interleaving
-    visited should come from the same :class:`~paircheck.toylang.ProgramPair`
-    and hold its values alike: snapshots are compared with plain ``==``, so
-    two with different variable names, or flat and chunked values, differ,
-    and a digest-mode table builds a writer at each switch.
+    & 0xFF``, a cached small int.  Entries are never evicted; a plain
+    snapshot is replaced by the flat ``Snapshot`` its first race reports,
+    so a race is compared again flat, for a visit in chunks equal to it.
+    Every interleaving visited should come from the same
+    :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
+    plain ``==``, so snapshots of two programs with different variable
+    names differ, and a digest-mode table builds a writer at each switch.
     """
 
     def __init__(self, digest_mode: bool = False):
         self.digest_mode = digest_mode
         self._entries: dict[tuple[int, int], tuple[Snapshot, str] | tuple[bytes, str, int]] = {}
-        self._reported: dict[tuple[int, int], Snapshot] = {}  # a chunked entry's flat Snapshot
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -324,15 +330,9 @@ class StateTable:
             stored, stored_trace = entry
             if stored == snapshot:
                 return _PRUNED_EQUAL
-            if type(stored) is tuple:  # a search's plain snapshot: its races share one Snapshot
-                if len(stored[0]) <= _CHUNK:  # flat, at its first race: replaced by the equal one
-                    stored = _tuple_new(Snapshot, stored)
-                    self._entries[counter] = stored, stored_trace
-                else:  # chunked: kept for the later visits; both sides are made flat
-                    if counter not in self._reported:
-                        self._reported[counter] = _flat(stored)
-                    stored = self._reported[counter]
-                    snapshot = _flat(snapshot) if type(snapshot) is tuple else snapshot
+            if type(stored) is tuple:  # a search's plain snapshot, at its first race
+                stored = _flat(stored)  # the Snapshot that this and the later races share
+                self._entries[counter] = stored, stored_trace
             stored_digest = None
         else:
             tag = hash(snapshot) & 0xFF
@@ -343,8 +343,8 @@ class StateTable:
             if stored_tag == tag and stored_digest == digest(snapshot):
                 return _PRUNED_EQUAL
             stored = None
-            if type(snapshot) is tuple and len(snapshot[0]) > _CHUNK:
-                snapshot = _flat(snapshot)
         if type(snapshot) is tuple:  # a race reports a flat Snapshot; a caller's keeps its identity
-            snapshot = _tuple_new(Snapshot, snapshot)
+            snapshot = _flat(snapshot)
+        if stored == snapshot:  # full mode: a visit in chunks, equal to the stored Snapshot
+            return _PRUNED_EQUAL
         return _tuple_new(Race, (counter, stored_trace, stored, stored_digest, trace, snapshot))

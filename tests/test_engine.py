@@ -530,6 +530,19 @@ class TestSnapshotsAtTheEdge:
                 assert is_flat(replayed.snapshot, pair), index
                 assert replayed == i == outcome, index
 
+    def test_a_wide_programs_flat_plain_tuple_steps_as_its_snapshot(self):
+        for index, (_, pair) in enumerate(wide_corpus(60)):
+            report = explore(pair, EXHAUSTIVE)
+            outcome = (report.outcomes + report.deadlocks + report.block_forever)[0]
+            i = initial_interleaving(pair)
+            for symbol in outcome.trace:
+                plain = i._replace(snapshot=tuple(i.snapshot))
+                i = step(pair, i, int(symbol))
+                stepped = step(pair, plain, int(symbol))
+                assert stepped == i and len(stepped.snapshot[1]) == len(pair.names), index
+                assert all(type(value) is int for value in stepped.snapshot[1]), index
+            assert i == outcome, index
+
     def test_a_wide_programs_flat_plain_tuple_is_digested_and_visited(self):
         for index, (_, pair) in enumerate(wide_corpus(60)):
             report = explore(pair, EXHAUSTIVE)

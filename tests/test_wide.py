@@ -15,8 +15,11 @@ import pytest
 from corpus import wide_corpus
 from oracle import enumerate_schedules
 from paircheck import disjoint_pair
-from paircheck.engine import ExplorationConfig, explore, replay
-from paircheck.state import _CHUNK, StateTable, _flat, digest, snapshot_formatter
+from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
+from paircheck.state import (
+    _CHUNK, _FIRST_VISIT, _PRUNED_EQUAL, Race, StateTable, _chunked, _flat, digest,
+    snapshot_formatter,
+)
 from paircheck.toylang import parse
 from test_engine import EXHAUSTIVE, SEARCH_MODES, canonical_text
 
@@ -115,6 +118,20 @@ def test_expressions_read_across_chunks():
                 assert race.stored_digest == digest(stored), mode
             else:
                 assert race.stored_snapshot == stored, mode
+
+
+def test_a_first_race_leaves_an_entry_that_equal_visits_in_chunks_still_prune():
+    pair = disjoint_pair(16)  # 32 variables in two chunks
+    i = initial_interleaving(pair)
+    a = i._replace(snapshot=_chunked(i.snapshot))
+    names, (low, high), *rest = a.snapshot
+    b = a._replace(snapshot=(names, (low, (high[0] + 1, *high[1:])), *rest), trace="x")
+    table = StateTable()
+    assert table.visit(a) is _FIRST_VISIT
+    race = table.visit(b)
+    assert type(race) is Race and race.stored_snapshot == _flat(a.snapshot)
+    assert table.visit(a) is _PRUNED_EQUAL
+    assert table.visit(b).stored_snapshot is race.stored_snapshot
 
 
 def test_each_chunk_position_has_its_own_text(monkeypatch):
