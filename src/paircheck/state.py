@@ -7,11 +7,11 @@ statuses (the index of the thread's next statement, or ``DONE``).  A
 that produced it and the combined execution counter, a plain ``(s0,
 s1)`` tuple of per-thread statements executed, plus one.
 
-The :class:`StateTable` is keyed on combined counters.  The first
-interleaving to reach a counter is stored as a ``(snapshot, trace)``
-entry or, in digest mode, a ``(digest, trace, tag)`` entry: the 128-bit
-digest of its canonical serialization (hash compaction) and one byte of
-its ``hash``.  Later arrivals are compared against it.  An equal state
+The :class:`StateTable` keeps rows indexed by the combined counter,
+``[s0][s1]``, where the first interleaving to reach a counter leaves
+its snapshot or, in digest mode, the 128-bit digest of its canonical
+serialization (hash compaction) and one byte of its ``hash``, and its
+trace.  Later arrivals are compared against it.  An equal state
 means the subtree below was already explored from an identical state
 (prunable); a differing one is a :class:`Race`: two schedules reached
 the same program point with different observable behavior.  A snapshot
@@ -292,11 +292,15 @@ _tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new
 
 
 class StateTable:
-    """Map from combined counter to the first visit seen there.
+    """Map from combined counter to the first visit seen there, in rows indexed ``[s0][s1]``.
 
-    Each entry is ``(snapshot, trace)``, or in digest mode ``(digest,
-    trace, tag)``: the snapshot's :func:`digest` and the tag ``hash(snapshot)
-    & 0xFF``, a cached small int.  Entries are never evicted; a plain
+    The point of the counter lattice holds the stored snapshot or, in
+    digest mode, its :func:`digest`; a parallel row holds the trace, and in
+    digest mode another holds the tag ``hash(snapshot) & 0xFF``, a cached
+    small int.  An empty point holds ``None``; ``len`` counts the others.
+    Rows are added as counters reach them, all of one width, which grows
+    by at least half when a counter falls past it, so the table's size
+    follows its largest counters.  Entries are never evicted; a plain
     snapshot is replaced by the flat ``Snapshot`` its first race reports,
     so a race is compared again flat, for a visit in chunks equal to it.
     Every interleaving visited should come from the same
@@ -307,10 +311,25 @@ class StateTable:
 
     def __init__(self, digest_mode: bool = False):
         self.digest_mode = digest_mode
-        self._entries: dict[tuple[int, int], tuple[Snapshot, str] | tuple[bytes, str, int]] = {}
+        self._stored: list[list[Snapshot | tuple | bytes | None]] = []
+        self._traces: list[list[str | None]] = []
+        self._tags: list[list[int | None]] | None = [] if digest_mode else None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(row) - row.count(None) for row in self._stored)
+
+    def _grow(self, s0: int, s1: int) -> None:
+        """Make room for point ``[s0][s1]``: rows of one width, widened by at least half."""
+        for rows in (self._stored, self._traces, self._tags):
+            if rows is None:  # full mode keeps no tags
+                break
+            width = len(rows[0]) if rows else 0
+            if s1 >= width:
+                more = max(s1 + 1, width + width // 2) - width
+                for row in rows:
+                    row.extend([None] * more)
+                width += more
+            rows.extend([None] * width for _ in range(s0 + 1 - len(rows)))
 
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
@@ -320,31 +339,41 @@ class StateTable:
         record of both visits (states differ; table unchanged), so a caller
         may tell them apart by identity.  In digest mode a revisit is
         digested only when its tag matches: equal snapshots share a tag.
+        A counter with a negative component is a ``ValueError``.
         """
         snapshot, trace, counter = interleaving
-        entry = self._entries.get(counter)
-        if not self.digest_mode:
-            if entry is None:
-                self._entries[counter] = (snapshot, trace)
-                return _FIRST_VISIT
-            stored, stored_trace = entry
+        s0, s1 = counter
+        if s0 < 0 or s1 < 0:  # a negative index would alias another counter's point
+            raise ValueError(f"no state table point for counter {counter!r}")
+        try:
+            row = self._stored[s0]
+            stored = row[s1]
+        except IndexError:
+            self._grow(s0, s1)
+            row = self._stored[s0]
+            stored = None
+        tags = self._tags
+        if tags is not None:
+            tag = hash(snapshot) & 0xFF
+        if stored is None:
+            row[s1] = snapshot if tags is None else digest(snapshot)
+            self._traces[s0][s1] = trace
+            if tags is not None:
+                tags[s0][s1] = tag
+            return _FIRST_VISIT
+        if tags is None:
             if stored == snapshot:
                 return _PRUNED_EQUAL
             if type(stored) is tuple:  # a search's plain snapshot, at its first race
-                stored = _flat(stored)  # the Snapshot that this and the later races share
-                self._entries[counter] = stored, stored_trace
+                stored = row[s1] = _flat(stored)  # the Snapshot that later races here share
             stored_digest = None
         else:
-            tag = hash(snapshot) & 0xFF
-            if entry is None:
-                self._entries[counter] = (digest(snapshot), trace, tag)
-                return _FIRST_VISIT
-            stored_digest, stored_trace, stored_tag = entry
-            if stored_tag == tag and stored_digest == digest(snapshot):
+            if tags[s0][s1] == tag and stored == digest(snapshot):
                 return _PRUNED_EQUAL
-            stored = None
+            stored, stored_digest = None, stored
         if type(snapshot) is tuple:  # a race reports a flat Snapshot; a caller's keeps its identity
             snapshot = _flat(snapshot)
         if stored == snapshot:  # full mode: a visit in chunks, equal to the stored Snapshot
             return _PRUNED_EQUAL
-        return _tuple_new(Race, (counter, stored_trace, stored, stored_digest, trace, snapshot))
+        return _tuple_new(
+            Race, (counter, self._traces[s0][s1], stored, stored_digest, trace, snapshot))

@@ -188,6 +188,75 @@ class TestStateTable:
         assert isinstance(outcome, Race)
         assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
 
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_far_apart_counters_store_and_prune_apart(self, digest_mode):
+        table = StateTable(digest_mode=digest_mode)
+        counters = [(1, 500), (500, 1), (0, 0)]
+        snapshots = [make_snapshot(values=(k, k)) for k in range(len(counters))]
+        for counter, snapshot in zip(counters, snapshots):
+            assert isinstance(table.visit(PartialInterleaving(snapshot, "0", counter)), FirstVisit)
+        assert len(table) == 3
+        for k, counter in enumerate(counters):
+            revisit = PartialInterleaving(snapshots[k], "1", counter)
+            assert isinstance(table.visit(revisit), PrunedEqual)
+            outcome = table.visit(PartialInterleaving(snapshots[k - 1], "10", counter))
+            assert isinstance(outcome, Race)
+            assert (outcome.counter, outcome.stored_trace) == (counter, "0")
+        assert len(table) == 3
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    @pytest.mark.parametrize("counter", [(-1, 1), (1, -1), (-1, -1)])
+    def test_a_negative_counter_is_refused(self, digest_mode, counter):
+        # as an index, -1 would name the last row or point, here (1, 1)'s
+        table = StateTable(digest_mode=digest_mode)
+        table.visit(PartialInterleaving(make_snapshot(), "01", (1, 1)))
+        with pytest.raises(ValueError, match="counter"):
+            table.visit(PartialInterleaving(make_snapshot(), "10", counter))
+        assert len(table) == 1
+
+
+class _DictTable:
+    """The state table as a dict keyed on the counter, the reference for its rows."""
+
+    def __init__(self, digest_mode):
+        self.digest_mode, self.entries = digest_mode, {}
+
+    def visit(self, snapshot, trace, counter):
+        if counter not in self.entries:
+            self.entries[counter] = snapshot, trace
+            return FirstVisit
+        stored, stored_trace = self.entries[counter]
+        if stored == snapshot:
+            return PrunedEqual
+        if self.digest_mode:
+            return Race(counter, stored_trace, None, digest(stored), trace, snapshot)
+        return Race(counter, stored_trace, stored, None, trace, snapshot)
+
+
+@st.composite
+def _visit_runs(draw):
+    """Visits that often share a counter and a snapshot, so all three results occur."""
+    counter = st.tuples(st.integers(0, 40), st.integers(0, 40))
+    counters = draw(st.lists(counter, min_size=1, max_size=5))
+    snapshots = draw(st.lists(_snapshots, min_size=1, max_size=3))
+    visit = st.tuples(st.sampled_from(snapshots), st.sampled_from(["", "0", "01", "10"]),
+                      st.sampled_from(counters))
+    return draw(st.lists(visit, max_size=30))
+
+
+@pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+@given(visits=_visit_runs())
+def test_state_table_agrees_with_a_dict_of_first_visits(digest_mode, visits):
+    table, reference = StateTable(digest_mode=digest_mode), _DictTable(digest_mode)
+    for visit in visits:
+        want = reference.visit(*visit)
+        got = table.visit(PartialInterleaving(*visit))
+        if isinstance(want, Race):
+            assert type(got) is Race and got == want
+        else:
+            assert type(got) is want
+        assert len(table) == len(reference.entries)
+
 
 def _revisit(stored, tag_matches):
     """A snapshot unequal to ``stored`` whose tag matches its tag, or differs from it.

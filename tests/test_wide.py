@@ -21,6 +21,7 @@ from paircheck.state import (
     snapshot_formatter,
 )
 from paircheck.toylang import parse
+from test_analysis import RACY_24
 from test_engine import EXHAUSTIVE, SEARCH_MODES, canonical_text
 
 BUDGETS = (0, 1, 3, 8, 1_000_000)
@@ -183,3 +184,13 @@ def test_table_entries_share_the_chunks_they_did_not_change(monkeypatch):
     # disjoint_pair(40) has 80 variables: a flat copy of them in each of its
     # 1,681 entries costs about 1,000 bytes an entry, one chunk of them about 580
     assert table_bytes_per_entry(monkeypatch, disjoint_pair(40), ExplorationConfig()) < 700
+
+
+@pytest.mark.parametrize(
+    "pair, bound", [(parse(RACY_24), 120), (disjoint_pair(40), 240)], ids=["racy24", "disjoint40"]
+)
+def test_digest_table_entries_hold_little_beyond_digest_and_trace(monkeypatch, pair, bound):
+    # a dict of (digest, trace, tag) tuples held 178 and 302 bytes an entry, of
+    # which the key tuple, the entry tuple and the dict slot were about 110;
+    # rows indexed by the counter hold three list slots an entry instead
+    assert table_bytes_per_entry(monkeypatch, pair, ExplorationConfig(digest_mode=True)) <= bound
