@@ -6,11 +6,11 @@ step is a *branch*: thread 0 is stepped first, and the state goes on an
 explicit stack until thread 0's whole subtree is searched and thread 1's
 step is due.  Where the other thread would block the step is *forced*;
 once one thread has finished, the other runs to completion one
-*completion* step at a time.  The kind
-decides which statistic counts the step (``branch_statements``, none, or
-``completion_statements``).  When more statements have run than the
-budget ``max_total_steps`` allows, the loop stops and the report is
-marked incomplete.
+*completion* step at a time.  Branch and forced steps are counted where
+they are scheduled, and every other executed statement is a completion
+statement.  When more statements have run than the budget
+``max_total_steps`` allows, the loop stops and the report is marked
+incomplete.
 
 With race detection on, every state reached by an executed statement is
 checked against the state table.  An equal stored snapshot lets pruning
@@ -19,12 +19,15 @@ differing one is reported as a race and ends the search below that
 state, except after a completion step: a race found there does not end
 the run, which goes on to record its final outcome.
 
-Inside the search a snapshot is the plain tuple of a :class:`Snapshot`'s
-fields, a wide program's values in chunks (a step copies one); a flat
-``Snapshot`` is built only where a state leaves the search.  Each outcome,
-deadlock and block-forever entry is the state where the search found it,
-equal to ``replay(pair, entry.trace)``, and each race is the
-:class:`~paircheck.state.Race` the state table returned.
+Inside the search a state is the plain triple ``(values, output, bank)``,
+a wide program's values in chunks (a step copies one).  A thread's
+position is its counter: its status is the counter less one, or ``DONE``
+once that is its length, so a step sets no status, and the program's
+``names`` and both statuses are added back only where a state leaves the
+search, as a flat ``Snapshot``.  Each outcome, deadlock and block-forever
+entry is the state where the search found it, equal to ``replay(pair,
+entry.trace)``, and each race is the :class:`~paircheck.state.Race` the
+state table, made for the program, returned.
 
 Semaphores follow deliberately nonstandard semantics: ``down(i)`` lowers
 a raised semaphore and otherwise does nothing; ``up(i)`` raises a lowered
@@ -40,31 +43,31 @@ program is compiled once, when its ``ProgramPair`` is built, into a
 :class:`CompiledProgram` (``pair.compiled``), so stepping interprets
 nothing.  Every expression becomes a closure over the slot-ordered
 variable values, or their chunks, and every ``(thread, statement index)``
-one transition closure.  A transition unpacks the old snapshot once,
+one transition closure.  A transition unpacks the search's state once,
 computes the one field its statement changes (the values, the output or
-the semaphore bank), and builds the successor snapshot as a plain tuple, a
-flat ``Snapshot`` only when it was given one, with the thread's next
-status and trace symbol fixed at compile time; :func:`step` checks the
-thread and its status and calls it.  A table per thread gives the
-semaphore each statement waits on (an ``up``) or -1, which is how the
-search tells which threads would block.  The compiled program only steps:
-a digest-mode state table finds each snapshot's canonical writer from the
-snapshot's own ``names``.
+the semaphore bank), and builds the successor triple, its trace symbol
+fixed at compile time; :func:`step` finds the statement from the counter
+and calls it, and converts a caller's snapshot at its edge.  A schedule
+per thread, indexed by the counter, says whether the thread's next
+statement always runs, waits on a semaphore (an ``up``), or the thread is
+done, which is how the search tells which threads can move.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import Record, _require
 from .state import (
     _CHUNK, _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
-    StateTable, _chunked, _flat, _in_chunks, _tuple_new, _wide, wrap64,
+    UNROLL_LIMIT, StateTable, _chunks, _in_chunks, _snapshot_at, _statuses, _tuple_new, _wide,
+    wrap64,
 )
 from .toylang import (
-    UNROLL_LIMIT, Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
+    Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
 )
 
 __all__ = [
@@ -145,18 +148,24 @@ class ExplorationReport(NamedTuple):
 # Compiled programs
 # ---------------------------------------------------------------------------
 
-# A compiled statement: from an interleaving whose thread stands before the
-# statement to its successor.
+# A compiled statement: from the search's interleaving whose thread stands
+# before the statement to its successor.
 Transition = Callable[[PartialInterleaving], PartialInterleaving]
+
+# A schedule entry besides an up's semaphore index: the statement never blocks,
+# or the thread is done.
+_RUNS, _ENDED = -1, -2
 
 
 class CompiledProgram(NamedTuple):
     """A :class:`ProgramPair` compiled once for stepping; see ``ProgramPair.compiled``."""
 
     transitions: tuple[tuple[Transition, ...], tuple[Transition, ...]]  # [tid][index]
-    # [tid][index]: the semaphore the statement waits on if it is an up,
-    # else -1; one more -1 at the end is the entry of DONE (index -1)
-    blocks: tuple[tuple[int, ...], tuple[int, ...]]
+    # [tid][counter]: the semaphore the thread's next statement waits on if it
+    # is an up, _RUNS if it is another statement, or _ENDED once the thread is
+    # done (and at counter 0)
+    schedules: tuple[tuple[int, ...], tuple[int, ...]]
+    statuses: tuple[tuple[int, ...], tuple[int, ...]]  # [tid][counter], see state._statuses
 
 
 def compile_program(pair: ProgramPair) -> CompiledProgram:
@@ -193,11 +202,13 @@ def compile_program(pair: ProgramPair) -> CompiledProgram:
         tuple(_transition(statements, k, tid, slots, sems) for k in range(len(statements)))
         for tid, statements in enumerate(threads)
     )
-    blocks = tuple(
-        tuple(stmt.index if isinstance(stmt, SemUp) else -1 for stmt in statements) + (-1,)
-        for statements in threads
+    statuses = tuple(_statuses(len(statements)) for statements in threads)
+    schedules = tuple(
+        tuple(_ENDED if k == DONE else statements[k].index if isinstance(statements[k], SemUp)
+              else _RUNS for k in thread_statuses)
+        for statements, thread_statuses in zip(threads, statuses)
     )
-    return CompiledProgram(transitions, blocks)
+    return CompiledProgram(transitions, schedules, statuses)
 
 
 def _compile_expr(expr: Expr, slots: dict[str, int]) -> Callable[[tuple[int, ...]], int]:
@@ -239,18 +250,16 @@ def _transition(
 ) -> Transition:
     """Compile statement ``index`` of thread ``tid``, whose statements are ``statements``.
 
-    The thread's next status (``index + 1``, or ``DONE`` after its last
-    statement) and its trace symbol are fixed here.  The transition
-    unpacks the old snapshot once, computes the one field its statement
-    changes, and builds the successor inline: a helper would cost a call
-    on every step.  An assignment or a semaphore change sets its one slot
-    in a list copy, a wide program's assignment in a copy of its chunk; a
-    literal's value is made here, so it costs no call.  A plain snapshot
-    steps to a plain tuple and a ``Snapshot`` to a ``Snapshot``, but a wide
-    program's assignment takes a caller's flat values to a flat ``Snapshot``.
+    The transition takes and returns the search's interleaving, whose
+    state is ``(values, output, bank)``: its thread's status is its
+    counter, so the transition sets none, and its trace symbol is fixed
+    here.  It unpacks the old state once, computes the one field its
+    statement changes, and builds the successor inline: a helper would
+    cost a call on every step.  An assignment or a semaphore change sets
+    its one slot in a list copy, a wide program's assignment in a copy of
+    its chunk; a literal's value is made here, so it costs no call.
     """
     stmt = statements[index]
-    status = DONE if index == len(statements) - 1 else index + 1
     k = text = constant = evaluate = up = None
     match stmt:
         case Assign(target, expr):
@@ -278,8 +287,7 @@ def _transition(
             raise TypeError(f"not a statement: {stmt!r}")
 
     def transition(i):
-        snapshot, trace, (s0, s1) = i
-        names, values, output, bank, status0, status1 = snapshot
+        (values, output, bank), trace, (s0, s1) = i
         if kind == _ASSIGN:
             slots = list(values)
             slots[k] = evaluate(values) if constant is None else constant
@@ -292,19 +300,11 @@ def _transition(
             bank = tuple(slots)
         elif up:
             raise EngineError(f"thread {tid} would block on up({k})")
+        state = values, output, bank
         if tid:
-            new = names, values, output, bank, status0, status
-            if type(snapshot) is not tuple:
-                new = _tuple_new(Snapshot, new)
-            return _tuple_new(PartialInterleaving, (new, trace + "1", (s0, s1 + 1)))
-        new = names, values, output, bank, status, status1
-        if type(snapshot) is not tuple:
-            new = _tuple_new(Snapshot, new)
-        return _tuple_new(PartialInterleaving, (new, trace + "0", (s0 + 1, s1)))
+            return _tuple_new(PartialInterleaving, (state, trace + "1", (s0, s1 + 1)))
+        return _tuple_new(PartialInterleaving, (state, trace + "0", (s0 + 1, s1)))
 
-    if kind == _ASSIGN and _wide(slots):  # a caller's flat values step as the search's chunks
-        return lambda i: transition(i) if _in_chunks(i[0][1]) else _reported(transition(
-            (_chunked(i[0]), *i[1:])))
     return transition
 
 
@@ -313,18 +313,23 @@ def _transition(
 # ---------------------------------------------------------------------------
 
 
+def _start(pair: ProgramPair) -> PartialInterleaving:
+    """The search's interleaving before any statement: its state is ``(values, output, bank)``."""
+    initial = dict(pair.variables)
+    values = tuple(initial[name] for name in pair.names)
+    return PartialInterleaving((_chunks(values), "", (False,) * pair.num_semaphores), "", (1, 1))
+
+
+def _reported(pair: ProgramPair, i: PartialInterleaving) -> PartialInterleaving:
+    """The search's interleaving ``i`` with the flat :class:`Snapshot` a report holds."""
+    snapshot, trace, counter = i
+    snapshot = _snapshot_at(pair.names, pair.compiled.statuses, snapshot, counter)
+    return _tuple_new(PartialInterleaving, (snapshot, trace, counter))
+
+
 def initial_interleaving(pair: ProgramPair) -> PartialInterleaving:
     """State at the first scheduling point, before any statement runs."""
-    initial = dict(pair.variables)
-    snapshot = Snapshot(
-        names=pair.names,
-        values=tuple(initial[name] for name in pair.names),
-        output="",
-        semaphores=(False,) * pair.num_semaphores,
-        status0=0 if pair.thread0.statements else DONE,
-        status1=0 if pair.thread1.statements else DONE,
-    )
-    return PartialInterleaving(snapshot, "", (1, 1))
+    return _reported(pair, _start(pair))
 
 
 def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterleaving:
@@ -333,7 +338,10 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     Assignments, emits, and ``down`` always execute; an ``up`` executes
     only on a lowered semaphore.  The successor's counter and trace
     record the statement, and the thread's status moves to its next
-    statement index, or to ``DONE`` after its last statement.
+    statement index, or to ``DONE`` after its last statement.  A caller's
+    snapshot, a :class:`Snapshot` or a plain 6-tuple, steps from its own
+    status to the same kind of snapshot, its values laid out as they came;
+    the search's ``(values, output, bank)`` steps from its counter.
 
     Raises :class:`EngineError` when ``tid`` is not 0 or 1, when the
     thread is finished, or when its next statement is an ``up`` on a
@@ -341,14 +349,43 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     """
     # index with the literal: a tid such as 1.0 equals 1 but cannot index a tuple
     if tid == 0:
-        index, transitions = i[0][4], pair.compiled.transitions[0]  # status0
+        transitions, counter = pair.compiled.transitions[0], i[2][0]
     elif tid == 1:
-        index, transitions = i[0][5], pair.compiled.transitions[1]  # status1
+        transitions, counter = pair.compiled.transitions[1], i[2][1]
     else:
         raise EngineError(f"no thread {tid!r}")
-    if index == DONE:
+    if len(i[0]) != 3:  # a caller's snapshot, not the search's (values, output, bank)
+        return _step_snapshot(pair, i, tid, transitions)
+    if 0 < counter <= len(transitions):  # the counter is the status, plus one
+        return transitions[counter - 1](i)
+    raise EngineError(f"thread {tid} is finished")
+
+
+def _step_snapshot(pair: ProgramPair, i: PartialInterleaving, tid: int,
+                   transitions: tuple[Transition, ...]) -> PartialInterleaving:
+    """:func:`step` of a caller's snapshot: from its own status, as the search's state.
+
+    The successor is a snapshot of the same kind, its values laid out as they came.
+    """
+    snapshot, trace, counter = i
+    names, values, output, bank, status0, status1 = snapshot
+    index = status1 if tid else status0
+    if not 0 <= index < len(transitions):  # DONE, or a hand-built status past the thread's end
         raise EngineError(f"thread {tid} is finished")
-    return transitions[index](i)
+    plain, flat = type(snapshot) is tuple, _wide(pair.names) and not _in_chunks(values)
+    state = _chunks(values) if flat else values, output, bank
+    (values, output, bank), trace, counter = transitions[index](
+        _tuple_new(PartialInterleaving, (state, trace, counter)))
+    if flat:
+        values = tuple(chain.from_iterable(values))
+    status = DONE if index + 1 == len(transitions) else index + 1
+    if tid:
+        snapshot = names, values, output, bank, status0, status
+    else:
+        snapshot = names, values, output, bank, status, status1
+    if not plain:
+        snapshot = _tuple_new(Snapshot, snapshot)
+    return _tuple_new(PartialInterleaving, (snapshot, trace, counter))
 
 
 def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
@@ -357,7 +394,7 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
     Raises :class:`ReplayError` with the failing position when a symbol
     names a thread that is finished or would block.
     """
-    i = initial_interleaving(pair)
+    i = _start(pair)
     for position, symbol in enumerate(trace):
         if symbol not in ("0", "1"):
             raise ReplayError(f"bad trace symbol {symbol!r}", position)
@@ -365,22 +402,12 @@ def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:
             i = step(pair, i, int(symbol))
         except EngineError as exc:
             raise ReplayError(str(exc), position) from None
-    return i
+    return _reported(pair, i)
 
 
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
-
-# How a step was scheduled: both threads could move, the other thread
-# would block, or the other thread is done.
-_BRANCH, _FORCED, _COMPLETION = range(3)
-
-
-def _reported(i: PartialInterleaving) -> PartialInterleaving:
-    """``i`` with its plain search snapshot made the flat :class:`Snapshot` a report holds."""
-    return i._replace(snapshot=_flat(i.snapshot))
-
 
 def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> ExplorationReport:
     """Enumerate interleavings depth-first and build a report.
@@ -392,24 +419,26 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
     rooted at snapshot-identical states.  Without ``race_detection``
     there is no table and the search is exhaustive.
 
-    The search steps plain snapshot tuples, a wide program's values in
-    chunks, and its report holds flat ``Snapshot`` records.  If the
-    statement budget runs out the search stops there and the report has
-    ``complete=False``.
+    The search steps ``(values, output, bank)`` triples, a wide program's
+    values in chunks, and schedules each thread from its counter; its
+    report holds flat ``Snapshot`` records.  If the statement budget runs
+    out the search stops there and the report has ``complete=False``.
     """
     cfg = cfg or ExplorationConfig()
-    _, (blocks0, blocks1) = pair.compiled
-    table = StateTable(cfg.digest_mode) if cfg.race_detection else None
+    step_ = step  # a tracer wraps the module's step before the call
+    _, (schedule0, schedule1), _ = pair.compiled
+    runs, ended = _RUNS, _ENDED  # as locals: the loop tests them at every state
+    table = StateTable(cfg.digest_mode, pair) if cfg.race_detection else None
     pruning, max_total_steps = cfg.pruning, cfg.max_total_steps
-    outcomes: dict[tuple, PartialInterleaving] = {}  # keyed on the plain final snapshot
+    outcomes: dict[tuple, PartialInterleaving] = {}  # keyed on the final (values, output, bank)
     races: list[Race] = []
     deadlocks: list[PartialInterleaving] = []
     block_forever: list[PartialInterleaving] = []
     deferred: list[PartialInterleaving] = []  # branch states whose thread 1 step is still due
-    executed = branch_statements = completion_statements = interleavings = pruned = 0
+    executed = branch_statements = forced_statements = interleavings = pruned = 0
     complete = True
-    i = initial_interleaving(pair)  # the root, checked like a branch state
-    i, kind = i._replace(snapshot=_chunked(i.snapshot)), _BRANCH  # the search steps plain tuples
+    i = _start(pair)  # the root, checked like a branch state
+    completing = False  # whether i was reached by a completion step
     while True:
         expand = True
         if table is not None:
@@ -426,44 +455,54 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
                 # only from the divergent side go unexplored, inherent to
                 # table-based detection).  A completion step has no
                 # subtree to cut: its run goes on to the final outcome.
-                expand = kind == _COMPLETION
+                expand = completing
         if expand:
             # Record the finding that ends at i, or pick the step leaving
             # it; a branch defers thread 1's step, so thread 0's whole
-            # subtree is searched first.
-            snap = i[0]
-            _, _, _, bank, status0, status1 = snap
-            # each thread's next statement waits on semaphore k if k >= 0 and
-            # it is raised; a finished thread (DONE) waits on none
-            k0, k1 = blocks0[status0], blocks1[status1]
-            wb0 = k0 >= 0 and bank[k0]
-            wb1 = k1 >= 0 and bank[k1]
-            done0, done1 = status0 == DONE, status1 == DONE
-            expand = False  # until a step leaving i is picked
-            if done0 and done1:
-                interleavings += 1
-                outcomes.setdefault(snap, i)
-            elif done0 or done1:
-                if wb0 or wb1:
-                    block_forever.append(_reported(i))
-                else:
-                    tid, kind, expand = 1 if done0 else 0, _COMPLETION, True
-            elif wb0 and wb1:
-                deadlocks.append(_reported(i))
-            elif wb0 or wb1:
-                tid, kind, expand = 1 if wb0 else 0, _FORCED, True
-            else:
+            # subtree is searched first.  Each thread's schedule entry at
+            # its counter is runs, ended or the semaphore k of an up, which
+            # waits while k is raised.
+            c0, c1 = i[2]
+            k0, k1 = schedule0[c0], schedule1[c1]
+            completing = False
+            if k0 == runs and k1 == runs:
                 deferred.append(i)
-                tid, kind, expand = 0, _BRANCH, True
+                tid = 0
+                branch_statements += 1
+            elif k0 == ended or k1 == ended:  # a thread is done: the other completes, if it can
+                if k0 == ended:
+                    k, tid = k1, 1
+                else:
+                    k, tid = k0, 0
+                if k == ended:
+                    interleavings += 1
+                    outcomes.setdefault(i[0], i)
+                    expand = False
+                elif k >= 0 and i[0][2][k]:
+                    block_forever.append(_reported(pair, i))
+                    expand = False
+                else:
+                    completing = True
+            else:
+                bank = i[0][2]
+                wb0 = k0 >= 0 and bank[k0]
+                wb1 = k1 >= 0 and bank[k1]
+                if wb0 and wb1:
+                    deadlocks.append(_reported(pair, i))
+                    expand = False
+                elif wb0 or wb1:
+                    tid = 1 if wb0 else 0
+                    forced_statements += 1
+                else:
+                    deferred.append(i)
+                    tid = 0
+                    branch_statements += 1
         if not expand:
             if not deferred:
                 break
-            i, tid, kind = deferred.pop(), 1, _BRANCH
-        i = step(pair, i, tid)
-        if kind == _BRANCH:
+            i, tid, completing = deferred.pop(), 1, False
             branch_statements += 1
-        elif kind == _COMPLETION:
-            completion_statements += 1
+        i = step_(pair, i, tid)
         executed += 1
         if executed > max_total_steps:
             complete = False
@@ -471,14 +510,14 @@ def explore(pair: ProgramPair, cfg: ExplorationConfig | None = None) -> Explorat
 
     stats = ExplorationStats(
         branch_statements=branch_statements,
-        completion_statements=completion_statements,
+        completion_statements=executed - branch_statements - forced_statements,
         complete_interleavings=interleavings,
         pruned_subtrees=pruned,
         races_found=len(races),
         table_entries=0 if table is None else len(table),
     )
     return ExplorationReport(
-        outcomes=tuple(map(_reported, outcomes.values())),
+        outcomes=tuple(_reported(pair, i) for i in outcomes.values()),
         races=tuple(races),
         deadlocks=tuple(deadlocks),
         block_forever=tuple(block_forever),

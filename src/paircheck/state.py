@@ -7,25 +7,34 @@ statuses (the index of the thread's next statement, or ``DONE``).  A
 that produced it and the combined execution counter, a plain ``(s0,
 s1)`` tuple of per-thread statements executed, plus one.
 
+Inside the search a state is the plain triple ``(values, output, bank)``,
+a wide program's values in chunks: a thread's status is its counter less
+one, or ``DONE`` once that is its length (:func:`_statuses`), and the
+program's ``names`` are the same in every state, so both are added back
+only where a state leaves the search.
+
 The :class:`StateTable` keeps rows indexed by the combined counter,
 ``[s0][s1]``, where the first interleaving to reach a counter leaves
-its snapshot or, in digest mode, the 128-bit digest of its canonical
+its state or, in digest mode, the 128-bit digest of its canonical
 serialization (hash compaction) and one byte of its ``hash``, and its
 trace.  Later arrivals are compared against it.  An equal state
 means the subtree below was already explored from an identical state
 (prunable); a differing one is a :class:`Race`: two schedules reached
-the same program point with different observable behavior.  A snapshot
-is a NamedTuple or, inside the search, the plain tuple of its six
-fields, a wide program's values in chunks; either is compared with the
-C-level tuple ``==``.  The tag only proves inequality: differing tags
-are a race without digesting the later arrival; equal tags are digested.
+the same program point with different observable behavior.  A table
+made for a program is fed the search's triples, and builds a race's flat
+``Snapshot`` sides and the input of a digest from the triple and the
+counter; a table made without one is fed snapshots, NamedTuples or plain
+6-tuples.  Either way states are compared with the C-level tuple ``==``.
+The tag only proves inequality: differing tags are a race without
+digesting the later arrival; equal tags are digested.
 
 The module also defines :func:`snapshot_formatter`, the writer of a
 snapshot's canonical bytes, found from its own ``names`` (the report
 writer owns the JSON layout); the output escaping of those bytes (which
-``analysis.render`` shares); and :func:`wrap64`, the 64-bit wrap of
-every value.  It imports nothing from the rest of the package; the
-records' base, ``Record``, is in the package root.
+``analysis.render`` shares); :func:`wrap64`, the 64-bit wrap of every
+value; and ``UNROLL_LIMIT``, the longest thread, which bounds a counter.
+It imports nothing from the rest of the package; the records' base,
+``Record``, is in the package root.
 """
 
 from __future__ import annotations
@@ -47,6 +56,8 @@ __all__ = [
 ]
 
 DIGEST_ALGORITHM = "blake2b-128"
+
+UNROLL_LIMIT = 1024  # most statements a thread unrolls to, and most semaphores
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +83,15 @@ def _escape(text: str) -> str:
 # ---------------------------------------------------------------------------
 
 DONE = -1
+
+
+def _statuses(length: int) -> tuple[int, ...]:
+    """A thread of ``length`` statements' status at each counter, ``0`` to ``length + 1``.
+
+    The counter is statements executed plus one, so the status is the
+    counter less one, ``DONE`` once that is ``length`` (and at counter 0).
+    """
+    return (*range(-1, length), DONE)
 
 
 def _thread_index(tid: object) -> int:
@@ -146,20 +166,32 @@ def _in_chunks(values: tuple) -> bool:
     return type(values[0]) is tuple
 
 
-def _chunked(snapshot: Snapshot | tuple) -> tuple:
-    """The search's plain tuple of a snapshot with flat values; chunks are tuples."""
-    names, values, *rest = snapshot
+def _chunks(values: tuple[int, ...]) -> tuple:
+    """Flat values as the search holds them: a wide program's in chunks, which are tuples."""
     if _wide(values):
-        values = tuple(values[k:k + _CHUNK] for k in range(0, len(values), _CHUNK))
-    return (names, values, *rest)
+        return tuple(values[k:k + _CHUNK] for k in range(0, len(values), _CHUNK))
+    return values
 
 
 def _flat(snapshot: tuple) -> Snapshot:
     """The ``Snapshot`` of a snapshot with flat or chunked values (a chunk is a tuple), flat."""
     values = snapshot[1]
-    if values and type(values[0]) is tuple:  # _in_chunks, inline: every race side comes here
+    if values and type(values[0]) is tuple:  # _in_chunks, inline
         snapshot = (snapshot[0], tuple(chain.from_iterable(values)), *snapshot[2:])
     return _tuple_new(Snapshot, snapshot)
+
+
+def _snapshot_at(names: tuple[str, ...], statuses: tuple[tuple[int, ...], tuple[int, ...]],
+                 state: tuple, counter: tuple[int, int]) -> Snapshot:
+    """The flat ``Snapshot`` of the search's ``(values, output, bank)`` at ``counter``.
+
+    ``names`` are the program's, and ``statuses`` its threads' :func:`_statuses`.
+    """
+    values, output, bank = state
+    if values and type(values[0]) is tuple:  # _in_chunks, inline
+        values = tuple(chain.from_iterable(values))
+    status0, status1 = statuses[0][counter[0]], statuses[1][counter[1]]
+    return _tuple_new(Snapshot, (names, values, output, bank, status0, status1))
 
 
 _UD = bytes.maketrans(b"\0\1", b"DU")  # a semaphore bank's bytes to its U/D key
@@ -215,7 +247,9 @@ def snapshot_formatter(names: tuple[str, ...]) -> Callable[[Snapshot], str]:
         memos: list[dict[tuple[int, ...], str]] = [{} for _ in templates]
 
         def by_chunk(snapshot: Snapshot | tuple) -> str:
-            _, values, *rest = snapshot if _in_chunks(snapshot[1]) else _chunked(snapshot)
+            _, values, *rest = snapshot
+            if not _in_chunks(values):
+                values = _chunks(values)
             text = ",".join([memo.get(chunk) or _remember(memo, chunk, template % chunk)
                              for memo, template, chunk in zip(memos, templates, values)])
             return canonical((None, (text,), *rest))
@@ -294,42 +328,71 @@ _tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new
 class StateTable:
     """Map from combined counter to the first visit seen there, in rows indexed ``[s0][s1]``.
 
-    The point of the counter lattice holds the stored snapshot or, in
-    digest mode, its :func:`digest`; a parallel row holds the trace, and in
-    digest mode another holds the tag ``hash(snapshot) & 0xFF``, a cached
+    The point of the counter lattice holds the stored state or, in digest
+    mode, its :func:`digest`; a parallel row holds the trace, and in
+    digest mode another holds the tag ``hash(state) & 0xFF``, a cached
     small int.  An empty point holds ``None``; ``len`` counts the others.
     Rows are added as counters reach them, all of one width, which grows
     by at least half when a counter falls past it, so the table's size
-    follows its largest counters.  Entries are never evicted; a plain
-    snapshot is replaced by the flat ``Snapshot`` its first race reports,
-    so a race is compared again flat, for a visit in chunks equal to it.
-    Every interleaving visited should come from the same
-    :class:`~paircheck.toylang.ProgramPair`: snapshots are compared with
-    plain ``==``, so snapshots of two programs with different variable
-    names differ, and a digest-mode table builds a writer at each switch.
+    follows its largest counters; a counter component is at most its
+    thread's length plus one, the ``program``'s thread or, without one,
+    ``UNROLL_LIMIT`` statements.  Entries are never evicted; a plain tuple is
+    replaced by the flat ``Snapshot`` its first race reports, so a race is
+    compared again flat, for a visit equal to it.
+
+    A table made for a ``program`` (a :class:`~paircheck.toylang.ProgramPair`)
+    is fed the search's ``(values, output, bank)`` triples of that program;
+    one made without is fed snapshots of one program: they are compared
+    with plain ``==``, so snapshots of two programs with different
+    variable names differ, and a digest-mode table builds a writer at each
+    switch.
     """
 
-    def __init__(self, digest_mode: bool = False):
+    def __init__(self, digest_mode: bool = False, program=None):
         self.digest_mode = digest_mode
         self._stored: list[list[Snapshot | tuple | bytes | None]] = []
         self._traces: list[list[str | None]] = []
         self._tags: list[list[int | None]] | None = [] if digest_mode else None
+        if program is None:  # a caller's snapshots carry their own names and statuses
+            self._names = self._statuses = None
+            self._top = (UNROLL_LIMIT + 1, UNROLL_LIMIT + 1)
+        else:
+            lengths = len(program.thread0.statements), len(program.thread1.statements)
+            self._names = program.names
+            self._statuses = tuple(map(_statuses, lengths))
+            self._top = lengths[0] + 1, lengths[1] + 1
+        # a race side is built inline for values held flat, through _snapshot_at in chunks
+        self._narrow = program is not None and not _wide(program.names)
 
     def __len__(self) -> int:
         return sum(len(row) - row.count(None) for row in self._stored)
 
-    def _grow(self, s0: int, s1: int) -> None:
-        """Make room for point ``[s0][s1]``: rows of one width, widened by at least half."""
+    def _grow(self, counter: tuple[int, int]) -> None:
+        """Make room for point ``counter``: rows of one width, widened by at least half.
+
+        Neither the rows nor their width pass the largest counter, so a
+        counter past it falls outside them and comes here: ``ValueError``.
+        """
+        s0, s1 = counter
+        top0, top1 = self._top
+        if s0 > top0 or s1 > top1:
+            raise ValueError(f"no state table point for counter {counter!r}")
         for rows in (self._stored, self._traces, self._tags):
             if rows is None:  # full mode keeps no tags
                 break
             width = len(rows[0]) if rows else 0
             if s1 >= width:
-                more = max(s1 + 1, width + width // 2) - width
+                more = min(max(s1 + 1, width + width // 2), top1 + 1) - width
                 for row in rows:
                     row.extend([None] * more)
                 width += more
             rows.extend([None] * width for _ in range(s0 + 1 - len(rows)))
+
+    def _race_side(self, state: tuple, counter: tuple[int, int]) -> Snapshot:
+        """The flat ``Snapshot`` a race reports for a plain ``state`` visited at ``counter``."""
+        if self._names is None:
+            return _flat(state)
+        return _snapshot_at(self._names, self._statuses, state, counter)
 
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
@@ -338,8 +401,9 @@ class StateTable:
         ``PrunedEqual`` (stored state equal; table unchanged), or a ``Race``
         record of both visits (states differ; table unchanged), so a caller
         may tell them apart by identity.  In digest mode a revisit is
-        digested only when its tag matches: equal snapshots share a tag.
-        A counter with a negative component is a ``ValueError``.
+        digested only when its tag matches: equal states share a tag.  A
+        counter with a negative component, or one past the largest counter,
+        is a ``ValueError``.
         """
         snapshot, trace, counter = interleaving
         s0, s1 = counter
@@ -349,14 +413,21 @@ class StateTable:
             row = self._stored[s0]
             stored = row[s1]
         except IndexError:
-            self._grow(s0, s1)
+            self._grow(counter)
             row = self._stored[s0]
             stored = None
-        tags = self._tags
+        tags, names = self._tags, self._names
         if tags is not None:
             tag = hash(snapshot) & 0xFF
+            if stored is None or tags[s0][s1] == tag:
+                if names is None:
+                    digested = digest(snapshot)
+                else:  # the text of the Snapshot at this counter, its values as held
+                    values, output, bank = snapshot
+                    status0, status1 = self._statuses
+                    digested = digest((names, values, output, bank, status0[s0], status1[s1]))
         if stored is None:
-            row[s1] = snapshot if tags is None else digest(snapshot)
+            row[s1] = snapshot if tags is None else digested
             self._traces[s0][s1] = trace
             if tags is not None:
                 tags[s0][s1] = tag
@@ -364,16 +435,29 @@ class StateTable:
         if tags is None:
             if stored == snapshot:
                 return _PRUNED_EQUAL
-            if type(stored) is tuple:  # a search's plain snapshot, at its first race
-                stored = row[s1] = _flat(stored)  # the Snapshot that later races here share
+            if type(stored) is tuple:  # a plain state, at its first race: the Snapshot races share
+                if self._narrow:
+                    values, output, bank = stored
+                    status0, status1 = self._statuses
+                    stored = _tuple_new(
+                        Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
+                else:
+                    stored = self._race_side(stored, counter)
+                row[s1] = stored
             stored_digest = None
         else:
-            if tags[s0][s1] == tag and stored == digest(snapshot):
+            if tags[s0][s1] == tag and stored == digested:
                 return _PRUNED_EQUAL
             stored, stored_digest = None, stored
         if type(snapshot) is tuple:  # a race reports a flat Snapshot; a caller's keeps its identity
-            snapshot = _flat(snapshot)
-        if stored == snapshot:  # full mode: a visit in chunks, equal to the stored Snapshot
+            if self._narrow:
+                values, output, bank = snapshot
+                status0, status1 = self._statuses
+                snapshot = _tuple_new(
+                    Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
+            else:
+                snapshot = self._race_side(snapshot, counter)
+        if stored == snapshot:  # full mode: a plain visit equal to the stored Snapshot
             return _PRUNED_EQUAL
         return _tuple_new(
             Race, (counter, self._traces[s0][s1], stored, stored_digest, trace, snapshot))

@@ -37,7 +37,7 @@ import re
 from typing import NamedTuple
 
 from . import Record, _LocatedError, _position, _set
-from .state import _thread_index, wrap64
+from .state import UNROLL_LIMIT, _thread_index, wrap64
 
 __all__ = [
     "Assign",
@@ -54,8 +54,6 @@ __all__ = [
     "Var",
     "parse",
 ]
-
-UNROLL_LIMIT = 1024  # most statements a thread unrolls to, and most semaphores
 
 # Deepest nesting the parser accepts, separately for ``repeat`` blocks,
 # parentheses, and the operator tree of one expression.  It keeps parsing,

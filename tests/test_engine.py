@@ -126,6 +126,33 @@ class TestStep:
         with pytest.raises(EngineError, match=f"no thread {tid}"):
             step(pair, initial_interleaving(pair), tid)
 
+    @pytest.mark.parametrize("plain", [False, True], ids=["snapshot", "plain"])
+    def test_a_callers_snapshot_steps_from_its_own_status(self, plain):
+        # the search's state has no status, its counter is one; a caller's
+        # snapshot keeps its own, whatever the counter says
+        i = initial_interleaving(AB12)
+
+        def given(counter, **statuses):
+            snapshot = i.snapshot._replace(**statuses)
+            return i._replace(snapshot=tuple(snapshot) if plain else snapshot, counter=counter)
+
+        for counter in [(1, 1), (2, 1), (3, 1), (9, 9)]:
+            with pytest.raises(EngineError, match="thread 0 is finished"):
+                step(AB12, given(counter, status0=DONE), 0)
+            stepped = step(AB12, given(counter, status0=1, status1=DONE), 0)  # statement 1: emit "b"
+            assert type(stepped.snapshot) is (tuple if plain else Snapshot)
+            assert stepped.snapshot == i.snapshot._replace(output="b", status0=DONE, status1=DONE)
+            assert stepped.counter == (counter[0] + 1, counter[1])
+            assert step(AB12, given(counter, status1=1), 1).snapshot[2] == "2"  # the output
+
+    def test_the_search_state_steps_from_its_counter(self):
+        searched = engine._start(AB12)
+        assert searched.snapshot == ((), "", ())
+        assert step(AB12, step(AB12, searched, 1), 1).snapshot == ((), "12", ())
+        for counter in [(3, 1), (0, 1)]:  # past the thread's end, or before its start
+            with pytest.raises(EngineError, match="thread 0 is finished"):
+                step(AB12, searched._replace(counter=counter), 0)
+
     @pytest.mark.parametrize("tid", [0, 1])
     def test_a_thread_id_equal_to_0_or_1_steps_that_thread(self, tid):
         # 1.0 == 1 passes the thread check, and must not reach a tuple index
@@ -516,16 +543,16 @@ class TestSnapshotsAtTheEdge:
             i = initial_interleaving(pair)
             assert is_flat(i.snapshot, pair), index
             for outcome in explore(pair, EXHAUSTIVE).outcomes:
-                i = initial_interleaving(pair)
+                i, searched = initial_interleaving(pair), engine._start(pair)
                 for symbol in outcome.trace:
                     tid = int(symbol)
+                    # a compiled transition steps the search's (values, output, bank)
                     transition = pair.compiled.transitions[tid][i.snapshot.status(tid)]
-                    compiled = transition(i)
+                    searched = transition(searched)
                     i = step(pair, i, tid)
-                    assert type(i) is type(compiled) is PartialInterleaving, index
+                    assert type(i) is type(searched) is PartialInterleaving, index
                     assert is_flat(i.snapshot, pair), index
-                    assert is_flat(compiled.snapshot, pair), index
-                    assert compiled == i, index
+                    assert engine._reported(pair, searched) == i, index
                 replayed = replay(pair, outcome.trace)
                 assert is_flat(replayed.snapshot, pair), index
                 assert replayed == i == outcome, index

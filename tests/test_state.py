@@ -18,13 +18,16 @@ from paircheck.engine import (
 )
 from paircheck.report import _json_members, render_report
 from paircheck.state import (
+    _FIRST_VISIT,
     DONE,
+    UNROLL_LIMIT,
     FirstVisit,
     PartialInterleaving,
     PrunedEqual,
     Race,
     Snapshot,
     StateTable,
+    _chunks,
     digest,
 )
 from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
@@ -214,6 +217,30 @@ class TestStateTable:
             table.visit(PartialInterleaving(make_snapshot(), "10", counter))
         assert len(table) == 1
 
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    @pytest.mark.parametrize("counter", [(UNROLL_LIMIT + 2, 1), (1, UNROLL_LIMIT + 2)])
+    def test_a_counter_past_the_longest_thread_is_refused(self, digest_mode, counter):
+        # no thread is longer than UNROLL_LIMIT, so no program's counter passes
+        # UNROLL_LIMIT + 1; rows reaching such a counter would only cost memory
+        table = StateTable(digest_mode=digest_mode)
+        table.visit(PartialInterleaving(make_snapshot(), "01", (1, 1)))
+        with pytest.raises(ValueError, match="counter"):
+            table.visit(PartialInterleaving(make_snapshot(), "10", counter))
+        assert len(table) == 1
+        last = tuple(min(c, UNROLL_LIMIT + 1) for c in counter)
+        assert table.visit(PartialInterleaving(make_snapshot(), "10", last)) is _FIRST_VISIT
+        assert len(table) == 2
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_a_program_table_refuses_a_counter_past_its_threads(self, digest_mode):
+        table = StateTable(digest_mode, AB12)  # two statements a thread: counters up to 3
+        state = (), "", ()
+        for counter in [(4, 1), (1, 4)]:
+            with pytest.raises(ValueError, match="counter"):
+                table.visit(PartialInterleaving(state, "", counter))
+        assert table.visit(PartialInterleaving(state, "", (3, 3))) is _FIRST_VISIT
+        assert len(table) == 1
+
 
 class _DictTable:
     """The state table as a dict keyed on the counter, the reference for its rows."""
@@ -253,6 +280,52 @@ def test_state_table_agrees_with_a_dict_of_first_visits(digest_mode, visits):
         got = table.visit(PartialInterleaving(*visit))
         if isinstance(want, Race):
             assert type(got) is Race and got == want
+        else:
+            assert type(got) is want
+        assert len(table) == len(reference.entries)
+
+
+@st.composite
+def _program_visit_runs(draw):
+    """A program and visits of the search's ``(values, output, bank)`` to a table made for it.
+
+    The program has no, two or twenty variables (twenty are held in
+    chunks), and its counters range over its threads' lengths.
+    """
+    width = draw(st.sampled_from([0, 2, 20]))
+    lengths = draw(st.tuples(st.integers(0, 40), st.integers(0, 40)))
+    sems = draw(st.integers(0, 2))
+    pair = ProgramPair(
+        *(ThreadProgram((Emit("a"),) * length) for length in lengths),
+        num_semaphores=sems,
+        variables=tuple((f"v{k:02d}", 0) for k in range(width)),
+    )
+    counter = st.tuples(*(st.integers(0, length + 1) for length in lengths))
+    counters = draw(st.lists(counter, min_size=1, max_size=5))
+    state = st.tuples(st.tuples(*[st.integers(-2, 2)] * width), st.sampled_from(["", "a", "1a"]),
+                      st.tuples(*[st.booleans()] * sems))
+    states = draw(st.lists(state, min_size=1, max_size=3))
+    visit = st.tuples(st.sampled_from(states), st.sampled_from(["", "0", "01", "10"]),
+                      st.sampled_from(counters))
+    return pair, draw(st.lists(visit, max_size=30))
+
+
+@pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+@given(case=_program_visit_runs())
+def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, case):
+    # the table holds the search's triples; the reference, the flat Snapshot
+    # each one is at its counter, statuses from the counter
+    pair, visits = case
+    table, reference = StateTable(digest_mode, pair), _DictTable(digest_mode)
+    status0, status1 = pair.compiled.statuses
+    for (values, output, bank), trace, counter in visits:
+        flat = Snapshot(pair.names, values, output, bank, status0[counter[0]], status1[counter[1]])
+        want = reference.visit(flat, trace, counter)
+        got = table.visit(PartialInterleaving((_chunks(values), output, bank), trace, counter))
+        if isinstance(want, Race):
+            assert type(got) is Race and got == want
+            assert type(got.current_snapshot) is Snapshot and got.current_snapshot.values == values
+            assert digest_mode or type(got.stored_snapshot) is Snapshot
         else:
             assert type(got) is want
         assert len(table) == len(reference.entries)
@@ -443,8 +516,8 @@ class TestCompiledEncoder:
 
         def recording_step(pair, i, tid):
             successor = step(pair, i, tid)
-            # the search steps plain tuples; the same state as a Snapshot
-            reached.append(Snapshot._make(successor.snapshot))
+            # the search steps (values, output, bank); the same state as a Snapshot
+            reached.append(engine._reported(pair, successor).snapshot)
             return successor
 
         monkeypatch.setattr(engine, "step", recording_step)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import lexer_oracle
 from paircheck import _position
 from paircheck.analysis import render
-from paircheck.engine import initial_interleaving, replay
+from paircheck.engine import _start, initial_interleaving, replay
 from paircheck.toylang import (
     Assign,
     BinOp,
@@ -282,8 +282,9 @@ class TestEval:
         assert pair.names == ("x", "y")
         transitions = pair.compiled.transitions
         assert len(transitions[0]) == 2 and transitions[1] == ()
-        i = transitions[0][0](initial_interleaving(pair))
-        assert (i.snapshot.values, i.snapshot.status0, i.trace, i.counter) == ((5, 15), 1, "0", (2, 1))
+        # a transition steps the search's (values, output, bank); the counter is the status
+        i = transitions[0][0](_start(pair))
+        assert (i.snapshot, i.trace, i.counter) == (((5, 15), "", ()), "0", (2, 1))
         # the derived fields take no part in equality
         assert pair == ProgramPair(pair.thread0, pair.thread1, 0, pair.variables)
 

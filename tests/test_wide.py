@@ -15,9 +15,9 @@ import pytest
 from corpus import wide_corpus
 from oracle import enumerate_schedules
 from paircheck import disjoint_pair
-from paircheck.engine import ExplorationConfig, explore, initial_interleaving, replay
+from paircheck.engine import ExplorationConfig, _reported, explore, initial_interleaving, replay
 from paircheck.state import (
-    _CHUNK, _FIRST_VISIT, _PRUNED_EQUAL, Race, StateTable, _chunked, _flat, digest,
+    _CHUNK, _FIRST_VISIT, _PRUNED_EQUAL, Race, StateTable, _chunks, _flat, digest,
     snapshot_formatter,
 )
 from paircheck.toylang import parse
@@ -124,7 +124,8 @@ def test_expressions_read_across_chunks():
 def test_a_first_race_leaves_an_entry_that_equal_visits_in_chunks_still_prune():
     pair = disjoint_pair(16)  # 32 variables in two chunks
     i = initial_interleaving(pair)
-    a = i._replace(snapshot=_chunked(i.snapshot))
+    names, values, *rest = i.snapshot
+    a = i._replace(snapshot=(names, _chunks(values), *rest))
     names, (low, high), *rest = a.snapshot
     b = a._replace(snapshot=(names, (low, (high[0] + 1, *high[1:])), *rest), trace="x")
     table = StateTable()
@@ -145,10 +146,12 @@ def test_each_chunk_position_has_its_own_text(monkeypatch):
     explore(pair, ExplorationConfig(digest_mode=True))
     write = snapshot_formatter(pair.names)
     for i in visited:
-        chunks = i.snapshot[1]
+        chunks = i.snapshot[0]  # the search's (values, output, bank)
         assert [len(chunk) for chunk in chunks] == [16, 16]
-        assert write(i.snapshot) == canonical_text(_flat(i.snapshot)), i.trace
-    assert any(chunks[0] == chunks[1] for chunks in (i.snapshot[1] for i in visited))
+        statuses = (thread[c] for thread, c in zip(pair.compiled.statuses, i.counter))
+        held = (pair.names, *i.snapshot, *statuses)  # what the table digests
+        assert write(held) == canonical_text(_reported(pair, i).snapshot), i.trace
+    assert any(chunks[0] == chunks[1] for chunks in (i.snapshot[0] for i in visited))
 
 
 def table_bytes_per_entry(monkeypatch, pair, cfg) -> float:
