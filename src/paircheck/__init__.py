@@ -34,10 +34,7 @@ _EXPORTS = {
     ),
     "instrument": ("InstrumentError", "InstrumentOptions", "instrument", "strip"),
     "report": ("iter_report", "render_report"),
-    "state": (
-        "DIGEST_ALGORITHM", "PartialInterleaving", "Race", "Snapshot", "StateTable",
-        "digest",
-    ),
+    "state": ("DIGEST_ALGORITHM", "PartialInterleaving", "Race", "Snapshot", "digest"),
     "toylang": ("ParseError", "ProgramPair", "ThreadProgram", "parse"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -47,10 +47,11 @@ one transition closure.  A transition unpacks the search's state once,
 computes the one field its statement changes (the values, the output or
 the semaphore bank), and builds the successor triple, its trace symbol
 fixed at compile time; :func:`step` finds the statement from the counter
-and calls it, and converts a caller's snapshot at its edge.  A schedule
-per thread, indexed by the counter, says whether the thread's next
-statement always runs, waits on a semaphore (an ``up``), or the thread is
-done, which is how the search tells which threads can move.
+and calls it, and steps a caller's ``Snapshot`` from its own status to a
+flat one.  A schedule per thread, indexed by the counter, says whether
+the thread's next statement always runs, waits on a semaphore (an
+``up``), or the thread is done, which is how the search tells which
+threads can move.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ from typing import NamedTuple
 from . import Record, _require
 from .state import (
     _CHUNK, _FIRST_VISIT, _I64_MIN, _PRUNED_EQUAL, _U64, DONE, PartialInterleaving, Race, Snapshot,
-    UNROLL_LIMIT, StateTable, _chunks, _in_chunks, _snapshot_at, _statuses, _tuple_new, _wide,
-    wrap64,
+    UNROLL_LIMIT, StateTable, _chunks, _snapshot_at, _statuses, _tuple_new, _wide, wrap64,
 )
 from .toylang import (
     Assign, BinOp, Emit, Expr, IntLit, ProgramPair, SemDown, SemUp, Statement, Var,
@@ -338,10 +338,10 @@ def step(pair: ProgramPair, i: PartialInterleaving, tid: int) -> PartialInterlea
     Assignments, emits, and ``down`` always execute; an ``up`` executes
     only on a lowered semaphore.  The successor's counter and trace
     record the statement, and the thread's status moves to its next
-    statement index, or to ``DONE`` after its last statement.  A caller's
-    snapshot, a :class:`Snapshot` or a plain 6-tuple, steps from its own
-    status to the same kind of snapshot, its values laid out as they came;
-    the search's ``(values, output, bank)`` steps from its counter.
+    statement index, or to ``DONE`` after its last statement.  The
+    search's ``(values, output, bank)`` steps from its counter; a caller's
+    :class:`Snapshot` steps from its own status, whatever its counter, to
+    a flat ``Snapshot``.
 
     Raises :class:`EngineError` when ``tid`` is not 0 or 1, when the
     thread is finished, or when its next statement is an ``up`` on a
@@ -365,27 +365,23 @@ def _step_snapshot(pair: ProgramPair, i: PartialInterleaving, tid: int,
                    transitions: tuple[Transition, ...]) -> PartialInterleaving:
     """:func:`step` of a caller's snapshot: from its own status, as the search's state.
 
-    The successor is a snapshot of the same kind, its values laid out as they came.
+    The successor is a flat ``Snapshot``.
     """
     snapshot, trace, counter = i
     names, values, output, bank, status0, status1 = snapshot
     index = status1 if tid else status0
     if not 0 <= index < len(transitions):  # DONE, or a hand-built status past the thread's end
         raise EngineError(f"thread {tid} is finished")
-    plain, flat = type(snapshot) is tuple, _wide(pair.names) and not _in_chunks(values)
-    state = _chunks(values) if flat else values, output, bank
     (values, output, bank), trace, counter = transitions[index](
-        _tuple_new(PartialInterleaving, (state, trace, counter)))
-    if flat:
+        _tuple_new(PartialInterleaving, ((_chunks(values), output, bank), trace, counter)))
+    if _wide(pair.names):
         values = tuple(chain.from_iterable(values))
     status = DONE if index + 1 == len(transitions) else index + 1
     if tid:
         snapshot = names, values, output, bank, status0, status
     else:
         snapshot = names, values, output, bank, status, status1
-    if not plain:
-        snapshot = _tuple_new(Snapshot, snapshot)
-    return _tuple_new(PartialInterleaving, (snapshot, trace, counter))
+    return _tuple_new(PartialInterleaving, (_tuple_new(Snapshot, snapshot), trace, counter))
 
 
 def replay(pair: ProgramPair, trace: str) -> PartialInterleaving:

@@ -13,26 +13,25 @@ one, or ``DONE`` once that is its length (:func:`_statuses`), and the
 program's ``names`` are the same in every state, so both are added back
 only where a state leaves the search.
 
-The :class:`StateTable` keeps rows indexed by the combined counter,
-``[s0][s1]``, where the first interleaving to reach a counter leaves
-its state or, in digest mode, the 128-bit digest of its canonical
-serialization (hash compaction) and one byte of its ``hash``, and its
-trace.  Later arrivals are compared against it.  An equal state
-means the subtree below was already explored from an identical state
-(prunable); a differing one is a :class:`Race`: two schedules reached
-the same program point with different observable behavior.  A table
-made for a program is fed the search's triples, and builds a race's flat
+The :class:`StateTable` is made for one program and keeps rows over its
+whole counter lattice, indexed ``[s0][s1]``, where the first
+interleaving to reach a counter leaves its state or, in digest mode, the
+128-bit digest of its canonical serialization (hash compaction) and one
+byte of its ``hash``, and its trace.  Later arrivals are compared
+against it.  An equal state means the subtree below was already
+explored from an identical state (prunable); a differing one is a
+:class:`Race`: two schedules reached the same program point with
+different observable behavior.  The table is fed the search's triples,
+compared with the C-level tuple ``==``, and builds a race's flat
 ``Snapshot`` sides and the input of a digest from the triple and the
-counter; a table made without one is fed snapshots, NamedTuples or plain
-6-tuples.  Either way states are compared with the C-level tuple ``==``.
-The tag only proves inequality: differing tags are a race without
-digesting the later arrival; equal tags are digested.
+counter.  The tag only proves inequality: differing tags are a race
+without digesting the later arrival; equal tags are digested.
 
 The module also defines :func:`snapshot_formatter`, the writer of a
 snapshot's canonical bytes, found from its own ``names`` (the report
 writer owns the JSON layout); the output escaping of those bytes (which
 ``analysis.render`` shares); :func:`wrap64`, the 64-bit wrap of every
-value; and ``UNROLL_LIMIT``, the longest thread, which bounds a counter.
+value; and ``UNROLL_LIMIT``, the most statements a thread unrolls to.
 It imports nothing from the rest of the package; the records' base,
 ``Record``, is in the package root.
 """
@@ -171,14 +170,6 @@ def _chunks(values: tuple[int, ...]) -> tuple:
     if _wide(values):
         return tuple(values[k:k + _CHUNK] for k in range(0, len(values), _CHUNK))
     return values
-
-
-def _flat(snapshot: tuple) -> Snapshot:
-    """The ``Snapshot`` of a snapshot with flat or chunked values (a chunk is a tuple), flat."""
-    values = snapshot[1]
-    if values and type(values[0]) is tuple:  # _in_chunks, inline
-        snapshot = (snapshot[0], tuple(chain.from_iterable(values)), *snapshot[2:])
-    return _tuple_new(Snapshot, snapshot)
 
 
 def _snapshot_at(names: tuple[str, ...], statuses: tuple[tuple[int, ...], tuple[int, ...]],
@@ -328,84 +319,46 @@ _tuple_new = tuple.__new__  # builds a NamedTuple without its Python-level __new
 class StateTable:
     """Map from combined counter to the first visit seen there, in rows indexed ``[s0][s1]``.
 
-    The point of the counter lattice holds the stored state or, in digest
-    mode, its :func:`digest`; a parallel row holds the trace, and in
-    digest mode another holds the tag ``hash(state) & 0xFF``, a cached
-    small int.  An empty point holds ``None``; ``len`` counts the others.
-    Rows are added as counters reach them, all of one width, which grows
-    by at least half when a counter falls past it, so the table's size
-    follows its largest counters; a counter component is at most its
-    thread's length plus one, the ``program``'s thread or, without one,
-    ``UNROLL_LIMIT`` statements.  Entries are never evicted; a plain tuple is
-    replaced by the flat ``Snapshot`` its first race reports, so a race is
-    compared again flat, for a visit equal to it.
-
-    A table made for a ``program`` (a :class:`~paircheck.toylang.ProgramPair`)
-    is fed the search's ``(values, output, bank)`` triples of that program;
-    one made without is fed snapshots of one program: they are compared
-    with plain ``==``, so snapshots of two programs with different
-    variable names differ, and a digest-mode table builds a writer at each
-    switch.
+    A table is made for one ``program`` (a :class:`~paircheck.toylang.ProgramPair`)
+    and fed the search's :class:`PartialInterleaving` of ``(values, output,
+    bank)``, a wide program's values in chunks.  Its rows cover the whole
+    counter lattice, made once here: a counter component runs from 0 to its
+    thread's length plus one.  The point of the lattice holds the stored
+    state or, in digest mode, its :func:`digest`; a parallel row holds the
+    trace, and in digest mode another holds the tag ``hash(state) & 0xFF``,
+    a cached small int.  An empty point holds ``None``; ``len`` counts the
+    others.  Entries are never evicted; a stored state is replaced by the
+    flat ``Snapshot`` its first race reports, so a race is compared again
+    flat, for a visit equal to it.
     """
 
-    def __init__(self, digest_mode: bool = False, program=None):
+    def __init__(self, digest_mode: bool, program):
         self.digest_mode = digest_mode
-        self._stored: list[list[Snapshot | tuple | bytes | None]] = []
-        self._traces: list[list[str | None]] = []
-        self._tags: list[list[int | None]] | None = [] if digest_mode else None
-        if program is None:  # a caller's snapshots carry their own names and statuses
-            self._names = self._statuses = None
-            self._top = (UNROLL_LIMIT + 1, UNROLL_LIMIT + 1)
-        else:
-            lengths = len(program.thread0.statements), len(program.thread1.statements)
-            self._names = program.names
-            self._statuses = tuple(map(_statuses, lengths))
-            self._top = lengths[0] + 1, lengths[1] + 1
-        # a race side is built inline for values held flat, through _snapshot_at in chunks
-        self._narrow = program is not None and not _wide(program.names)
+        rows, width = len(program.thread0.statements) + 2, len(program.thread1.statements) + 2
+        self._stored: list[list[tuple | Snapshot | bytes | None]] = [
+            [None] * width for _ in range(rows)]
+        self._traces: list[list[str | None]] = [[None] * width for _ in range(rows)]
+        self._tags: list[list[int | None]] | None = (
+            [[None] * width for _ in range(rows)] if digest_mode else None)
+        self._names = program.names
+        self._statuses = program.compiled.statuses
+        self._wide = _wide(program.names)
 
     def __len__(self) -> int:
         return sum(len(row) - row.count(None) for row in self._stored)
-
-    def _grow(self, counter: tuple[int, int]) -> None:
-        """Make room for point ``counter``: rows of one width, widened by at least half.
-
-        Neither the rows nor their width pass the largest counter, so a
-        counter past it falls outside them and comes here: ``ValueError``.
-        """
-        s0, s1 = counter
-        top0, top1 = self._top
-        if s0 > top0 or s1 > top1:
-            raise ValueError(f"no state table point for counter {counter!r}")
-        for rows in (self._stored, self._traces, self._tags):
-            if rows is None:  # full mode keeps no tags
-                break
-            width = len(rows[0]) if rows else 0
-            if s1 >= width:
-                more = min(max(s1 + 1, width + width // 2), top1 + 1) - width
-                for row in rows:
-                    row.extend([None] * more)
-                width += more
-            rows.extend([None] * width for _ in range(s0 + 1 - len(rows)))
-
-    def _race_side(self, state: tuple, counter: tuple[int, int]) -> Snapshot:
-        """The flat ``Snapshot`` a race reports for a plain ``state`` visited at ``counter``."""
-        if self._names is None:
-            return _flat(state)
-        return _snapshot_at(self._names, self._statuses, state, counter)
 
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
 
         Returns the one ``FirstVisit`` (entry stored), the one
         ``PrunedEqual`` (stored state equal; table unchanged), or a ``Race``
-        record of both visits (states differ; table unchanged), so a caller
-        may tell them apart by identity.  In digest mode a revisit is
-        digested only when its tag matches: equal states share a tag.  A
-        counter with a negative component, or one past the largest counter,
-        is a ``ValueError``.
+        record of both visits, each side a flat ``Snapshot`` (states differ;
+        table unchanged), so a caller may tell them apart by identity.  In
+        digest mode a revisit is digested only when its tag matches: equal
+        states share a tag.  A counter with a negative component, or one
+        past the program's lattice, is a ``ValueError``.
         """
-        snapshot, trace, counter = interleaving
+        state, trace, counter = interleaving
         s0, s1 = counter
         if s0 < 0 or s1 < 0:  # a negative index would alias another counter's point
             raise ValueError(f"no state table point for counter {counter!r}")
@@ -413,51 +366,42 @@ class StateTable:
             row = self._stored[s0]
             stored = row[s1]
         except IndexError:
-            self._grow(counter)
-            row = self._stored[s0]
-            stored = None
-        tags, names = self._tags, self._names
+            raise ValueError(f"no state table point for counter {counter!r}") from None
+        names, tags = self._names, self._tags
         if tags is not None:
-            tag = hash(snapshot) & 0xFF
+            tag = hash(state) & 0xFF
             if stored is None or tags[s0][s1] == tag:
-                if names is None:
-                    digested = digest(snapshot)
-                else:  # the text of the Snapshot at this counter, its values as held
-                    values, output, bank = snapshot
-                    status0, status1 = self._statuses
-                    digested = digest((names, values, output, bank, status0[s0], status1[s1]))
+                # the text of the Snapshot at this counter, its values as held
+                values, output, bank = state
+                status0, status1 = self._statuses
+                digested = digest((names, values, output, bank, status0[s0], status1[s1]))
         if stored is None:
-            row[s1] = snapshot if tags is None else digested
+            row[s1] = state if tags is None else digested
             self._traces[s0][s1] = trace
             if tags is not None:
                 tags[s0][s1] = tag
             return _FIRST_VISIT
         if tags is None:
-            if stored == snapshot:
+            if stored == state:
                 return _PRUNED_EQUAL
-            if type(stored) is tuple:  # a plain state, at its first race: the Snapshot races share
-                if self._narrow:
-                    values, output, bank = stored
-                    status0, status1 = self._statuses
-                    stored = _tuple_new(
-                        Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
-                else:
-                    stored = self._race_side(stored, counter)
-                row[s1] = stored
             stored_digest = None
+        elif tags[s0][s1] == tag and stored == digested:
+            return _PRUNED_EQUAL
         else:
-            if tags[s0][s1] == tag and stored == digested:
-                return _PRUNED_EQUAL
             stored, stored_digest = None, stored
-        if type(snapshot) is tuple:  # a race reports a flat Snapshot; a caller's keeps its identity
-            if self._narrow:
-                values, output, bank = snapshot
-                status0, status1 = self._statuses
-                snapshot = _tuple_new(
-                    Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
-            else:
-                snapshot = self._race_side(snapshot, counter)
-        if stored == snapshot:  # full mode: a plain visit equal to the stored Snapshot
+        # each side of a race is the flat Snapshot at this counter
+        status0, status1 = self._statuses
+        if type(stored) is tuple:  # a full-mode state, at its first race: the Snapshot races share
+            values, output, bank = stored
+            if self._wide:
+                values = tuple(chain.from_iterable(values))
+            stored = row[s1] = _tuple_new(
+                Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
+        values, output, bank = state
+        if self._wide:
+            values = tuple(chain.from_iterable(values))
+        snapshot = _tuple_new(Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
+        if stored == snapshot:  # full mode: a visit equal to the stored Snapshot
             return _PRUNED_EQUAL
         return _tuple_new(
             Race, (counter, self._traces[s0][s1], stored, stored_digest, trace, snapshot))

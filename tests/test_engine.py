@@ -1,5 +1,6 @@
 import random
 import sys
+from functools import reduce
 from math import comb
 
 import pytest
@@ -17,7 +18,8 @@ from paircheck.engine import (
     step,
 )
 from paircheck.state import (
-    DONE, PartialInterleaving, Snapshot, StateTable, digest, snapshot_formatter,
+    _PRUNED_EQUAL, DONE, PartialInterleaving, Race, Snapshot, StateTable, digest,
+    snapshot_formatter,
 )
 from paircheck.toylang import parse
 
@@ -28,6 +30,11 @@ AB12 = parse('thread0 { emit "a"; emit "b"; } thread1 { emit "1"; emit "2"; }')
 
 def outputs(report):
     return [o.snapshot.output for o in report.outcomes]
+
+
+def searched(pair, trace):
+    """The search's interleaving after ``trace``: its state is ``(values, output, bank)``."""
+    return reduce(lambda i, symbol: step(pair, i, int(symbol)), trace, engine._start(pair))
 
 
 class TestInitialInterleaving:
@@ -140,7 +147,7 @@ class TestStep:
             with pytest.raises(EngineError, match="thread 0 is finished"):
                 step(AB12, given(counter, status0=DONE), 0)
             stepped = step(AB12, given(counter, status0=1, status1=DONE), 0)  # statement 1: emit "b"
-            assert type(stepped.snapshot) is (tuple if plain else Snapshot)
+            assert type(stepped.snapshot) is Snapshot
             assert stepped.snapshot == i.snapshot._replace(output="b", status0=DONE, status1=DONE)
             assert stepped.counter == (counter[0] + 1, counter[1])
             assert step(AB12, given(counter, status1=1), 1).snapshot[2] == "2"  # the output
@@ -580,20 +587,25 @@ class TestSnapshotsAtTheEdge:
             assert snapshot.canonical() == text, index
             assert snapshot_formatter(pair.names)(plain) == text, index
             assert digest(plain) == digest(snapshot), index
-            table = StateTable(digest_mode=False)
-            i = PartialInterleaving(plain, outcome.trace, outcome.counter)
+            # a table made for the program is fed the search's state, values in chunks
+            i = searched(pair, outcome.trace)
+            values, output, bank = i.snapshot
+            chunks = (*values[:-1], (*values[-1][:-1], values[-1][-1] + 1))
+            other = i._replace(snapshot=(chunks, output, bank), trace="x")
+            table = StateTable(False, pair)
             table.visit(i)
-            assert table.visit(i._replace(snapshot=snapshot)) is table.visit(i), index
-            other = plain[:1] + (plain[1][:-1] + (plain[1][-1] + 1,),) + plain[2:]
-            race = table.visit(i._replace(snapshot=other, trace="x"))
+            assert table.visit(i) is _PRUNED_EQUAL, index
+            race = table.visit(other)
             assert race.stored_snapshot == snapshot and is_flat(race.stored_snapshot, pair), index
-            assert race.current_snapshot == other and is_flat(race.current_snapshot, pair), index
-            hashed = StateTable(digest_mode=True)
+            changed = snapshot._replace(values=(*snapshot.values[:-1], snapshot.values[-1] + 1))
+            assert race.current_snapshot == changed and is_flat(race.current_snapshot, pair), index
+            assert table.visit(i) is _PRUNED_EQUAL, index  # the entry, now flat, still prunes
+            hashed = StateTable(True, pair)
             hashed.visit(i)
-            assert hashed.visit(i._replace(snapshot=snapshot)) is hashed.visit(i), index
-            race = hashed.visit(i._replace(snapshot=other))
-            assert race.stored_digest == digest(snapshot), index
-            assert is_flat(race.current_snapshot, pair), index
+            assert hashed.visit(i) is _PRUNED_EQUAL, index
+            race = hashed.visit(other)
+            assert type(race) is Race and race.stored_digest == digest(snapshot), index
+            assert race.current_snapshot == changed and is_flat(race.current_snapshot, pair), index
 
 
 class TestSearchHotPath:

@@ -19,6 +19,7 @@ from paircheck.engine import (
 from paircheck.report import _json_members, render_report
 from paircheck.state import (
     _FIRST_VISIT,
+    _PRUNED_EQUAL,
     DONE,
     UNROLL_LIMIT,
     FirstVisit,
@@ -32,6 +33,7 @@ from paircheck.state import (
 )
 from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
 from test_analysis import RACY_24
+from test_engine import searched
 
 AB12 = parse('thread0 { emit "a"; emit "b"; } thread1 { emit "1"; emit "2"; }')
 COMMUTING = parse("var x; var y; thread0 { x = x + 1; } thread1 { y = y + 1; }")
@@ -123,122 +125,134 @@ def test_snapshot_equal_is_equivalence(a, b, c):
         assert a == c
 
 
+def emits(length0, length1):
+    """A program whose threads emit ``a`` ``length0`` times and ``b`` ``length1`` times."""
+    return ProgramPair(ThreadProgram((Emit("a"),) * length0), ThreadProgram((Emit("b"),) * length1),
+                       num_semaphores=0, variables=())
+
+
+# the longest threads a program has: a table made for it covers counters up to UNROLL_LIMIT + 1
+LONGEST = emits(UNROLL_LIMIT, UNROLL_LIMIT)
+
+
 class TestStateTable:
+    """A table made for a program, fed the search's ``(values, output, bank)``."""
+
     def test_empty_table_first_visit(self):
-        table = StateTable()
-        assert isinstance(table.visit(replay(AB12, "0")), FirstVisit)
+        table = StateTable(False, AB12)
+        assert isinstance(table.visit(searched(AB12, "0")), FirstVisit)
         assert len(table) == 1
 
     def test_order_dependent_output_is_race(self):
-        table = StateTable()
-        stored = replay(AB12, "10")  # output "1a"
-        current = replay(AB12, "01")  # output "a1"
+        table = StateTable(False, AB12)
+        stored = searched(AB12, "10")  # output "1a"
+        current = searched(AB12, "01")  # output "a1"
         assert isinstance(table.visit(stored), FirstVisit)
         outcome = table.visit(current)
         assert isinstance(outcome, Race)
         assert outcome.counter == current.counter
-        assert outcome.stored_snapshot is stored.snapshot
+        assert type(outcome.stored_snapshot) is type(outcome.current_snapshot) is Snapshot
+        assert outcome.stored_snapshot == replay(AB12, "10").snapshot
         assert outcome.stored_digest is None
         assert outcome.stored_trace == "10"
         assert outcome.current_trace == current.trace
-        assert outcome.current_snapshot is current.snapshot
-        assert outcome.stored_snapshot != current.snapshot
+        assert outcome.current_snapshot == replay(AB12, "01").snapshot
+        assert outcome.stored_snapshot != outcome.current_snapshot
 
     def test_commuting_states_prune(self):
-        table = StateTable()
-        table.visit(replay(COMMUTING, "10"))
-        assert isinstance(table.visit(replay(COMMUTING, "01")), PrunedEqual)
+        table = StateTable(False, COMMUTING)
+        table.visit(searched(COMMUTING, "10"))
+        assert isinstance(table.visit(searched(COMMUTING, "01")), PrunedEqual)
         assert len(table) == 1
 
     def test_never_evicts(self):
-        table = StateTable()
-        first = replay(AB12, "01")
-        table.visit(first)
-        for trace in ("01", "10", "01"):
-            outcome = table.visit(replay(AB12, trace))
-            assert isinstance(outcome, (PrunedEqual, Race))
-        # the first visit is still the one a later race reports
-        outcome = table.visit(replay(AB12, "10"))
+        table = StateTable(False, AB12)
+        table.visit(searched(AB12, "01"))
+        outcomes = [table.visit(searched(AB12, trace)) for trace in ("01", "10", "01")]
+        assert [type(outcome) for outcome in outcomes] == [PrunedEqual, Race, PrunedEqual]
+        # the first visit is still the one a later race reports, as the first race's Snapshot
+        outcome = table.visit(searched(AB12, "10"))
         assert isinstance(outcome, Race)
         assert outcome.counter == (2, 2)
-        assert outcome.stored_snapshot is first.snapshot
+        assert outcome.stored_snapshot is outcomes[1].stored_snapshot
+        assert outcome.stored_snapshot == replay(AB12, "01").snapshot
         assert outcome.stored_trace == "01"
         assert len(table) == 1
 
     def test_digest_mode_stores_digest_and_trace(self):
-        table = StateTable(digest_mode=True)
-        stored = replay(AB12, "10")
-        assert isinstance(table.visit(stored), FirstVisit)
-        outcome = table.visit(replay(AB12, "01"))
+        table = StateTable(True, AB12)
+        assert isinstance(table.visit(searched(AB12, "10")), FirstVisit)
+        outcome = table.visit(searched(AB12, "01"))
         assert isinstance(outcome, Race)
         assert outcome.stored_trace == "10"
         assert outcome.stored_snapshot is None
-        assert outcome.stored_digest == digest(stored.snapshot)
+        assert outcome.stored_digest == digest(replay(AB12, "10").snapshot)
+        assert outcome.current_snapshot == replay(AB12, "01").snapshot
 
     def test_digest_mode_prunes_equal(self):
-        table = StateTable(digest_mode=True)
-        table.visit(replay(COMMUTING, "10"))
-        assert isinstance(table.visit(replay(COMMUTING, "01")), PrunedEqual)
-
-    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
-    def test_snapshots_differing_only_in_names_race(self, digest_mode):
-        # the full-mode key compares every field the digest covers, names too
-        table = StateTable(digest_mode=digest_mode)
-        stored = PartialInterleaving(make_snapshot(), "01", (2, 2))
-        current = PartialInterleaving(make_snapshot(names=("p", "q")), "10", (2, 2))
-        assert isinstance(table.visit(stored), FirstVisit)
-        outcome = table.visit(current)
-        assert isinstance(outcome, Race)
-        assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
+        table = StateTable(True, COMMUTING)
+        table.visit(searched(COMMUTING, "10"))
+        assert isinstance(table.visit(searched(COMMUTING, "01")), PrunedEqual)
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
     def test_far_apart_counters_store_and_prune_apart(self, digest_mode):
-        table = StateTable(digest_mode=digest_mode)
-        counters = [(1, 500), (500, 1), (0, 0)]
-        snapshots = [make_snapshot(values=(k, k)) for k in range(len(counters))]
-        for counter, snapshot in zip(counters, snapshots):
-            assert isinstance(table.visit(PartialInterleaving(snapshot, "0", counter)), FirstVisit)
+        pair = emits(500, 500)
+        visits = [searched(pair, trace) for trace in ("1" * 499, "0" * 499, "")]
+        assert [i.counter for i in visits] == [(1, 500), (500, 1), (1, 1)]
+        table = StateTable(digest_mode, pair)
+        for i in visits:
+            assert isinstance(table.visit(i), FirstVisit)
         assert len(table) == 3
-        for k, counter in enumerate(counters):
-            revisit = PartialInterleaving(snapshots[k], "1", counter)
-            assert isinstance(table.visit(revisit), PrunedEqual)
-            outcome = table.visit(PartialInterleaving(snapshots[k - 1], "10", counter))
+        for k, i in enumerate(visits):
+            assert isinstance(table.visit(i._replace(trace="1")), PrunedEqual)
+            other = i._replace(snapshot=visits[k - 1].snapshot, trace="10")
+            outcome = table.visit(other)
             assert isinstance(outcome, Race)
-            assert (outcome.counter, outcome.stored_trace) == (counter, "0")
+            assert (outcome.counter, outcome.stored_trace) == (i.counter, i.trace)
         assert len(table) == 3
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
     @pytest.mark.parametrize("counter", [(-1, 1), (1, -1), (-1, -1)])
     def test_a_negative_counter_is_refused(self, digest_mode, counter):
-        # as an index, -1 would name the last row or point, here (1, 1)'s
-        table = StateTable(digest_mode=digest_mode)
-        table.visit(PartialInterleaving(make_snapshot(), "01", (1, 1)))
+        # as an index, -1 would name the last row or point, here (3, 3)'s
+        table = StateTable(digest_mode, AB12)
+        start = searched(AB12, "")
+        table.visit(start)
         with pytest.raises(ValueError, match="counter"):
-            table.visit(PartialInterleaving(make_snapshot(), "10", counter))
+            table.visit(start._replace(counter=counter))
         assert len(table) == 1
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
     @pytest.mark.parametrize("counter", [(UNROLL_LIMIT + 2, 1), (1, UNROLL_LIMIT + 2)])
     def test_a_counter_past_the_longest_thread_is_refused(self, digest_mode, counter):
         # no thread is longer than UNROLL_LIMIT, so no program's counter passes
-        # UNROLL_LIMIT + 1; rows reaching such a counter would only cost memory
-        table = StateTable(digest_mode=digest_mode)
-        table.visit(PartialInterleaving(make_snapshot(), "01", (1, 1)))
+        # UNROLL_LIMIT + 1, the last point of the longest program's table
+        table = StateTable(digest_mode, LONGEST)
+        start = searched(LONGEST, "")
+        table.visit(start)
         with pytest.raises(ValueError, match="counter"):
-            table.visit(PartialInterleaving(make_snapshot(), "10", counter))
+            table.visit(start._replace(counter=counter))
         assert len(table) == 1
         last = tuple(min(c, UNROLL_LIMIT + 1) for c in counter)
-        assert table.visit(PartialInterleaving(make_snapshot(), "10", last)) is _FIRST_VISIT
+        assert table.visit(start._replace(counter=last)) is _FIRST_VISIT
         assert len(table) == 2
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
-    def test_a_program_table_refuses_a_counter_past_its_threads(self, digest_mode):
-        table = StateTable(digest_mode, AB12)  # two statements a thread: counters up to 3
-        state = (), "", ()
-        for counter in [(4, 1), (1, 4)]:
+    @pytest.mark.parametrize(
+        "lengths", [(0, 0), (2, 2), (40, 40), (0, 40), (40, 2)], ids=lambda pair: "%d+%d" % pair
+    )
+    def test_a_program_table_refuses_a_counter_past_its_threads(self, digest_mode, lengths):
+        # the table covers counters 0 to each thread's length plus one, made once
+        len0, len1 = lengths
+        pair = emits(len0, len1)
+        table = StateTable(digest_mode, pair)
+        start = searched(pair, "")
+        for counter in [(len0 + 2, 1), (1, len1 + 2), (len0 + 2, len1 + 2)]:
             with pytest.raises(ValueError, match="counter"):
-                table.visit(PartialInterleaving(state, "", counter))
-        assert table.visit(PartialInterleaving(state, "", (3, 3))) is _FIRST_VISIT
+                table.visit(start._replace(counter=counter))
+        assert len(table) == 0
+        assert table.visit(start._replace(counter=(len0 + 1, len1 + 1))) is _FIRST_VISIT
+        assert table.visit(start._replace(counter=(len0 + 1, len1 + 1))) is _PRUNED_EQUAL
         assert len(table) == 1
 
 
@@ -258,31 +272,6 @@ class _DictTable:
         if self.digest_mode:
             return Race(counter, stored_trace, None, digest(stored), trace, snapshot)
         return Race(counter, stored_trace, stored, None, trace, snapshot)
-
-
-@st.composite
-def _visit_runs(draw):
-    """Visits that often share a counter and a snapshot, so all three results occur."""
-    counter = st.tuples(st.integers(0, 40), st.integers(0, 40))
-    counters = draw(st.lists(counter, min_size=1, max_size=5))
-    snapshots = draw(st.lists(_snapshots, min_size=1, max_size=3))
-    visit = st.tuples(st.sampled_from(snapshots), st.sampled_from(["", "0", "01", "10"]),
-                      st.sampled_from(counters))
-    return draw(st.lists(visit, max_size=30))
-
-
-@pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
-@given(visits=_visit_runs())
-def test_state_table_agrees_with_a_dict_of_first_visits(digest_mode, visits):
-    table, reference = StateTable(digest_mode=digest_mode), _DictTable(digest_mode)
-    for visit in visits:
-        want = reference.visit(*visit)
-        got = table.visit(PartialInterleaving(*visit))
-        if isinstance(want, Race):
-            assert type(got) is Race and got == want
-        else:
-            assert type(got) is want
-        assert len(table) == len(reference.entries)
 
 
 @st.composite
@@ -332,15 +321,16 @@ def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, case)
 
 
 def _revisit(stored, tag_matches):
-    """A snapshot unequal to ``stored`` whose tag matches its tag, or differs from it.
+    """``stored``, a search's interleaving, with a state unequal to its own whose tag matches or not.
 
     Searches the first variable's value, so it finds one under any hash seed.
     """
+    (_, *rest), output, bank = stored.snapshot
     for value in range(2, 10_000):
-        other = stored._replace(values=(value, *stored.values[1:]))
-        if (hash(other) & 0xFF == hash(stored) & 0xFF) == tag_matches:
-            return other
-    raise AssertionError("no snapshot found")
+        other = (value, *rest), output, bank
+        if (hash(other) & 0xFF == hash(stored.snapshot) & 0xFF) == tag_matches:
+            return stored._replace(snapshot=other, trace="10")
+    raise AssertionError("no state found")
 
 
 class TestDigestTag:
@@ -357,41 +347,42 @@ class TestDigestTag:
         monkeypatch.setattr(state, "digest", counting_digest)
         return calls
 
-    def _race(self, table, stored, current, digest_calls):
-        assert isinstance(table.visit(PartialInterleaving(stored, "01", (2, 2))), FirstVisit)
+    def _race(self, stored, current, digest_calls):
+        table = StateTable(True, COMMUTING)
+        assert isinstance(table.visit(stored), FirstVisit)
         digest_calls.clear()
-        outcome = table.visit(PartialInterleaving(current, "10", (2, 2)))
+        outcome = table.visit(current)
         assert isinstance(outcome, Race)
         assert outcome.stored_snapshot is None
-        assert outcome.stored_digest == digest(stored)
+        assert outcome.stored_digest == digest(engine._reported(COMMUTING, stored).snapshot)
         assert (outcome.stored_trace, outcome.current_trace) == ("01", "10")
-        assert outcome.current_snapshot is current
+        assert outcome.current_snapshot == engine._reported(COMMUTING, current).snapshot
 
     def test_a_differing_tag_is_a_race_without_a_digest(self, digest_calls):
-        stored = make_snapshot()
-        self._race(StateTable(digest_mode=True), stored, _revisit(stored, False), digest_calls)
+        stored = searched(COMMUTING, "01")
+        self._race(stored, _revisit(stored, False), digest_calls)
         assert digest_calls == []
 
     def test_a_colliding_tag_is_still_a_race(self, digest_calls):
-        stored = make_snapshot()
+        stored = searched(COMMUTING, "01")
         current = _revisit(stored, True)
-        self._race(StateTable(digest_mode=True), stored, current, digest_calls)
-        assert digest_calls == [current]
+        self._race(stored, current, digest_calls)
+        # the table digests the Snapshot at the counter, as a plain tuple
+        assert digest_calls == [engine._reported(COMMUTING, current).snapshot]
 
     def test_an_equal_revisit_is_digested_once_and_pruned(self, digest_calls):
-        table = StateTable(digest_mode=True)
-        table.visit(replay(COMMUTING, "10"))
+        table = StateTable(True, COMMUTING)
+        table.visit(searched(COMMUTING, "10"))
         digest_calls.clear()
-        assert isinstance(table.visit(replay(COMMUTING, "01")), PrunedEqual)
+        assert isinstance(table.visit(searched(COMMUTING, "01")), PrunedEqual)
         assert len(digest_calls) == 1
 
     def test_full_mode_digests_nothing(self, digest_calls):
-        stored = make_snapshot()
-        table = StateTable()
-        current = _revisit(stored, True)
-        table.visit(PartialInterleaving(stored, "01", (2, 2)))
-        assert isinstance(table.visit(PartialInterleaving(stored, "10", (2, 2))), PrunedEqual)
-        assert isinstance(table.visit(PartialInterleaving(current, "10", (2, 2))), Race)
+        stored = searched(COMMUTING, "01")
+        table = StateTable(False, COMMUTING)
+        table.visit(stored)
+        assert isinstance(table.visit(stored._replace(trace="10")), PrunedEqual)
+        assert isinstance(table.visit(_revisit(stored, True)), Race)
         assert digest_calls == []
 
 

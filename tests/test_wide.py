@@ -17,12 +17,11 @@ from oracle import enumerate_schedules
 from paircheck import disjoint_pair
 from paircheck.engine import ExplorationConfig, _reported, explore, initial_interleaving, replay
 from paircheck.state import (
-    _CHUNK, _FIRST_VISIT, _PRUNED_EQUAL, Race, StateTable, _chunks, _flat, digest,
-    snapshot_formatter,
+    _CHUNK, _FIRST_VISIT, _PRUNED_EQUAL, Race, StateTable, digest, snapshot_formatter,
 )
 from paircheck.toylang import parse
 from test_analysis import RACY_24
-from test_engine import EXHAUSTIVE, SEARCH_MODES, canonical_text
+from test_engine import EXHAUSTIVE, SEARCH_MODES, canonical_text, searched
 
 BUDGETS = (0, 1, 3, 8, 1_000_000)
 
@@ -123,15 +122,13 @@ def test_expressions_read_across_chunks():
 
 def test_a_first_race_leaves_an_entry_that_equal_visits_in_chunks_still_prune():
     pair = disjoint_pair(16)  # 32 variables in two chunks
-    i = initial_interleaving(pair)
-    names, values, *rest = i.snapshot
-    a = i._replace(snapshot=(names, _chunks(values), *rest))
-    names, (low, high), *rest = a.snapshot
-    b = a._replace(snapshot=(names, (low, (high[0] + 1, *high[1:])), *rest), trace="x")
-    table = StateTable()
+    a = searched(pair, "")
+    (low, high), output, bank = a.snapshot
+    b = a._replace(snapshot=((low, (high[0] + 1, *high[1:])), output, bank), trace="x")
+    table = StateTable(False, pair)
     assert table.visit(a) is _FIRST_VISIT
     race = table.visit(b)
-    assert type(race) is Race and race.stored_snapshot == _flat(a.snapshot)
+    assert type(race) is Race and race.stored_snapshot == initial_interleaving(pair).snapshot
     assert table.visit(a) is _PRUNED_EQUAL
     assert table.visit(b).stored_snapshot is race.stored_snapshot
 
