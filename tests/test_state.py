@@ -1,17 +1,20 @@
+import gc
 import hashlib
 import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import report_oracle
 from conftest import child_env
-from corpus import fixed_corpus
-from paircheck import engine, state
+from corpus import PADDINGS, fixed_corpus, random_pair, widen
+from paircheck import disjoint_pair, engine, state
 from paircheck.engine import (
     ExplorationConfig, ExplorationReport, ExplorationStats, explore, initial_interleaving, replay,
     step,
@@ -28,7 +31,6 @@ from paircheck.state import (
     Race,
     Snapshot,
     StateTable,
-    _chunks,
     digest,
 )
 from paircheck.toylang import Emit, ProgramPair, ThreadProgram, parse
@@ -135,8 +137,22 @@ def emits(length0, length1):
 LONGEST = emits(UNROLL_LIMIT, UNROLL_LIMIT)
 
 
+def along(table, pair, trace):
+    """``table``'s results for the search's interleaving after each prefix of ``trace``.
+
+    The prefixes are fed in order from the root, as the search reaches them,
+    so each first visit among them is stepped from the visit before it.
+    """
+    i = engine._start(pair)
+    results = [table.visit(i)]
+    for symbol in trace:
+        i = step(pair, i, int(symbol))
+        results.append(table.visit(i))
+    return results
+
+
 class TestStateTable:
-    """A table made for a program, fed the search's ``(values, output, bank)``."""
+    """A table made for a program, fed the search's ``(values, output, bank)`` in its order."""
 
     def test_empty_table_first_visit(self):
         table = StateTable(False, AB12)
@@ -145,18 +161,18 @@ class TestStateTable:
 
     def test_order_dependent_output_is_race(self):
         table = StateTable(False, AB12)
-        stored = searched(AB12, "10")  # output "1a"
-        current = searched(AB12, "01")  # output "a1"
-        assert isinstance(table.visit(stored), FirstVisit)
-        outcome = table.visit(current)
+        current = searched(AB12, "10")  # output "1a"
+        # the search's first path reaches (2, 2) by "01", output "a1"
+        assert along(table, AB12, "01") == [_FIRST_VISIT] * 3
+        *_, outcome = along(table, AB12, "10")
         assert isinstance(outcome, Race)
         assert outcome.counter == current.counter
         assert type(outcome.stored_snapshot) is type(outcome.current_snapshot) is Snapshot
-        assert outcome.stored_snapshot == replay(AB12, "10").snapshot
+        assert outcome.stored_snapshot == replay(AB12, "01").snapshot
         assert outcome.stored_digest is None
-        assert outcome.stored_trace == "10"
+        assert outcome.stored_trace == "01"
         assert outcome.current_trace == current.trace
-        assert outcome.current_snapshot == replay(AB12, "01").snapshot
+        assert outcome.current_snapshot == replay(AB12, "10").snapshot
         assert outcome.stored_snapshot != outcome.current_snapshot
 
     def test_commuting_states_prune(self):
@@ -167,7 +183,8 @@ class TestStateTable:
 
     def test_never_evicts(self):
         table = StateTable(False, AB12)
-        table.visit(searched(AB12, "01"))
+        along(table, AB12, "01")
+        along(table, AB12, "1")
         outcomes = [table.visit(searched(AB12, trace)) for trace in ("01", "10", "01")]
         assert [type(outcome) for outcome in outcomes] == [PrunedEqual, Race, PrunedEqual]
         # the first visit is still the one a later race reports, as the first race's Snapshot
@@ -177,17 +194,18 @@ class TestStateTable:
         assert outcome.stored_snapshot is outcomes[1].stored_snapshot
         assert outcome.stored_snapshot == replay(AB12, "01").snapshot
         assert outcome.stored_trace == "01"
-        assert len(table) == 1
+        assert outcome.stored_trace is outcomes[1].stored_trace  # rebuilt once, then kept
+        assert len(table) == 4
 
     def test_digest_mode_stores_digest_and_trace(self):
         table = StateTable(True, AB12)
-        assert isinstance(table.visit(searched(AB12, "10")), FirstVisit)
-        outcome = table.visit(searched(AB12, "01"))
+        assert along(table, AB12, "01") == [_FIRST_VISIT] * 3
+        *_, outcome = along(table, AB12, "10")
         assert isinstance(outcome, Race)
-        assert outcome.stored_trace == "10"
+        assert outcome.stored_trace == "01"
         assert outcome.stored_snapshot is None
-        assert outcome.stored_digest == digest(replay(AB12, "10").snapshot)
-        assert outcome.current_snapshot == replay(AB12, "01").snapshot
+        assert outcome.stored_digest == digest(replay(AB12, "01").snapshot)
+        assert outcome.current_snapshot == replay(AB12, "10").snapshot
 
     def test_digest_mode_prunes_equal(self):
         table = StateTable(True, COMMUTING)
@@ -200,16 +218,67 @@ class TestStateTable:
         visits = [searched(pair, trace) for trace in ("1" * 499, "0" * 499, "")]
         assert [i.counter for i in visits] == [(1, 500), (500, 1), (1, 1)]
         table = StateTable(digest_mode, pair)
-        for i in visits:
-            assert isinstance(table.visit(i), FirstVisit)
-        assert len(table) == 3
+        assert along(table, pair, "0" * 499) == [_FIRST_VISIT] * 500
+        assert along(table, pair, "1" * 499) == [_PRUNED_EQUAL] + [_FIRST_VISIT] * 499
+        assert len(table) == 999
         for k, i in enumerate(visits):
             assert isinstance(table.visit(i._replace(trace="1")), PrunedEqual)
             other = i._replace(snapshot=visits[k - 1].snapshot, trace="10")
             outcome = table.visit(other)
             assert isinstance(outcome, Race)
             assert (outcome.counter, outcome.stored_trace) == (i.counter, i.trace)
-        assert len(table) == 3
+        assert len(table) == 999
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_a_completion_step_after_a_race_keeps_its_first_visits_trace(self, digest_mode):
+        # Thread 1 ends first.  The first visit at (3, 3), by "0011", would
+        # block forever on the raised semaphore; "0110" races it there with
+        # the semaphore lowered, and as a completion step goes on to (4, 3).
+        # That first visit was not stepped from its predecessor's, so no link
+        # leads back to its trace: the edge keeps it whole.
+        pair = parse("semaphores 1; thread0 { emit \"a\"; down(0); up(0); } "
+                     "thread1 { up(0); emit \"b\"; }")
+        cfg = ExplorationConfig(digest_mode=digest_mode)
+        visits = search_visits(pair, cfg)
+        first = {}
+        for i in visits:
+            first.setdefault(i.counter, i.trace)
+        assert first[(3, 3)] == "0011" and first[(4, 3)] == "01100"
+        report = explore(pair, cfg)
+        assert [(r.counter, r.stored_trace, r.current_trace) for r in report.races] == [
+            ((3, 2), "001", "010"), ((3, 3), "0011", "0110"), ((2, 3), "011", "110"),
+            ((3, 3), "0011", "1100"), ((4, 3), "01100", "11000")]
+        for race in report.races:
+            stored = replay(pair, race.stored_trace)
+            assert stored.counter == race.counter
+            assert race.stored_snapshot in (None, stored.snapshot)
+            assert race.stored_digest in (None, digest(stored.snapshot))
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_a_race_rebuilds_the_stored_trace_from_the_links(self, digest_mode):
+        # each first visit here is stepped from its predecessor's, so its link
+        # byte and the trace kept back along the links make its trace: (2, 2)'s
+        # first race walks back to the root, and the races at (3, 2) and
+        # (2, 3) take one link back to the trace then kept at (2, 2)
+        pair = emits(3, 3)
+        table = StateTable(digest_mode, pair)
+        assert along(table, pair, "100") == [_FIRST_VISIT] * 4
+        assert along(table, pair, "101")[-1] is _FIRST_VISIT
+        races = [outcome for outcome in along(table, pair, "010") + along(table, pair, "011")
+                 if type(outcome) is Race]
+        assert [(race.counter, race.stored_trace) for race in races] == [
+            ((2, 2), "10"), ((3, 2), "100"), ((2, 2), "10"), ((2, 3), "101")]
+        assert races[2].stored_trace is races[0].stored_trace
+
+    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+    def test_a_walk_to_a_point_without_a_link_is_refused(self, digest_mode):
+        # (2, 2) is stored by "01", but (2, 1), where its link leads, was never
+        # visited: the table was not fed in the search's order
+        table = StateTable(digest_mode, AB12)
+        assert table.visit(searched(AB12, "")) is _FIRST_VISIT
+        assert table.visit(searched(AB12, "01")) is _FIRST_VISIT
+        with pytest.raises(ValueError, match=r"\(2, 1\).*search's order"):
+            table.visit(searched(AB12, "10"))
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
     @pytest.mark.parametrize("counter", [(-1, 1), (1, -1), (-1, -1)])
@@ -274,50 +343,55 @@ class _DictTable:
         return Race(counter, stored_trace, stored, None, trace, snapshot)
 
 
-@st.composite
-def _program_visit_runs(draw):
-    """A program and visits of the search's ``(values, output, bank)`` to a table made for it.
+class _RecordingTable(StateTable):
+    """A state table that keeps every interleaving it is fed, in order."""
 
-    The program has no, two or twenty variables (twenty are held in
-    chunks), and its counters range over its threads' lengths.
-    """
-    width = draw(st.sampled_from([0, 2, 20]))
-    lengths = draw(st.tuples(st.integers(0, 40), st.integers(0, 40)))
-    sems = draw(st.integers(0, 2))
-    pair = ProgramPair(
-        *(ThreadProgram((Emit("a"),) * length) for length in lengths),
-        num_semaphores=sems,
-        variables=tuple((f"v{k:02d}", 0) for k in range(width)),
-    )
-    counter = st.tuples(*(st.integers(0, length + 1) for length in lengths))
-    counters = draw(st.lists(counter, min_size=1, max_size=5))
-    state = st.tuples(st.tuples(*[st.integers(-2, 2)] * width), st.sampled_from(["", "a", "1a"]),
-                      st.tuples(*[st.booleans()] * sems))
-    states = draw(st.lists(state, min_size=1, max_size=3))
-    visit = st.tuples(st.sampled_from(states), st.sampled_from(["", "0", "01", "10"]),
-                      st.sampled_from(counters))
-    return pair, draw(st.lists(visit, max_size=30))
+    def __init__(self, digest_mode, program):
+        super().__init__(digest_mode, program)
+        self.visits = []
+
+    def visit(self, interleaving):
+        self.visits.append(interleaving)
+        return super().visit(interleaving)
+
+
+def search_visits(pair, cfg):
+    """The interleavings ``explore(pair, cfg)`` feeds its state table, in its order."""
+    tables = []
+
+    def recording(digest_mode, program):
+        tables.append(_RecordingTable(digest_mode, program))
+        return tables[-1]
+
+    with mock.patch.object(engine, "StateTable", recording):
+        explore(pair, cfg)
+    return tables[0].visits
 
 
 @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
-@given(case=_program_visit_runs())
-def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, case):
-    # the table holds the search's triples; the reference, the flat Snapshot
-    # each one is at its counter, statuses from the counter
-    pair, visits = case
-    table, reference = StateTable(digest_mode, pair), _DictTable(digest_mode)
-    status0, status1 = pair.compiled.statuses
-    for (values, output, bank), trace, counter in visits:
-        flat = Snapshot(pair.names, values, output, bank, status0[counter[0]], status1[counter[1]])
-        want = reference.visit(flat, trace, counter)
-        got = table.visit(PartialInterleaving((_chunks(values), output, bank), trace, counter))
-        if isinstance(want, Race):
-            assert type(got) is Race and got == want
-            assert type(got.current_snapshot) is Snapshot and got.current_snapshot.values == values
-            assert digest_mode or type(got.stored_snapshot) is Snapshot
-        else:
-            assert type(got) is want
-        assert len(table) == len(reference.entries)
+@given(rng=st.randoms(use_true_random=False), padding=st.sampled_from([None, *PADDINGS]),
+       budget=st.sampled_from([7, 25, 1_000_000]))
+def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, rng, padding, budget):
+    # the table holds the search's triples and rebuilds the stored traces; the
+    # reference, the flat Snapshot each one is at its counter and its trace,
+    # both fed what the search feeds its table, pruned and not
+    pair = random_pair(rng, max_statements=5)
+    if padding is not None:
+        pair = widen(pair, padding)  # 17 to 33 variables, held in chunks
+    for pruning in (True, False):
+        cfg = ExplorationConfig(pruning=pruning, digest_mode=digest_mode, max_total_steps=budget)
+        table, reference = StateTable(digest_mode, pair), _DictTable(digest_mode)
+        for i in search_visits(pair, cfg):
+            want = reference.visit(engine._reported(pair, i).snapshot, i.trace, i.counter)
+            got = table.visit(i)
+            if isinstance(want, Race):
+                assert type(got) is Race and got == want
+                assert replay(pair, got.stored_trace).counter == i.counter
+                assert type(got.current_snapshot) is Snapshot
+                assert digest_mode or type(got.stored_snapshot) is Snapshot
+            else:
+                assert type(got) is want
+            assert len(table) == len(reference.entries)
 
 
 def _revisit(stored, tag_matches):
@@ -384,6 +458,39 @@ class TestDigestTag:
         assert isinstance(table.visit(stored._replace(trace="10")), PrunedEqual)
         assert isinstance(table.visit(_revisit(stored, True)), Race)
         assert digest_calls == []
+
+
+def _search_peak(pair, cfg):
+    """``explore(pair, cfg)``'s report and its peak of traced memory, in bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = explore(pair, cfg)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_digest_search_peaks_at_about_a_digest_an_entry():
+    # disjoint_pair(60) fills its 61 x 61 points, half of its visits equal; a
+    # table that kept each first visit's trace peaked at about 196 bytes an
+    # entry, one that keeps a link byte instead, and the edge's traces, at 86
+    report, peak = _search_peak(disjoint_pair(60), ExplorationConfig(digest_mode=True))
+    assert report.stats.table_entries == 61 * 61
+    assert peak / report.stats.table_entries < 140
+
+
+@pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
+def test_a_search_makes_only_the_rows_it_reaches(digest_mode):
+    # the lattice of two 1,024-statement threads is 1,026 x 1,026 points: made
+    # whole, its rows peaked at 16 MiB (full) and 24 MiB (digest)
+    cfg = ExplorationConfig(digest_mode=digest_mode, max_total_steps=0)
+    report, peak = _search_peak(LONGEST, cfg)
+    assert not report.complete and report.stats.table_entries == 1
+    assert peak < 1 << 20
+    table = StateTable(digest_mode, LONGEST)
+    along(table, LONGEST, "0" * 3)
+    assert [row is not None for row in table._stored[:6]] == [False, True, True, True, True, False]
 
 
 def test_digest_report_does_not_depend_on_the_hash_seed(tmp_path):
