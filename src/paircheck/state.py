@@ -17,11 +17,11 @@ The :class:`StateTable` is made for one program and keeps rows over its
 counter lattice, indexed ``[s0][s1]`` and each made when the search first
 reaches it, where the first interleaving to reach a counter leaves its
 state or, in digest mode, the 128-bit digest of its canonical
-serialization (hash compaction) and one byte of its ``hash``, and one
-link byte, the thread of the step it came by.  Only the root, the
-lattice's edge and raced points keep whole traces; a race's stored trace
-is rebuilt along the links (predecessor links, as in TLC), which is
-right for a table fed in the search's order.  Later arrivals are
+serialization (hash compaction) and one byte of its ``hash``, and its
+link, the thread of the step it came by.  Only the root, the lattice's
+edge and raced points keep whole traces, in the links' place; a race's
+stored trace is rebuilt along the links (predecessor links, as in TLC),
+which is right for a table fed in the search's order.  Later arrivals are
 compared against it.  An equal state means the subtree below was already
 explored from an identical state (prunable); a differing one is a
 :class:`Race`: two schedules reached the same program point with
@@ -330,35 +330,35 @@ class StateTable:
     plus one.  A row list is ``None`` until the table is first fed a counter
     in it, so a search stopped early holds only the rows it reached.  The
     point of the lattice holds the stored state or, in digest mode, its
-    :func:`digest`; a parallel ``bytearray`` row holds the link, the trace
-    symbol of the step the first visit came by, and in digest mode another
-    holds the tag ``hash(state) & 0xFF``.  An empty point holds ``None``;
-    ``len`` counts the others.  Entries are never evicted; a stored state is
-    replaced by the flat ``Snapshot`` its first race reports, so a race is
-    compared again flat, for a visit equal to it.
+    :func:`digest`; a parallel row holds its path, and in digest mode
+    another holds the tag ``hash(state) & 0xFF``.  An empty point holds
+    ``None``; ``len`` counts the others.  Entries are never evicted; a
+    stored state is replaced by the flat ``Snapshot`` its first race
+    reports, so a race is compared again flat, for a visit equal to it.
 
-    Only the root and the points on the lattice's edge, where a thread is
-    done, keep their whole trace, in a list row that is ``None`` elsewhere;
-    the last row and column have no link bytes.  A race's stored trace is
-    rebuilt by following the links back to a known trace (see ``_walk``),
-    and is then kept at the raced point, so the races at one counter share
-    it.  That is right only for a table
-    fed in the search's order, where each first visit inside the edge was
-    stepped from its predecessor's first visit: the search expands a state
-    that is not its counter's first visit only after a completion step, on
-    the edge, or where it equals that first visit, whose successors it then
-    reaches again.  A walk that finds a point with neither a link nor a
-    trace is a ``ValueError``.
+    A path is the first visit's link, the last symbol of its trace, the thread
+    of the step it came by; only the root and the points on the lattice's
+    edge, where a thread is done, keep their whole trace.  A trace at
+    ``(s0, s1)`` is ``s0 + s1 - 2`` symbols long, so a path of that length is
+    a kept trace and any other a link; at length 1 the two are the same.  A
+    race's stored trace is rebuilt by following the links back to a kept trace
+    (``_trace``), and then kept at the raced point in place of its link, so
+    the races at one counter share it.  That is right only for a table fed in
+    the search's order, where each first visit inside the edge was stepped
+    from its predecessor's first visit: the search expands a state that is not
+    its counter's first visit only after a completion step, on the edge, or
+    where it equals that first visit, whose successors it then reaches again.
+    A walk that meets a point with no first visit, or would step to a counter
+    component below 1, is a ``ValueError``.
     """
 
     def __init__(self, digest_mode: bool, program):
         self.digest_mode = digest_mode
         rows = len(program.thread0.statements) + 2
-        self._width = len(program.thread1.statements) + 2
+        self._last = rows - 1, len(program.thread1.statements) + 1  # the edge's row and column
         self._stored: list[list[tuple | Snapshot | bytes | None] | None] = [None] * rows
-        self._links: list[bytearray | None] = [None] * rows
-        self._tags: list[bytearray | None] | None = [None] * rows if digest_mode else None
-        self._traces: list[list[str | None] | None] = [None] * rows  # kept: root, edge, races
+        self._paths: list[list[str | None] | None] = [None] * rows
+        self._tags: list[list[int | None] | None] | None = [None] * rows if digest_mode else None
         self._names = program.names
         self._statuses = program.compiled.statuses
         self._wide = _wide(program.names)
@@ -367,57 +367,33 @@ class StateTable:
         return sum(len(row) - row.count(None) for row in self._stored if row is not None)
 
     def _row(self, s0: int) -> list:
-        """Make row ``s0``'s points, kept traces, link bytes and, in digest mode, tags; return its points."""
+        """Make row ``s0``'s points, paths and, in digest mode, tags; return its points."""
         if self._stored[s0] is not None:  # indexed by what is not an int
             raise TypeError(f"no state table row {s0!r}")
-        width, last = self._width, len(self._stored) - 1
+        width = self._last[1] + 1
         row = self._stored[s0] = [None] * width
-        self._traces[s0] = [None] * width
-        self._links[s0] = bytearray(width - 1 if s0 < last else 0)  # none on the edge
+        self._paths[s0] = [None] * width
         if self._tags is not None:
-            self._tags[s0] = bytearray(width)
+            self._tags[s0] = [None] * width
         return row
 
-    def _walk(self, s0: int, s1: int) -> str:
-        """The first visit's trace at ``(s0, s1)``, rebuilt from the links back to a known one.
-
-        A trace is known where it is kept, or where a thread has not yet
-        stepped, since one trace reaches such a point.  A run of ``"1"``
-        links along a row is crossed at once.
-        """
-        traces, links = self._traces, self._links
-        back = []  # the runs of symbols walked, last first
-        while True:
+    def _trace(self, s0: int, s1: int) -> str:
+        """The first visit's trace at ``(s0, s1)``, its links followed back to a kept trace."""
+        paths, back = self._paths, ""
+        while s0 > 0 and s1 > 0:  # no search reaches a counter component below 1
             try:
-                trace = traces[s0][s1]
-            except TypeError:  # a row not made
-                trace = None
-            if trace is not None:
+                path = paths[s0][s1]
+                if len(path) == s0 + s1 - 2:
+                    return path + back
+            except TypeError:  # a row not made, or a point with no first visit: None
                 break
-            if s0 == 1 or s1 == 1:
-                points = self._stored[s0]
-                if points is None or points[s1] is None:
-                    raise ValueError(f"no first visit at counter {(s0, s1)!r}: "
-                                     "the state table was not fed in the search's order")
-                trace = "0" * (s0 - 1) + "1" * (s1 - 1)
-                break
-            try:
-                row = links[s0]
-                link = row[s1]
-            except (TypeError, IndexError):  # a row not made, or the edge: no links
-                link = 0
-            if link == 49:  # "1": back along the row to the first byte that is not
-                k = max(row.rfind(b"0", 0, s1), row.rfind(b"\0", 0, s1))
-                back.append("1" * (s1 - k))
-                s1 = k
-            elif link == 48:  # "0"
-                back.append("0")
+            back = path + back
+            if path == "0":
                 s0 -= 1
             else:
-                raise ValueError(f"no trace or link at counter {(s0, s1)!r}: "
-                                 "the state table was not fed in the search's order")
-        back.append(trace)
-        return "".join(reversed(back))
+                s1 -= 1
+        raise ValueError(f"no first visit at counter {(s0, s1)!r}: "
+                         "the state table was not fed in the search's order")
 
     def visit(self, interleaving: PartialInterleaving) -> FirstVisit | PrunedEqual | Race:
         """Record a first visit, or compare against the stored one.
@@ -456,10 +432,11 @@ class StateTable:
             row[s1] = state if tags is None else digested
             if tags is not None:
                 tags[s0][s1] = tag
-            try:
-                self._links[s0][s1] = ord(trace[-1])
-            except IndexError:  # the root's empty trace, or an edge point, which has no link
-                self._traces[s0][s1] = trace
+            last0, last1 = self._last
+            try:  # the link, the trace's last symbol; the edge keeps its whole trace
+                self._paths[s0][s1] = trace if s0 == last0 or s1 == last1 else trace[-1]
+            except IndexError:  # the root's empty trace, kept whole
+                self._paths[s0][s1] = trace
             return _FIRST_VISIT
         if tags is None:
             if stored == state:
@@ -483,15 +460,8 @@ class StateTable:
         snapshot = _tuple_new(Snapshot, (names, values, output, bank, status0[s0], status1[s1]))
         if stored == snapshot:  # full mode: a visit equal to the stored Snapshot
             return _PRUNED_EQUAL
-        kept = self._traces[s0]
-        stored_trace = kept[s1]  # the root's, an edge point's, or this point's last race's
-        if stored_trace is None:  # its first race: rebuilt, and kept from now on
-            try:  # most often one link back to a point that raced before
-                if self._links[s0][s1] == 48:  # "0"
-                    stored_trace = self._traces[s0 - 1][s1] + "0"
-                else:
-                    stored_trace = kept[s1 - 1] + "1"
-            except TypeError:  # no trace kept there: None + str
-                stored_trace = self._walk(s0, s1)
-            kept[s1] = stored_trace
+        paths = self._paths[s0]
+        stored_trace = paths[s1]  # kept (the root's, an edge point's, a last race's), or a link
+        if len(stored_trace) != s0 + s1 - 2:  # a link, at its first race: rebuilt and kept
+            stored_trace = paths[s1] = self._trace(s0, s1)
         return _tuple_new(Race, (counter, stored_trace, stored, stored_digest, trace, snapshot))

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -151,6 +152,18 @@ def along(table, pair, trace):
     return results
 
 
+# the interleavings fed to a table, the race then fed, and the counter its walk stops at
+_UNLINKED = {
+    # (2, 2) is stored by "01", but (2, 1), where its link leads, was never
+    # visited: the table was not fed in the search's order
+    "": ([searched(AB12, ""), searched(AB12, "01")], searched(AB12, "10"), (2, 1)),
+    # the root fed with the trace "1" links to (1, 0), below the lattice's
+    # first point: no trace is made up for it
+    "-root-link": ([searched(AB12, "")._replace(trace="1")],
+                   searched(AB12, "01")._replace(counter=(1, 1)), (1, 0)),
+}
+
+
 class TestStateTable:
     """A table made for a program, fed the search's ``(values, output, bank)`` in its order."""
 
@@ -270,15 +283,16 @@ class TestStateTable:
             ((2, 2), "10"), ((3, 2), "100"), ((2, 2), "10"), ((2, 3), "101")]
         assert races[2].stored_trace is races[0].stored_trace
 
-    @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
-    def test_a_walk_to_a_point_without_a_link_is_refused(self, digest_mode):
-        # (2, 2) is stored by "01", but (2, 1), where its link leads, was never
-        # visited: the table was not fed in the search's order
+    @pytest.mark.parametrize("digest_mode, case", [
+        pytest.param(digest_mode, case, id=name + case)
+        for case in _UNLINKED for digest_mode, name in [(False, "full"), (True, "digest")]])
+    def test_a_walk_to_a_point_without_a_link_is_refused(self, digest_mode, case):
+        fed, raced, missing = _UNLINKED[case]
         table = StateTable(digest_mode, AB12)
-        assert table.visit(searched(AB12, "")) is _FIRST_VISIT
-        assert table.visit(searched(AB12, "01")) is _FIRST_VISIT
-        with pytest.raises(ValueError, match=r"\(2, 1\).*search's order"):
-            table.visit(searched(AB12, "10"))
+        for i in fed:
+            assert table.visit(i) is _FIRST_VISIT
+        with pytest.raises(ValueError, match=re.escape(repr(missing)) + ".*search's order"):
+            table.visit(raced)
 
     @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
     @pytest.mark.parametrize("counter", [(-1, 1), (1, -1), (-1, -1)])
@@ -370,12 +384,14 @@ def search_visits(pair, cfg):
 
 @pytest.mark.parametrize("digest_mode", [False, True], ids=["full", "digest"])
 @given(rng=st.randoms(use_true_random=False), padding=st.sampled_from([None, *PADDINGS]),
-       budget=st.sampled_from([7, 25, 1_000_000]))
-def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, rng, padding, budget):
+       budget=st.sampled_from([7, 25, 1_000_000]), statements=st.sampled_from([5, 12]))
+def test_a_program_table_agrees_with_a_dict_of_flat_snapshots(digest_mode, rng, padding, budget,
+                                                              statements):
     # the table holds the search's triples and rebuilds the stored traces; the
     # reference, the flat Snapshot each one is at its counter and its trace,
-    # both fed what the search feeds its table, pruned and not
-    pair = random_pair(rng, max_statements=5)
+    # both fed what the search feeds its table, pruned and not; at 12
+    # statements a thread, a walk follows up to 19 links
+    pair = random_pair(rng, max_statements=statements)
     if padding is not None:
         pair = widen(pair, padding)  # 17 to 33 variables, held in chunks
     for pruning in (True, False):
@@ -474,7 +490,8 @@ def _search_peak(pair, cfg):
 def test_a_digest_search_peaks_at_about_a_digest_an_entry():
     # disjoint_pair(60) fills its 61 x 61 points, half of its visits equal; a
     # table that kept each first visit's trace peaked at about 196 bytes an
-    # entry, one that keeps a link byte instead, and the edge's traces, at 86
+    # entry, one that keeps a link byte instead, and the edge's traces, at 86,
+    # and one that keeps a link string in a list row, or a trace, at 91
     report, peak = _search_peak(disjoint_pair(60), ExplorationConfig(digest_mode=True))
     assert report.stats.table_entries == 61 * 61
     assert peak / report.stats.table_entries < 140
